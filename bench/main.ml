@@ -334,8 +334,9 @@ let micro () =
                ()));
       quick "fig6-point: nbench under split" (fun () ->
           ignore
-            (Workload.Harness.run_single ~defense:Defense.split_standalone
-               (Workload.Guests.nbench ~iters:5 ())));
+            (Workload.Harness.run
+               (Workload.Harness.single ~defense:Defense.split_standalone
+                  (Workload.Guests.nbench ~iters:5 ()))));
       quick "fig7-point: pipe ctxsw under split" (fun () ->
           ignore (Workload.Figures.run_ctxsw ~defense:Defense.split_standalone ~iters:20 ()));
       quick "fig8-point: apache 4KB under split" (fun () ->
@@ -552,19 +553,16 @@ let bbcache_specs () =
     ("fig7_ctxsw", Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:250);
   ]
 
-(* Run one spec with the cache forced on or off, returning the machine (its
+(* Run one spec with the cache on or off (off = the freshly built machine's
+   cache is removed, leaving exact dispatch), returning the machine (its
    cache stats are read afterwards) and the run's wall-clock in
    microseconds — machine construction excluded, like the alloc gate. *)
 let timed_run ~bbcache (s : Workload.Harness.spec) =
-  let saved = !Kernel.Machine.bbcache_default in
-  Kernel.Machine.bbcache_default := bbcache;
-  Fun.protect
-    ~finally:(fun () -> Kernel.Machine.bbcache_default := saved)
-    (fun () ->
-      let k = Workload.Harness.build s in
-      let t0 = Unix.gettimeofday () in
-      ignore (Kernel.Os.run ~fuel:s.fuel k : Kernel.Os.stop_reason);
-      (k, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
+  let k = Workload.Harness.build s in
+  if not bbcache then (Kernel.Os.env k).Hw.Exec_env.cache <- None;
+  let t0 = Unix.gettimeofday () in
+  ignore (Kernel.Os.run ~fuel:s.fuel k : Kernel.Os.stop_reason);
+  (k, int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
 
 (* Best-of-N wall-clock: the minimum is the run least disturbed by the
    host, the standard discipline for gating on timing. *)
@@ -581,15 +579,9 @@ let best_us ~bbcache ?(n = 3) s =
 let bbcache_measure s =
   let k_on, us_on = best_us ~bbcache:true s in
   let _, us_off = best_us ~bbcache:false s in
-  let stats =
-    match Kernel.Os.bbcache k_on with
-    | Some c -> Hw.Bbcache.stats c
-    | None -> assert false (* just built with ~bbcache:true *)
-  in
-  let ipb =
-    match Kernel.Os.bbcache k_on with Some c -> Hw.Bbcache.insns_per_block c | None -> 0.0
-  in
-  (us_on, us_off, stats, ipb)
+  (* every machine installs a cache *)
+  let c = Option.get (Kernel.Os.bbcache k_on) in
+  (us_on, us_off, Hw.Bbcache.stats c, Hw.Bbcache.insns_per_block c)
 
 let bbcache_exp () =
   out "Decoded basic-block cache: wall-clock with the cache on vs off";
@@ -884,7 +876,7 @@ let append_trajectory ~bb_speedups ~scale_ratio ~serve_knees results (stats : Fl
         ("schema", J.Str "split-memory-bench-trajectory/1");
         ("rev", J.Str (git_rev ()));
         ("jobs", J.Int !jobs);
-        ("bbcache", J.Bool !Kernel.Machine.bbcache_default);
+        ("bbcache", J.Bool true);
         (* on/off wall-clock ratio per gated workload, so the block-cache
            dividend is tracked across revisions alongside the raw numbers *)
         ("bbcache_speedup", J.Obj (List.map (fun (n, s) -> (n, J.Float s)) bb_speedups));
@@ -1055,7 +1047,7 @@ let json_bench file =
   in
   let bbcache_json =
     J.Obj
-      (("enabled", J.Bool !Kernel.Machine.bbcache_default)
+      (("enabled", J.Bool true)
       :: List.map
            (fun (name, (us_on, us_off, (st : Hw.Bbcache.stats), ipb)) ->
              ( name,
@@ -1158,14 +1150,9 @@ let all_reproduction () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* Strip -j/--jobs N and --no-bbcache (position-independent) before
-     dispatching. --no-bbcache must land before any machine is built —
-     including the worker domains', which read the default at spawn. *)
+  (* Strip -j/--jobs N (position-independent) before dispatching. *)
   let rec strip_jobs = function
     | [] -> []
-    | "--no-bbcache" :: rest ->
-      Kernel.Machine.bbcache_default := false;
-      strip_jobs rest
     | ("-j" | "--jobs") :: n :: rest -> (
       match int_of_string_opt n with
       | Some v when v >= 1 ->
@@ -1180,27 +1167,36 @@ let () =
     | x :: rest -> x :: strip_jobs rest
   in
   let args = strip_jobs args in
-  let dispatch = function
-    | "table1" -> table1 ()
-    | "table2" -> table2 ()
-    | "fig5" -> fig5 ()
-    | "fig6" -> fig6 ()
-    | "fig7" -> fig7 ()
-    | "fig8" -> fig8 ()
-    | "fig9" -> fig9 ()
-    | "ablation" -> ablation ()
-    | "limitations" -> limitations ()
-    | "matrix" -> matrix_exp ()
-    | "micro" -> micro ()
-    | "bbcache" -> bbcache_exp ()
-    | "scale" -> scale_exp ()
-    | "serve" -> serve_exp ()
-    | "profile" -> profile_exp ()
-    | "snap" -> snap_exp ()
-    | "alloc" -> alloc ()
-    | "calib" -> calib ()
-    | "all" -> all_reproduction ()
-    | other -> Fmt.epr "unknown experiment %S@." other
+  let experiments =
+    [
+      ("table1", table1);
+      ("table2", table2);
+      ("fig5", fig5);
+      ("fig6", fig6);
+      ("fig7", fig7);
+      ("fig8", fig8);
+      ("fig9", fig9);
+      ("ablation", ablation);
+      ("limitations", limitations);
+      ("matrix", matrix_exp);
+      ("micro", micro);
+      ("bbcache", bbcache_exp);
+      ("scale", scale_exp);
+      ("serve", serve_exp);
+      ("profile", profile_exp);
+      ("snap", snap_exp);
+      ("alloc", alloc);
+      ("calib", calib);
+      ("all", all_reproduction);
+    ]
+  in
+  let dispatch name =
+    match List.assoc_opt name experiments with
+    | Some f -> f ()
+    | None ->
+      Fmt.epr "unknown experiment %S; valid experiments: %s@." name
+        (String.concat " " (List.map fst experiments));
+      exit 2
   in
   let rec run = function
     | [] -> ()

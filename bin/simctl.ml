@@ -1102,19 +1102,4 @@ let main =
       ps_cmd;
     ]
 
-(* --no-bbcache is global and position-independent: it must take effect
-   before any machine is built, across every subcommand, so it is stripped
-   here rather than threaded through each command's term. *)
-let () =
-  let argv =
-    Array.of_list
-      (List.filter
-         (fun a ->
-           if a = "--no-bbcache" then begin
-             Kernel.Machine.bbcache_default := false;
-             false
-           end
-           else true)
-         (Array.to_list Sys.argv))
-  in
-  exit (Cmd.eval ~argv main)
+let () = exit (Cmd.eval main)

@@ -65,53 +65,48 @@ let trace_trap mmu fault =
     Obs.event obs ~cat:"cpu" "cpu.trap"
       ~args:[ ("fault", Obs.Json.Str (Fmt.str "%a" pp_fault fault)) ]
 
+(* [exec_insn]'s helpers live at top level, so executing an instruction
+   allocates no closures. *)
+let push mmu r v =
+  let sp = mask32 (get r ESP - 4) in
+  Mmu.Fast.write32 mmu ~from_user:true sp v;
+  set r ESP sp
+
+let binop r d s f ~next =
+  let v = f (get r d) (get r s) in
+  set r d v;
+  set_flags r v;
+  r.eip <- next;
+  Ok Retired
+
+let jump_if r cond target ~next =
+  (match target with
+  | Isa.Insn.Rel disp -> r.eip <- (if cond then mask32 (next + disp) else next)
+  | Isa.Insn.Lbl _ -> assert false);
+  Ok Retired
+
+(* Consult the control-transfer monitor (when armed) before the new eip is
+   committed. The monitor runs after every memory access of the
+   instruction, so a page fault cannot restart the instruction past a
+   monitor side effect (a shadow-stack push would otherwise happen twice).
+   A denied transfer surfaces as #GP; the monitor has already logged why. *)
+let allowed ctrl kind ~site ~target ~ret =
+  match ctrl with None -> true | Some f -> f ~kind ~site ~target ~ret
+
+let denied kind ~site ~target =
+  Error
+    (General_protection
+       (Fmt.str "cfi: %s site=0x%08x target=0x%08x" (ctrl_kind_name kind) site target))
+
 (* Execute one already-decoded instruction at [eip] whose encoding is
    [next - eip] bytes. Register state is only committed once every memory
    access of the instruction has succeeded, so a faulting instruction can be
    transparently restarted after the kernel services the fault — the
    restart-after-page-fault semantics Algorithms 1 and 2 depend on. Shared
-   verbatim between the per-instruction interpreter ([step], which decodes
-   first) and the block dispatcher ([run_block], which replays a cached
-   decode), so the two dispatch modes cannot drift. *)
+   verbatim between exact dispatch ([step_with], which decodes first) and
+   cached dispatch ([run_cached], which replays a cached decode), so the
+   two paths cannot drift. *)
 let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
-  let rd32 a = Mmu.read32_fast mmu ~from_user:true a in
-  let wr32 a v = Mmu.write32_fast mmu ~from_user:true a v in
-  let rd8 a = Mmu.read8_fast mmu ~from_user:true a in
-  let wr8 a v = Mmu.write8_fast mmu ~from_user:true a v in
-  let push v =
-    let sp = mask32 (get r ESP - 4) in
-    wr32 sp v;
-    set r ESP sp
-  in
-  let binop d s f =
-    let v = f (get r d) (get r s) in
-    set r d v;
-    set_flags r v;
-    r.eip <- next;
-    Ok Retired
-  in
-  let jump_if cond target =
-    (match target with
-    | Isa.Insn.Rel disp -> r.eip <- (if cond then mask32 (next + disp) else next)
-    | Isa.Insn.Lbl _ -> assert false);
-    Ok Retired
-  in
-  (* Consult the control-transfer monitor (when armed) before the new
-     eip is committed. The monitor runs after every memory access of
-     the instruction, so a page fault cannot restart the instruction
-     past a monitor side effect (a shadow-stack push would otherwise
-     happen twice). A denied transfer surfaces as #GP; the monitor has
-     already logged why. *)
-  let check kind ~target k =
-    match ctrl with
-    | None -> k ()
-    | Some f ->
-      if f ~kind ~site:eip ~target ~ret:next then k ()
-      else
-        Error
-          (General_protection
-             (Fmt.str "cfi: %s site=0x%08x target=0x%08x" (ctrl_kind_name kind) eip target))
-  in
   match (insn : Isa.Insn.t) with
   | Nop ->
     r.eip <- next;
@@ -126,30 +121,30 @@ let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
     r.eip <- next;
     Ok Retired
   | Load (d, b, off) ->
-    let v = rd32 (get r b + off) in
+    let v = Mmu.Fast.read32 mmu ~from_user:true (get r b + off) in
     set r d v;
     r.eip <- next;
     Ok Retired
   | Store (b, off, s) ->
-    wr32 (get r b + off) (get r s);
+    Mmu.Fast.write32 mmu ~from_user:true (get r b + off) (get r s);
     r.eip <- next;
     Ok Retired
   | Loadb (d, b, off) ->
-    let v = rd8 (get r b + off) in
+    let v = Mmu.Fast.read8 mmu ~from_user:true (get r b + off) in
     set r d v;
     r.eip <- next;
     Ok Retired
   | Storeb (b, off, s) ->
-    wr8 (get r b + off) (get r s land 0xFF);
+    Mmu.Fast.write8 mmu ~from_user:true (get r b + off) (get r s land 0xFF);
     r.eip <- next;
     Ok Retired
   | Push s ->
-    push (get r s);
+    push mmu r (get r s);
     r.eip <- next;
     Ok Retired
   | Pop d ->
     let sp = get r ESP in
-    let v = rd32 sp in
+    let v = Mmu.Fast.read32 mmu ~from_user:true sp in
     set r ESP (sp + 4);
     set r d v;
     r.eip <- next;
@@ -158,8 +153,8 @@ let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
     set r d (get r b + off);
     r.eip <- next;
     Ok Retired
-  | Add (d, s) -> binop d s ( + )
-  | Sub (d, s) -> binop d s ( - )
+  | Add (d, s) -> binop r d s ( + ) ~next
+  | Sub (d, s) -> binop r d s ( - ) ~next
   | Add_ri (d, i) ->
     let v = get r d + i in
     set r d v;
@@ -174,10 +169,10 @@ let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
     set_flags_signed r (sign32 (get r a) - i);
     r.eip <- next;
     Ok Retired
-  | And_ (d, s) -> binop d s ( land )
-  | Or_ (d, s) -> binop d s ( lor )
-  | Xor (d, s) -> binop d s ( lxor )
-  | Mul (d, s) -> binop d s ( * )
+  | And_ (d, s) -> binop r d s ( land ) ~next
+  | Or_ (d, s) -> binop r d s ( lor ) ~next
+  | Xor (d, s) -> binop r d s ( lxor ) ~next
+  | Mul (d, s) -> binop r d s ( * ) ~next
   | Shl (d, i) ->
     let v = get r d lsl (i land 31) in
     set r d v;
@@ -190,36 +185,44 @@ let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
     set_flags r v;
     r.eip <- next;
     Ok Retired
-  | Jmp t -> jump_if true t
-  | Jz t -> jump_if r.zf t
-  | Jnz t -> jump_if (not r.zf) t
-  | Jl t -> jump_if r.sf t
-  | Jge t -> jump_if (not r.sf) t
+  | Jmp t -> jump_if r true t ~next
+  | Jz t -> jump_if r r.zf t ~next
+  | Jnz t -> jump_if r (not r.zf) t ~next
+  | Jl t -> jump_if r r.sf t ~next
+  | Jge t -> jump_if r (not r.sf) t ~next
   | Jmp_r s ->
     let target = get r s in
-    check Jump_indirect ~target (fun () ->
-        r.eip <- target;
-        Ok Retired)
+    if allowed ctrl Jump_indirect ~site:eip ~target ~ret:next then begin
+      r.eip <- target;
+      Ok Retired
+    end
+    else denied Jump_indirect ~site:eip ~target
   | Call t ->
     let disp = match t with Isa.Insn.Rel d -> d | Isa.Insn.Lbl _ -> assert false in
     let target = mask32 (next + disp) in
-    push next;
-    check Call_direct ~target (fun () ->
-        r.eip <- target;
-        Ok Retired)
+    push mmu r next;
+    if allowed ctrl Call_direct ~site:eip ~target ~ret:next then begin
+      r.eip <- target;
+      Ok Retired
+    end
+    else denied Call_direct ~site:eip ~target
   | Call_r s ->
     let target = get r s in
-    push next;
-    check Call_indirect ~target (fun () ->
-        r.eip <- target;
-        Ok Retired)
+    push mmu r next;
+    if allowed ctrl Call_indirect ~site:eip ~target ~ret:next then begin
+      r.eip <- target;
+      Ok Retired
+    end
+    else denied Call_indirect ~site:eip ~target
   | Ret ->
     let sp = get r ESP in
-    let v = rd32 sp in
-    check Return ~target:v (fun () ->
-        set r ESP (sp + 4);
-        r.eip <- v;
-        Ok Retired)
+    let target = Mmu.Fast.read32 mmu ~from_user:true sp in
+    if allowed ctrl Return ~site:eip ~target ~ret:next then begin
+      set r ESP (sp + 4);
+      r.eip <- target;
+      Ok Retired
+    end
+    else denied Return ~site:eip ~target
   | Int 0x80 ->
     r.eip <- next;
     Ok (Syscall (get r EAX))
@@ -227,7 +230,8 @@ let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
 
 (* Decode + execute with a caller-chosen fetch for the instruction bytes,
    then fold exceptions and the trap-flag bit into a [step]. The shared
-   tail of both [step] and the block dispatcher's fallback path. *)
+   tail of [step], the exact dispatch loop and the cached loop's fallback
+   for negative blocks. *)
 let step_with ~ctrl ~fetch mmu (r : regs) =
   let tf_at_start = r.tf in
   let exec () =
@@ -257,12 +261,11 @@ let step_with ~ctrl ~fetch mmu (r : regs) =
   | Ok Retired -> if tf_at_start then retired_step_db else retired_step
   | Ok (Syscall _) as ok -> { outcome = ok; debug_trap = tf_at_start }
 
-(* One instruction, byte-at-a-time: the classic interpreter. Kept as a thin
-   wrapper over [exec_insn]/[step_with] so existing callers (the scheduler's
-   per-instruction path, tests, tools) are untouched by the block-dispatch
-   redesign. *)
+(* One instruction, byte-at-a-time: the classic interpreter, kept as a thin
+   reference wrapper over [step_with] for tests and tools that single-step
+   the CPU themselves. *)
 let step ?ctrl mmu (r : regs) =
-  step_with ~ctrl ~fetch:(fun a -> Mmu.fetch8_fast mmu ~from_user:true a) mmu r
+  step_with ~ctrl ~fetch:(fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a) mmu r
 
 (* The block dispatcher's exact fallback for one instruction whose first
    byte has already been translated to packed paddr [pa0] (a negative block:
@@ -279,7 +282,7 @@ let step_env_at_pa0 (env : Exec_env.t) mmu (r : regs) pa0 =
       Mmu.touch_icache mmu pa0;
       Phys.read8_at phys pa0
     end
-    else Mmu.fetch8_fast mmu ~from_user:true a
+    else Mmu.Fast.fetch8 mmu ~from_user:true a
   in
   step_with ~ctrl:env.Exec_env.ctrl ~fetch mmu r
 
@@ -294,14 +297,45 @@ type block_result = {
           the kernel's trap dispatch; [None] = ran out of budget *)
 }
 
-(* Dispatch decoded basic blocks until an instruction traps, the attempt
-   budget [max_insns] is exhausted, or the cycle counter reaches
-   [tick_limit] (the scheduler's next timer interrupt — checked before
-   every instruction, exactly where the per-instruction loop calls
+(* Exact dispatch: one instruction per iteration, byte-at-a-time through
+   [step_with] — the reference semantics the cached loop below must match.
+   Same stop conditions and retire accounting as the cached loop, with one
+   addition: an instruction retired under the trap flag is handed back in
+   [pending] uncharged, so the kernel charges it and then serves the #DB
+   (a trap-flag run therefore executes exactly one instruction). Top-level
+   rather than a closure inside [run_block], so the cached path allocates
+   nothing for it. *)
+let run_exact (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
+  let cost = Mmu.cost mmu in
+  let insn_cycles = cost.Cost.params.Cost.insn in
+  let fetch a = Mmu.Fast.fetch8 mmu ~from_user:true a in
+  let attempts = ref 0 in
+  let retired = ref 0 in
+  let pending = ref None in
+  while Option.is_none !pending && !attempts < max_insns && cost.Cost.cycles < tick_limit do
+    let eip = r.eip in
+    let s = step_with ~ctrl:env.Exec_env.ctrl ~fetch mmu r in
+    incr attempts;
+    match s.outcome with
+    | Ok Retired when not s.debug_trap ->
+      env.Exec_env.retire eip;
+      cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
+      incr retired
+    | Ok _ ->
+      env.Exec_env.retire eip;
+      pending := Some s
+    | Error _ -> pending := Some s
+  done;
+  { attempts = !attempts; retired = !retired; pending = !pending }
+
+(* Cached dispatch: run decoded basic blocks until an instruction traps,
+   the attempt budget [max_insns] is exhausted, or the cycle counter
+   reaches [tick_limit] (the scheduler's next timer interrupt — checked
+   before every instruction, exactly where the per-instruction loop calls
    [timer_tick]).
 
    Equivalence discipline — every architectural side effect of the
-   per-instruction interpreter is replayed, per instruction:
+   exact loop is replayed, per instruction:
    - byte 0 of every instruction goes through a real [translate_result]
      (ITLB hit/walk/fill, walk charges, obs events, sampling) — this is
      also what revalidates the mapping, so pagetable remaps and [invlpg]
@@ -319,12 +353,7 @@ type block_result = {
    - staleness ([Bbcache.stale]) is checked before every instruction, not
      just at block entry, so self-modifying code that rewrites its own
      block takes effect at the very next instruction boundary. *)
-let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
-  let cache =
-    match env.Exec_env.cache with
-    | Some c -> c
-    | None -> invalid_arg "Cpu.run_block: no block cache installed"
-  in
+let run_cached (env : Exec_env.t) cache mmu (r : regs) ~max_insns ~tick_limit =
   let cost = Mmu.cost mmu in
   let insn_cycles = cost.Cost.params.Cost.insn in
   let page_size = Phys.page_size (Mmu.phys mmu) in
@@ -407,3 +436,16 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   in
   loop None;
   { attempts = !attempts; retired = !retired; pending = !pending }
+
+(* The one dispatcher. The path is chosen once, at entry: the cached loop
+   needs a cache and nothing that must observe individual steps or byte
+   fetches — the trap flag (Algorithm 2's single-step window), a TLB
+   integrity guard (every cached-entry hit, lib/inject) or ECC scrubbing
+   (a side effect on every physical read). Only trap handlers set the trap
+   flag, and they run between calls, so one check at entry suffices. *)
+let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
+  match env.Exec_env.cache with
+  | Some cache
+    when not (r.tf || Mmu.has_tlb_guard mmu || Phys.ecc_enabled (Mmu.phys mmu)) ->
+    run_cached env cache mmu r ~max_insns ~tick_limit
+  | Some _ | None -> run_exact env mmu r ~max_insns ~tick_limit

@@ -73,22 +73,28 @@ type block_result = {
           but the caller must flush the batched counters — add [retired]
           to [Cost.insns] and to the retire-rate metric *)
   pending : step option;
-      (** the step that ended the run (syscall or fault), still to be
-          handed to the kernel's trap dispatch; [None] = budget ran out *)
+      (** the step that ended the run (syscall, fault, or a trap-flag
+          retire), still to be handed to the kernel's trap dispatch;
+          [None] = budget ran out *)
 }
 
 val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -> block_result
-(** Dispatch decoded basic blocks from [env]'s {!Bbcache} (which must be
-    installed) until an instruction traps, [max_insns] instructions have
-    been attempted, or [Cost.cycles] reaches [tick_limit] — the check sits
-    before every instruction, exactly where the per-instruction loop calls
-    its timer. Bit-identical to iterated {!step}: byte 0 of every
-    instruction goes through a real translation (which also revalidates the
-    mapping), remaining bytes replay their TLB/icache/sampling effects, and
-    retired instructions charge their cycles inline. The caller must not use
-    this while the trap flag is set, while a TLB integrity guard is
-    installed, or while ECC scrubbing is enabled — those need the
-    per-instruction path (and [run_block] never sets [debug_trap]). *)
+(** The one dispatch loop: execute instructions until one traps,
+    [max_insns] have been attempted, or [Cost.cycles] reaches [tick_limit]
+    (checked before every instruction, where the scheduler's timer would
+    fire). Retired instructions charge their cycles inline and fire
+    [env.retire].
+
+    The path is chosen once, at entry. With [env.cache] installed, the trap
+    flag clear, no TLB integrity guard and ECC off, it replays decoded
+    basic blocks from the {!Bbcache}: byte 0 of every instruction goes
+    through a real translation (which also revalidates the mapping) and the
+    remaining bytes replay their TLB/icache/sampling effects. Otherwise it
+    runs the exact loop, byte-at-a-time through the same decoder as
+    {!step}. Both paths are bit-identical to iterated {!step}. Under the
+    trap flag the run stops after one instruction: a retired one comes back
+    uncharged in [pending] with [debug_trap = true], for the kernel to
+    charge and then serve the #DB. *)
 
 val mask32 : int -> int
 val sign32 : int -> int

@@ -25,7 +25,7 @@ type t = {
       (* per-retired-instruction hook with the instruction's eip (the
          kernel's forensic trace ring); [ignore] when nothing listens *)
   mutable cache : Bbcache.t option;
-      (* decoded basic-block cache; [None] = per-instruction dispatch *)
+      (* decoded basic-block cache; [None] = exact byte-at-a-time dispatch *)
 }
 
 let create () = { ctrl = None; sample = None; retire = ignore; cache = None }

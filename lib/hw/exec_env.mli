@@ -33,7 +33,8 @@ type t = {
           instruction under block dispatch; the kernel points it at the
           process's forensic trace ring each quantum. [ignore] = off. *)
   mutable cache : Bbcache.t option;
-      (** decoded basic-block cache; [None] disables block dispatch. *)
+      (** decoded basic-block cache; [None] means exact byte-at-a-time
+          dispatch — the differential oracle for the cached path. *)
 }
 
 val create : unit -> t

@@ -344,13 +344,6 @@ module Fast = struct
       done
 end
 
-(* Historical flat names for the [Fast] accessors. *)
-let fetch8_fast = Fast.fetch8
-let read8_fast = Fast.read8
-let write8_fast = Fast.write8
-let read32_fast = Fast.read32
-let write32_fast = Fast.write32
-
 (* Record-raising wrappers for existing callers (the kernel's copy loops,
    tests, tools): same semantics as before the fast path existed. *)
 

@@ -154,7 +154,7 @@ val pending_fault : t -> fault
     {!Pending_fault} raise; a later fault overwrites the registers. *)
 
 exception Pending_fault
-(** Constant (payload-free) exception raised by the [_fast] accessors so a
+(** Constant (payload-free) exception raised by the {!Fast} accessors so a
     faulting access unwinds without allocating. Catch it and call
     {!pending_fault} at the trap boundary. *)
 
@@ -182,14 +182,6 @@ module Fast : sig
   val read32 : t -> from_user:bool -> int -> int
   val write32 : t -> from_user:bool -> int -> int -> unit
 end
-
-val fetch8_fast : t -> from_user:bool -> int -> int
-(** Historical flat alias for {!Fast.fetch8} (likewise the four below). *)
-
-val read8_fast : t -> from_user:bool -> int -> int
-val write8_fast : t -> from_user:bool -> int -> int -> unit
-val read32_fast : t -> from_user:bool -> int -> int
-val write32_fast : t -> from_user:bool -> int -> int -> unit
 
 val touch_icache : t -> int -> unit
 (** Charge an icache access for packed paddr [pa] (no-op when the cache

@@ -121,6 +121,17 @@ let blit_from_string t ~frame ~off s =
   | None -> ()
   | Some e -> Bytes.blit_string s 0 e.shadow.(frame) off (String.length s)
 
+let read_into t ~frame ~off dst ~pos ~len =
+  check t frame off len;
+  scrub t frame off len;
+  Bytes.blit t.frames.(frame) off dst pos len
+
+let write_from t ~frame ~off src ~pos ~len =
+  check t frame off len;
+  Bytes.blit_string src pos t.frames.(frame) off len;
+  note_write t frame;
+  match t.ecc with None -> () | Some e -> Bytes.blit_string src pos e.shadow.(frame) off len
+
 let to_string t ~frame =
   check t frame 0 t.page_size;
   Bytes.to_string t.frames.(frame)

@@ -21,6 +21,17 @@ val fill : t -> frame:int -> int -> unit
 (** Fill an entire frame with one byte value. *)
 
 val blit_from_string : t -> frame:int -> off:int -> string -> unit
+
+val read_into : t -> frame:int -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** Copy [len] bytes at [off] into [dst] at [pos] — the kernel's bulk
+    copy out of user memory. ECC scrubbing and its hook run exactly as for
+    [len] ascending {!read8}s. *)
+
+val write_from : t -> frame:int -> off:int -> string -> pos:int -> len:int -> unit
+(** Copy [len] bytes of [src] from [pos] into the frame at [off] — the
+    kernel's bulk copy into user memory, with the same ECC shadow and
+    write-watch effects as [len] ascending {!write8}s. *)
+
 val to_string : t -> frame:int -> string
 (** Snapshot of a frame's contents. *)
 
@@ -42,7 +53,7 @@ val blit_from_bytes : t -> frame:int -> Bytes.t -> len:int -> unit
     Invalidation support for derived caches of frame contents (the decoded
     basic-block cache): {!watch_frame} flags a frame as backing derived
     state, and every mutation path ({!write8}, {!write32}, {!fill},
-    {!blit_from_string}, {!blit_from_bytes}, and {!copy_frame}'s
+    {!blit_from_string}, {!write_from}, {!blit_from_bytes}, and {!copy_frame}'s
     destination) that touches a flagged frame clears the flag and fires the
     watch hook with the frame index. Unflagged frames pay one byte compare
     per store; the hook fires once per flagged frame per dirtying burst

@@ -45,7 +45,6 @@ type t = {
   alloc : Frame_alloc.t;
   mmu : Hw.Mmu.t;
   env : Hw.Exec_env.t;  (* the CPU dispatch hooks record, owned by the MMU *)
-  bbcache : Hw.Bbcache.t option;  (* decoded-block cache; None = per-insn *)
   cost : Hw.Cost.t;
   log : Event_log.t;
   protection : Protection.t;
@@ -150,17 +149,11 @@ let install_snapshot_hook obs mmu (cost : Hw.Cost.t) =
       seti "cost.syscalls" cost.syscalls;
       seti "cost.ctx_switches" cost.ctx_switches)
 
-(* Process-wide default for [create]'s [?bbcache]: the block cache is a
-   pure dispatch optimization (provably equivalent, see DESIGN.md §13), so
-   it is on by default and CLI tools flip this ref off for [--no-bbcache]
-   differential runs before any machine is built. *)
-let bbcache_default = ref true
-
 let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
     ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?tlb_policy
     ?(stack_jitter_pages = 0) ?(verify_signatures = true) ?(seed = 7)
     ?(tlb_fill = Hw.Mmu.Hardware_walk) ?(caches = false) ?(obs = Obs.null)
-    ?bbcache ?(share_images = false) ~protection () =
+    ?(share_images = false) ~protection () =
   let phys = Hw.Phys.create ~page_size ~frames () in
   let cost = Hw.Cost.create ?params:cost_params () in
   let mmu = Hw.Mmu.create ~itlb_capacity ~dtlb_capacity ?tlb_policy ~phys ~cost () in
@@ -168,11 +161,10 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
   Hw.Mmu.set_fill_mode mmu tlb_fill;
   if caches then Hw.Mmu.enable_caches mmu;
   let env = Hw.Mmu.env mmu in
-  let bbcache =
-    let enabled = match bbcache with Some b -> b | None -> !bbcache_default in
-    if enabled then Some (Hw.Bbcache.create ~phys ()) else None
-  in
-  env.Hw.Exec_env.cache <- bbcache;
+  (* the decoded-block cache is a pure dispatch optimization (equivalent to
+     exact dispatch, see DESIGN.md §13); [env.cache] is the one per-machine
+     switch *)
+  env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
   let log = Event_log.create () in
   let hot =
     if not (Obs.enabled obs) then None
@@ -202,7 +194,6 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
       alloc = Frame_alloc.create phys;
       mmu;
       env;
-      bbcache;
       cost;
       log;
       protection;
@@ -442,22 +433,18 @@ let ensure_mapped_for_kernel t (p : Proc.t) vpn ~write =
     | None -> raise Efault)
 
 let copy_from_user t p addr len =
-  let buf = Buffer.create len in
-  let remaining = ref len in
-  let addr = ref addr in
-  while !remaining > 0 do
-    let vpn = !addr / t.page_size in
-    let off = !addr mod t.page_size in
-    let chunk = min !remaining (t.page_size - off) in
+  let buf = Bytes.create len in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let vpn = a / t.page_size in
+    let off = a mod t.page_size in
+    let chunk = min (len - !pos) (t.page_size - off) in
     let pte = ensure_mapped_for_kernel t p vpn ~write:false in
-    let frame = Pte.data_frame pte in
-    for i = 0 to chunk - 1 do
-      Buffer.add_char buf (Char.chr (Hw.Phys.read8 t.phys ~frame ~off:(off + i)))
-    done;
-    remaining := !remaining - chunk;
-    addr := !addr + chunk
+    Hw.Phys.read_into t.phys ~frame:(Pte.data_frame pte) ~off buf ~pos:!pos ~len:chunk;
+    pos := !pos + chunk
   done;
-  Buffer.contents buf
+  Bytes.unsafe_to_string buf
 
 let copy_to_user t p addr s =
   let len = String.length s in
@@ -468,10 +455,7 @@ let copy_to_user t p addr s =
     let off = a mod t.page_size in
     let chunk = min (len - !pos) (t.page_size - off) in
     let pte = ensure_mapped_for_kernel t p vpn ~write:true in
-    let frame = Pte.data_frame pte in
-    for i = 0 to chunk - 1 do
-      Hw.Phys.write8 t.phys ~frame ~off:(off + i) (Char.code s.[!pos + i])
-    done;
+    Hw.Phys.write_from t.phys ~frame:(Pte.data_frame pte) ~off s ~pos:!pos ~len:chunk;
     pos := !pos + chunk
   done
 

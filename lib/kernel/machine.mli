@@ -52,8 +52,6 @@ type t = {
   env : Hw.Exec_env.t;
       (** the CPU dispatch hooks record ([= Hw.Mmu.env mmu]), armed by the
           scheduler each quantum *)
-  bbcache : Hw.Bbcache.t option;
-      (** decoded basic-block cache; [None] = per-instruction dispatch *)
   cost : Hw.Cost.t;
   log : Event_log.t;
   protection : Protection.t;
@@ -126,19 +124,14 @@ val create :
   ?tlb_fill:Hw.Mmu.fill_mode ->
   ?caches:bool ->
   ?obs:Obs.t ->
-  ?bbcache:bool ->
   ?share_images:bool ->
   protection:Protection.t ->
   unit ->
   t
-(** [bbcache] enables the decoded basic-block cache (default
-    {!bbcache_default}); dispatch stays observationally identical either
-    way — the cache only changes wall-clock speed. *)
-
-val bbcache_default : bool ref
-(** Process-wide default for [create]'s [?bbcache] ([true]). CLI tools set
-    this [false] (before building any machine) for [--no-bbcache]
-    differential runs. *)
+(** Every machine installs a decoded basic-block cache in [env.cache].
+    Dispatch stays observationally identical without it — the cache only
+    changes wall-clock speed — so a caller wanting the exact byte-at-a-time
+    path on one machine sets [env.cache <- None] after [create]. *)
 
 val ctx : t -> Protection.ctx
 val proc : t -> int -> Proc.t option

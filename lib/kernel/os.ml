@@ -29,7 +29,7 @@ let syscall_name n = Syscalls.name (Syscalls.default ()) n
 let cost (t : t) = t.Machine.cost
 let mmu (t : t) = t.Machine.mmu
 let env (t : t) = t.Machine.env
-let bbcache (t : t) = t.Machine.bbcache
+let bbcache (t : t) = t.Machine.env.Hw.Exec_env.cache
 let phys (t : t) = t.Machine.phys
 let alloc (t : t) = t.Machine.alloc
 let page_size (t : t) = t.Machine.page_size

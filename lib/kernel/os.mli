@@ -39,7 +39,6 @@ val create :
   ?tlb_fill:Hw.Mmu.fill_mode ->
   ?caches:bool ->
   ?obs:Obs.t ->
-  ?bbcache:bool ->
   ?share_images:bool ->
   protection:Protection.t ->
   unit ->
@@ -53,9 +52,9 @@ val create :
     turns on cycle-stamped tracing and metrics across the whole machine:
     the clock is wired to the cost model, the MMU and event log emit into
     it, and a snapshot hook imports TLB/cache/cost statistics as gauges.
-    [bbcache] (default {!Machine.bbcache_default}) enables the decoded
-    basic-block cache — a pure dispatch optimization with no observable
-    effect beyond wall-clock speed. *)
+    Every machine installs a decoded basic-block cache — a pure dispatch
+    optimization with no observable effect beyond wall-clock speed; set
+    [(env t).cache <- None] to run one machine on exact dispatch. *)
 
 val ctx : t -> Protection.ctx
 val log : t -> Event_log.t
@@ -69,6 +68,8 @@ val env : t -> Hw.Exec_env.t
     profiler installs its sampling hook. *)
 
 val bbcache : t -> Hw.Bbcache.t option
+(** The installed block cache, [= (env t).cache]. *)
+
 val phys : t -> Hw.Phys.t
 val alloc : t -> Frame_alloc.t
 val page_size : t -> int

@@ -124,42 +124,23 @@ let run_quantum ?table (m : M.t) (p : Proc.t) fuel =
   (* Arm the dispatch environment for this quantum: field writes only. *)
   m.env.Hw.Exec_env.ctrl <- ctrl;
   m.env.Hw.Exec_env.retire <- p.on_retire;
-  (* Block dispatch is gated back to the per-instruction interpreter when
-     something needs to observe individual steps or byte fetches: a TLB
-     integrity guard must see every cached-entry hit (lib/inject), and ECC
-     scrubbing gives every physical read a side effect (lib/inject DRAM
-     campaigns). The trap flag (Algorithm 2's single-step window) is
-     checked per iteration below — a trap handler can set it mid-quantum. *)
-  let block_ok =
-    m.bbcache <> None
-    && (not (Hw.Mmu.has_tlb_guard m.mmu))
-    && not (Hw.Phys.ecc_enabled m.phys)
-  in
   let insns0 = m.cost.insns in
   let steps = ref m.quantum in
   while Proc.is_runnable p && !steps > 0 && !fuel > 0 do
     timer_tick m;
-    if block_ok && not p.regs.tf then begin
-      let max_insns = min !steps !fuel in
-      let br = Hw.Cpu.run_block m.env m.mmu p.regs ~max_insns ~tick_limit:m.next_tick in
-      steps := !steps - br.attempts;
-      fuel := !fuel - br.attempts;
-      (* flush the batched retire accounting before any trap delivery: a
-         trap handler may read the counters *)
-      m.cost.insns <- m.cost.insns + br.retired;
-      (match m.hot with
-      | None -> ()
-      | Some h -> Obs.Metrics.incr ~by:br.retired h.h_retired);
-      match br.pending with None -> () | Some r -> Trap.deliver ?table m p r
-    end
-    else begin
-      decr steps;
-      decr fuel;
-      let eip_before = p.regs.eip in
-      let r = Hw.Cpu.step ?ctrl m.mmu p.regs in
-      (match r.outcome with Ok _ -> Proc.record_trace p eip_before | Error _ -> ());
-      Trap.deliver ?table m p r
-    end
+    (* [run_block] picks cached or exact dispatch itself; a trap handler
+       that sets the trap flag mid-quantum is seen at the next call *)
+    let max_insns = min !steps !fuel in
+    let br = Hw.Cpu.run_block m.env m.mmu p.regs ~max_insns ~tick_limit:m.next_tick in
+    steps := !steps - br.attempts;
+    fuel := !fuel - br.attempts;
+    (* flush the batched retire accounting before any trap delivery: a
+       trap handler may read the counters *)
+    m.cost.insns <- m.cost.insns + br.retired;
+    (match m.hot with
+    | None -> ()
+    | Some h -> Obs.Metrics.incr ~by:br.retired h.h_retired);
+    match br.pending with None -> () | Some r -> Trap.deliver ?table m p r
   done;
   p.p_insns <- p.p_insns + (m.cost.insns - insns0);
   if Proc.is_runnable p then M.enqueue m p

@@ -1,7 +1,9 @@
 (** The scheduler layer: round-robin run loop, quantum accounting, timer
-    ticks and fuel handling, extracted from the old kernel monolith. One
-    executed instruction per loop iteration; any trap the instruction
-    raised is handed to {!Trap.deliver}. *)
+    ticks and fuel handling, extracted from the old kernel monolith. Each
+    loop iteration fires the timer, runs {!Hw.Cpu.run_block} up to the
+    next tick or the end of the quantum, flushes the batched retire
+    counters, and hands the trap that ended the run (if any) to
+    {!Trap.deliver}. *)
 
 type stop_reason = All_exited | All_blocked | Fuel_exhausted
 

@@ -178,20 +178,6 @@ let run_fleet_exn ?obs ?jobs specs =
       | Error (e : Fleet.error) -> raise (Did_not_finish (e.label ^ ": " ^ e.reason)))
     (run_fleet ?obs ?jobs specs)
 
-(* --- legacy entrypoints (thin wrappers over specs) ----------------------- *)
-
-let run_single_k ?frames ?fuel ?eager ?obs ~defense image =
-  run_k ?obs (single ?frames ?fuel ?eager ~defense image)
-
-let run_single ?frames ?fuel ?eager ?obs ~defense image =
-  fst (run_single_k ?frames ?fuel ?eager ?obs ~defense image)
-
-let run_pair_k ?frames ?fuel ?capacity ?obs ~defense server client =
-  run_k ?obs (pair ?frames ?fuel ?capacity ~defense server client)
-
-let run_pair ?frames ?fuel ?capacity ?obs ~defense server client =
-  fst (run_pair_k ?frames ?fuel ?capacity ?obs ~defense server client)
-
 (* Performance relative to the unprotected baseline: >1 never happens in
    practice; 0.9 means "runs at 90% of full speed" as in the paper's
    normalized plots. *)

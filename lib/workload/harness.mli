@@ -146,49 +146,6 @@ val run_fleet_exn : ?obs:Obs.t -> ?jobs:int -> spec list -> result list
 (** Like {!run_fleet} but re-raising the first failure as
     {!Did_not_finish} — for experiments whose every machine must finish. *)
 
-(** {2 Legacy entrypoints (thin wrappers over specs)} *)
-
-val run_single :
-  ?frames:int ->
-  ?fuel:int ->
-  ?eager:bool ->
-  ?obs:Obs.t ->
-  defense:Defense.t ->
-  Kernel.Image.t ->
-  result
-(** [run (single ...)]. *)
-
-val run_single_k :
-  ?frames:int ->
-  ?fuel:int ->
-  ?eager:bool ->
-  ?obs:Obs.t ->
-  defense:Defense.t ->
-  Kernel.Image.t ->
-  result * Kernel.Os.t
-
-val run_pair :
-  ?frames:int ->
-  ?fuel:int ->
-  ?capacity:int ->
-  ?obs:Obs.t ->
-  defense:Defense.t ->
-  Kernel.Image.t ->
-  Kernel.Image.t ->
-  result
-(** [run (pair ...)]: spawn two images, cross-wire their consoles, run to
-    completion. *)
-
-val run_pair_k :
-  ?frames:int ->
-  ?fuel:int ->
-  ?capacity:int ->
-  ?obs:Obs.t ->
-  defense:Defense.t ->
-  Kernel.Image.t ->
-  Kernel.Image.t ->
-  result * Kernel.Os.t
-
 (** {2 Derived statistics} *)
 
 val normalized : baseline:result -> result -> float

@@ -3,11 +3,12 @@
    The contract under test is run_block's bit-exactness pledge: with the
    cache on, every observable — event log, every cost counter, both TLB
    statistics, the detection verdicts of the defense x attack matrix and
-   of the seed-7 fault-injection campaign — must equal the
-   per-instruction interpreter's, byte for byte. Around the differential
-   property: page-edge block construction (the once-"unreachable"
-   [Truncated] decode arm is now exercised, and the negative-block
-   fallback must stay exact), generation-based invalidation under
+   of the seed-7 fault-injection campaign — must equal exact dispatch's
+   (the same machine with [env.cache = None]), byte for byte. Around the
+   differential property: page-edge block construction (the
+   once-"unreachable" [Truncated] decode arm is now exercised, and the
+   negative-block fallback must stay exact on both paths), the trap-flag
+   single-step window, generation-based invalidation under
    self-modifying stores, [Tlb.note_hits] parity with individual finds
    including LRU recency, and snapshot restore treating the cache as
    derived state. *)
@@ -27,20 +28,18 @@ let final_state os =
       (Fmt.str "%a" Kernel.Event_log.pp_event)
       (Kernel.Event_log.to_list (Kernel.Os.log os)) )
 
-let with_bbcache enabled f =
-  let saved = !Kernel.Machine.bbcache_default in
-  Kernel.Machine.bbcache_default := enabled;
-  Fun.protect ~finally:(fun () -> Kernel.Machine.bbcache_default := saved) f
+(* Switch one freshly built machine to exact dispatch. *)
+let exact os = (Kernel.Os.env os).Hw.Exec_env.cache <- None
 
-(* Build and run the same spec twice — block dispatch on, then off. *)
+(* Build and run the same spec twice — cached dispatch, then exact. *)
 let run_both spec =
-  let go enabled =
-    with_bbcache enabled (fun () ->
-        let os = Workload.Harness.build spec in
-        ignore (run_to_end os : Kernel.Os.stop_reason);
-        os)
+  let go tune =
+    let os = Workload.Harness.build spec in
+    tune os;
+    ignore (run_to_end os : Kernel.Os.stop_reason);
+    os
   in
-  (go true, go false)
+  (go ignore, go exact)
 
 (* --- The differential property -------------------------------------------- *)
 
@@ -103,28 +102,86 @@ let test_cache_engaged () =
 
 (* --- Detection modes on/off ----------------------------------------------- *)
 
-(* All 30 defense x attack matrix cells — injection and code-reuse rows —
-   must produce identical outcomes with block dispatch on and off. *)
-let test_matrix_on_off () =
-  let cells enabled = with_bbcache enabled (fun () -> Reuse.Campaign.matrix ~jobs:2 ()) in
-  let on = cells true and off = cells false in
-  Alcotest.(check int) "30 cells" 30 (List.length on);
-  Alcotest.(check bool) "matrix identical on/off" true (on = off);
-  Alcotest.(check bool) "matrix matches threat model" true (Reuse.Campaign.check on)
-
-(* The seed-7 fault-injection campaign: every verdict field — outcome,
-   injected-fault details, detector firings, twin-comparison bits, base
-   cycle counts — identical under block dispatch. *)
-let test_inject_on_off () =
-  let verdicts enabled =
-    with_bbcache enabled (fun () ->
-        Inject.campaign ~jobs:2 (Inject.default_plans ~seed:7 ()))
+(* One matrix cell driven by hand through [Attack.Runner.start ~tune], so
+   the machine can be switched to exact dispatch before the exploit runs.
+   Injection rows replay [Attack.Wilander.run] with the shellcode on the
+   stack (selector byte 0); reuse rows replay [Reuse.Campaign.run]. *)
+let matrix_cell ~tune (defense, row) =
+  let session =
+    match row with
+    | Reuse.Campaign.Injection t ->
+      let s = Attack.Runner.start ~defense ~tune (Attack.Wilander.victim t) in
+      Attack.Runner.send s "\000";
+      let landing = Attack.Runner.leak_addr (Attack.Runner.recv s) in
+      Attack.Runner.send s (Attack.Wilander.shellcode t ~landing);
+      ignore (Attack.Runner.step s : Kernel.Os.stop_reason);
+      Attack.Runner.send s (Attack.Wilander.packet t ~landing);
+      s
+    | Reuse.Campaign.Reuse a ->
+      let img = Reuse.Victim.image () in
+      let s = Attack.Runner.start ~defense ~tune img in
+      Attack.Runner.send s (Reuse.Campaign.packet img a);
+      s
   in
-  let on = verdicts true and off = verdicts false in
-  Alcotest.(check int) "12 plans" 12 (List.length on);
-  Alcotest.(check bool) "verdicts identical on/off" true (on = off);
-  let _, _, escaped, _ = Inject.tally on in
-  Alcotest.(check int) "no escapes" 0 escaped
+  ignore (Attack.Runner.step session : Kernel.Os.stop_reason);
+  (Attack.Runner.outcome session, final_state session.k)
+
+(* All 30 defense x attack matrix cells — injection and code-reuse rows —
+   must end in identical machines with block dispatch on and off, and the
+   hand-driven cells must reproduce [Reuse.Campaign.matrix]. *)
+let test_matrix_on_off () =
+  let reference = Reuse.Campaign.matrix ~jobs:2 () in
+  Alcotest.(check int) "30 cells" 30 (List.length reference);
+  Alcotest.(check bool) "matrix matches threat model" true (Reuse.Campaign.check reference);
+  let cells =
+    List.concat_map
+      (fun (_, row) -> List.map (fun (_, d) -> (d, row)) Reuse.Campaign.defenses)
+      Reuse.Campaign.rows
+  in
+  let runs =
+    Fleet.map ~jobs:2 (fun c -> (matrix_cell ~tune:ignore c, matrix_cell ~tune:exact c)) cells
+  in
+  List.iter2
+    (fun (cell : Reuse.Campaign.cell) run ->
+      let name = cell.attack ^ "/" ^ cell.defense in
+      match run with
+      | Error (e : Fleet.error) -> Alcotest.fail (name ^ ": " ^ e.reason)
+      | Ok ((outcome_on, on), (outcome_off, off)) ->
+        Alcotest.(check bool) (name ^ " reproduces the matrix") true (cell.result = Ok outcome_on);
+        Alcotest.(check bool) (name ^ " identical on/off") true
+          (outcome_on = outcome_off && on = off))
+    reference runs
+
+(* One plan's fault-free twin and armed run, built as [Inject.run_plan]
+   builds them, with [tune] applied to each machine before the engine
+   arms. *)
+let inject_runs ~tune (plan : Inject.Plan.t) =
+  let scenario = Option.get (Snap.Scenario.find plan.scenario) in
+  let base = scenario.start () in
+  tune base;
+  let base_stop = Kernel.Os.run ~fuel:plan.fuel base in
+  let os = scenario.start () in
+  tune os;
+  let eng = Inject.Engine.arm os plan in
+  let stop = Kernel.Os.run ~fuel:plan.fuel os in
+  ( (base_stop, final_state base),
+    (stop, final_state os, Inject.Engine.injected eng, Inject.Engine.detections eng) )
+
+(* The seed-7 fault-injection campaign: both machines of every plan — twin
+   and armed run, including injected-fault details and detector firings —
+   identical under block dispatch on and off. *)
+let test_inject_on_off () =
+  let plans = Inject.default_plans ~seed:7 () in
+  Alcotest.(check int) "12 plans" 12 (List.length plans);
+  let _, _, escaped, _ = Inject.tally (Inject.campaign ~jobs:2 plans) in
+  Alcotest.(check int) "no escapes" 0 escaped;
+  List.iter2
+    (fun (plan : Inject.Plan.t) run ->
+      match run with
+      | Error (e : Fleet.error) -> Alcotest.fail (plan.label ^ ": " ^ e.reason)
+      | Ok same -> Alcotest.(check bool) (plan.label ^ " identical on/off") true same)
+    plans
+    (Fleet.map ~jobs:2 (fun p -> inject_runs ~tune:ignore p = inject_runs ~tune:exact p) plans)
 
 (* --- Page-edge blocks and the negative-block fallback ---------------------- *)
 
@@ -173,30 +230,65 @@ let test_page_straddle () =
     | _ -> Alcotest.fail "reference run: unexpected outcome"
   in
   step_all ();
-  (* block dispatch over the same image *)
-  let phys, mmu, regs, _ = straddle_fixture () in
-  let cache = Hw.Bbcache.create ~phys () in
-  let env = Hw.Exec_env.create () in
-  env.Hw.Exec_env.cache <- Some cache;
-  let retired = ref 0 in
-  let rec drive () =
-    let br = Hw.Cpu.run_block env mmu regs ~max_insns:10_000 ~tick_limit:max_int in
-    retired := !retired + br.Hw.Cpu.retired;
-    match br.pending with
-    | None -> drive ()
-    | Some s -> (
-      match s.outcome with
-      | Error (Hw.Cpu.General_protection _) -> ()
-      | _ -> Alcotest.fail "block run: unexpected pending step")
+  Alcotest.(check int) "ecx" 0x11223344 (Hw.Cpu.get regs_ref Isa.Reg.ECX);
+  Alcotest.(check int) "edx" 0x55667788 (Hw.Cpu.get regs_ref Isa.Reg.EDX);
+  let itlb_ref = Hw.Tlb.stats (Hw.Mmu.itlb mmu_ref) in
+  (* run_block over the same image, exact and cached *)
+  let dispatch name ~cached =
+    let phys, mmu, regs, _ = straddle_fixture () in
+    let env = Hw.Exec_env.create () in
+    if cached then env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
+    let retired = ref 0 in
+    let rec drive () =
+      let br = Hw.Cpu.run_block env mmu regs ~max_insns:10_000 ~tick_limit:max_int in
+      retired := !retired + br.Hw.Cpu.retired;
+      match br.pending with
+      | None -> drive ()
+      | Some s -> (
+        match s.outcome with
+        | Error (Hw.Cpu.General_protection _) -> ()
+        | _ -> Alcotest.fail (name ^ " run: unexpected pending step"))
+    in
+    drive ();
+    Alcotest.(check int) (name ^ ": same retire count") !retired_ref !retired;
+    Alcotest.(check bool) (name ^ ": same registers") true (regs = regs_ref);
+    Alcotest.(check bool) (name ^ ": same itlb stats") true
+      (Hw.Tlb.stats (Hw.Mmu.itlb mmu) = itlb_ref);
+    (* the straddler's pa0 is cached as a negative block *)
+    Option.iter
+      (fun cache ->
+        let b = Hw.Bbcache.lookup cache ((1 * 4096) + 4093) in
+        Alcotest.(check int) "negative block at the straddle pc" 0 b.Hw.Bbcache.n)
+      env.cache
   in
-  drive ();
-  Alcotest.(check int) "same retire count" !retired_ref !retired;
-  Alcotest.(check int) "ecx" 0x11223344 (Hw.Cpu.get regs Isa.Reg.ECX);
-  Alcotest.(check int) "edx" 0x55667788 (Hw.Cpu.get regs Isa.Reg.EDX);
-  Alcotest.(check int) "same eip" regs_ref.Hw.Cpu.eip regs.Hw.Cpu.eip;
-  (* the straddler's pa0 is cached as a negative block *)
-  let b = Hw.Bbcache.lookup cache ((1 * 4096) + 4093) in
-  Alcotest.(check int) "negative block at the straddle pc" 0 b.Hw.Bbcache.n
+  dispatch "exact" ~cached:false;
+  dispatch "cached" ~cached:true
+
+(* --- The trap flag: one instruction, #DB pending --------------------------- *)
+
+(* Algorithm 2's single-step window: with [tf] set, run_block must take
+   exactly one attempt — even with a cache installed — and hand the
+   retired instruction back uncharged with [debug_trap] set, like
+   [Cpu.step] does. *)
+let test_trap_flag_single_step () =
+  let _, mmu_ref, regs_ref, _ = straddle_fixture () in
+  regs_ref.Hw.Cpu.tf <- true;
+  ignore (Hw.Cpu.step mmu_ref regs_ref : Hw.Cpu.step);
+  let phys, mmu, regs, _ = straddle_fixture () in
+  let env = Hw.Exec_env.create () in
+  env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
+  regs.Hw.Cpu.tf <- true;
+  let br = Hw.Cpu.run_block env mmu regs ~max_insns:100 ~tick_limit:max_int in
+  Alcotest.(check int) "one attempt" 1 br.Hw.Cpu.attempts;
+  Alcotest.(check int) "nothing retired in-loop" 0 br.retired;
+  Alcotest.(check bool) "same registers as Cpu.step" true (regs = regs_ref);
+  (* the fetch's walk is charged; the instruction itself is left to the
+     kernel, exactly as after [Cpu.step] *)
+  Alcotest.(check int) "same cycles as Cpu.step" (Hw.Mmu.cost mmu_ref).Hw.Cost.cycles
+    (Hw.Mmu.cost mmu).cycles;
+  match br.pending with
+  | Some { outcome = Ok Hw.Cpu.Retired; debug_trap = true } -> ()
+  | _ -> Alcotest.fail "expected a retired step with debug_trap pending"
 
 (* --- Self-modifying code: generation-based invalidation -------------------- *)
 
@@ -278,20 +370,19 @@ let test_note_hits_parity () =
    cached blocks from its own, different history) must still replay the
    reference run bit-exactly. *)
 let test_restore_drops_cache () =
-  with_bbcache true (fun () ->
-      let spec = Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40 in
-      let reference = Workload.Harness.build spec in
-      ignore (run_to_end reference : Kernel.Os.stop_reason);
-      let os1 = Workload.Harness.build spec in
-      ignore (Kernel.Os.run ~fuel:5_000 os1 : Kernel.Os.stop_reason);
-      let snap = Snap.Snapshot.checkpoint os1 in
-      let os2 = Workload.Harness.build spec in
-      ignore (Kernel.Os.run ~fuel:3_000 os2 : Kernel.Os.stop_reason);
-      Snap.Snapshot.restore os2 snap;
-      ignore (run_to_end os2 : Kernel.Os.stop_reason);
-      Alcotest.(check bool)
-        "restored run replays the reference bit-exactly" true
-        (final_state os2 = final_state reference))
+  let spec = Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40 in
+  let reference = Workload.Harness.build spec in
+  ignore (run_to_end reference : Kernel.Os.stop_reason);
+  let os1 = Workload.Harness.build spec in
+  ignore (Kernel.Os.run ~fuel:5_000 os1 : Kernel.Os.stop_reason);
+  let snap = Snap.Snapshot.checkpoint os1 in
+  let os2 = Workload.Harness.build spec in
+  ignore (Kernel.Os.run ~fuel:3_000 os2 : Kernel.Os.stop_reason);
+  Snap.Snapshot.restore os2 snap;
+  ignore (run_to_end os2 : Kernel.Os.stop_reason);
+  Alcotest.(check bool)
+    "restored run replays the reference bit-exactly" true
+    (final_state os2 = final_state reference)
 
 let suite =
   [
@@ -301,6 +392,7 @@ let suite =
     Alcotest.test_case "matrix identical on/off" `Slow test_matrix_on_off;
     Alcotest.test_case "inject seed-7 campaign identical on/off" `Slow test_inject_on_off;
     Alcotest.test_case "page-straddling insn: negative-block fallback" `Quick test_page_straddle;
+    Alcotest.test_case "trap flag: one attempt, #DB pending" `Quick test_trap_flag_single_step;
     Alcotest.test_case "self-modifying store invalidates" `Quick test_smc_invalidation;
     Alcotest.test_case "note_hits equals repeated finds" `Quick test_note_hits_parity;
     Alcotest.test_case "snapshot restore drops the cache" `Quick test_restore_drops_cache;

@@ -126,27 +126,6 @@ let test_fleet_metrics_recorded () =
   in
   Alcotest.(check bool) "fleet.job_us histogram has 3 samples" true hist
 
-(* Legacy wrappers delegate to the spec path: same results as before. *)
-let test_legacy_wrappers_match_specs () =
-  let image () = Workload.Guests.nbench ~iters:3 () in
-  let a = Workload.Harness.run_single ~defense:Defense.split_standalone (image ()) in
-  let b =
-    Workload.Harness.run (Workload.Harness.single ~defense:Defense.split_standalone (image ()))
-  in
-  Alcotest.(check bool) "single = spec single" true (result_eq a b);
-  let p1 =
-    Workload.Harness.run_pair ~defense:Defense.split_standalone
-      (Workload.Guests.ctxsw_ping ~iters:10 ())
-      (Workload.Guests.ctxsw_pong ())
-  in
-  let p2 =
-    Workload.Harness.run
-      (Workload.Harness.pair ~defense:Defense.split_standalone
-         (Workload.Guests.ctxsw_ping ~iters:10 ())
-         (Workload.Guests.ctxsw_pong ()))
-  in
-  Alcotest.(check bool) "pair = spec pair" true (result_eq p1 p2)
-
 let test_empty_and_degenerate () =
   Alcotest.(check int) "empty fleet" 0 (List.length (Fleet.map (fun x -> x) []));
   (match Fleet.map ~jobs:64 (fun x -> x + 1) [ 41 ] with
@@ -166,7 +145,6 @@ let suite =
     Alcotest.test_case "metrics merge deterministic across -j" `Quick
       test_metrics_merge_deterministic;
     Alcotest.test_case "fleet.* metrics recorded" `Quick test_fleet_metrics_recorded;
-    Alcotest.test_case "legacy wrappers = spec path" `Quick test_legacy_wrappers_match_specs;
     Alcotest.test_case "empty list, oversized pool, empty spec" `Quick
       test_empty_and_degenerate;
   ]

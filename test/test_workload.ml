@@ -13,21 +13,23 @@ let check_terminates name run =
         (r.Workload.Harness.cycles > 0))
     defenses
 
+let run_guest d image = Workload.Harness.run (Workload.Harness.single ~defense:d image)
+
 let test_all_guests_terminate () =
   check_terminates "apache" (fun d ->
       Workload.Figures.run_apache ~defense:d ~size:2048 ~requests:3 ());
   check_terminates "gzip" (fun d -> Workload.Figures.run_gzip ~defense:d ~size:8192 ());
   check_terminates "ctxsw" (fun d -> Workload.Figures.run_ctxsw ~defense:d ~iters:10 ());
   check_terminates "nbench" (fun d ->
-      Workload.Harness.run_single ~defense:d (Workload.Guests.nbench ~iters:3 ()));
+      run_guest d (Workload.Guests.nbench ~iters:3 ()));
   check_terminates "syscall" (fun d ->
-      Workload.Harness.run_single ~defense:d (Workload.Guests.syscall_bench ~iters:50 ()));
+      run_guest d (Workload.Guests.syscall_bench ~iters:50 ()));
   check_terminates "pipe" (fun d ->
-      Workload.Harness.run_single ~defense:d (Workload.Guests.pipe_throughput ~iters:20 ()));
+      run_guest d (Workload.Guests.pipe_throughput ~iters:20 ()));
   check_terminates "spawn" (fun d ->
-      Workload.Harness.run_single ~defense:d (Workload.Guests.spawn_bench ~iters:3 ()));
+      run_guest d (Workload.Guests.spawn_bench ~iters:3 ()));
   check_terminates "fscopy" (fun d ->
-      Workload.Harness.run_single ~defense:d (Workload.Guests.fscopy ~passes:1 ~size:4096 ()))
+      run_guest d (Workload.Guests.fscopy ~passes:1 ~size:4096 ()))
 
 let test_protection_costs_cycles () =
   let base = Workload.Figures.run_ctxsw ~defense:Defense.unprotected ~iters:20 () in
@@ -77,8 +79,9 @@ let test_geomean () =
 
 let test_fuel_exhaustion_detected () =
   match
-    Workload.Harness.run_single ~fuel:10 ~defense:Defense.unprotected
-      (Workload.Guests.nbench ~iters:1000 ())
+    Workload.Harness.run
+      (Workload.Harness.single ~fuel:10 ~defense:Defense.unprotected
+         (Workload.Guests.nbench ~iters:1000 ()))
   with
   | exception Workload.Harness.Did_not_finish _ -> ()
   | _ -> Alcotest.fail "expected Did_not_finish"
