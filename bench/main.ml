@@ -363,8 +363,8 @@ let scale_results () =
     (H.run_fleet_exn ~jobs:!jobs
        (List.map (fun (n, share) -> scale_spec ~share n) scale_grid))
 
-(* Deterministic counters only — the CI scale smoke diffs this output
-   between -j values, so no wall-clock lines here. *)
+(* Deterministic counters only: the output must be byte-identical for
+   every -j, so no wall-clock lines here. *)
 let scale_exp () =
   let module H = Workload.Harness in
   out "Scale-out: N identical COW-shared guests under split memory + NX";

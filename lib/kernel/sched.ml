@@ -7,9 +7,10 @@ module M = Machine
 
 type stop_reason = All_exited | All_blocked | Fuel_exhausted
 
-(* The seed's wait-condition recheck, shared verbatim by both wake
-   implementations — equivalence of the two rests on this being the one
-   definition of "ready". *)
+(* The wait-condition recheck: the one definition of "ready". [wake]
+   requeues only processes it holds for, and the determinism harness
+   (test/test_equiv.ml) checks at every boundary that no blocked process
+   still satisfies it. *)
 let ready (m : M.t) (p : Proc.t) cond =
   match cond with
   | Proc.Read_fd fd -> (
@@ -29,10 +30,9 @@ let ready (m : M.t) (p : Proc.t) cond =
 
 (* Event-driven wake: drain the pending-wakeup list the pipes and the
    zombie transition fed since the last boundary, recheck each candidate
-   in ascending pid order (the same order the scan visited them), and
-   requeue the ready ones. A pending pid whose condition still does not
-   hold is re-registered on its pipe, so the next state flip pends it
-   again. O(woken), independent of the process count. *)
+   in ascending pid order, and requeue the ready ones. A pending pid whose
+   condition still does not hold is re-registered on its pipe, so the next
+   state flip pends it again. O(woken), independent of the process count. *)
 let wake (m : M.t) =
   match m.pending_wakeups with
   | [] -> ()
@@ -52,22 +52,6 @@ let wake (m : M.t) =
           | Proc.Runnable | Proc.Zombie _ -> ())
         | None -> ())
       (List.sort_uniq compare pending)
-
-(* The seed's scan-everything wake, kept as the reference implementation
-   for the equivalence harness (test/test_wake_equiv.ml). Clears the
-   pending list too, so the two modes never mix. *)
-let wake_scan (m : M.t) =
-  m.pending_wakeups <- [];
-  List.iter
-    (fun (p : Proc.t) ->
-      match p.state with
-      | Proc.Blocked cond ->
-        if ready m p cond then begin
-          p.state <- Proc.Runnable;
-          M.enqueue m p
-        end
-      | Proc.Runnable | Proc.Zombie _ -> ())
-    (M.procs m)
 
 let rec dequeue_runnable (m : M.t) =
   match Queue.take_opt m.runq with
@@ -145,14 +129,11 @@ let run_quantum ?table (m : M.t) (p : Proc.t) fuel =
   p.p_insns <- p.p_insns + (m.cost.insns - insns0);
   if Proc.is_runnable p then M.enqueue m p
 
-let wake_for scan = if scan then wake_scan else wake
-
-let run ?(fuel = 50_000_000) ?(wake_scan = false) ?table (m : M.t) =
+let run ?(fuel = 50_000_000) ?table (m : M.t) =
   let fuel = ref fuel in
-  let do_wake = wake_for wake_scan in
   let rec loop () =
     M.expire_sleepers m;
-    do_wake m;
+    wake m;
     (* quantum-boundary hook: the machine is in a consistent, resumable
        state here (no quantum in flight), which is exactly where periodic
        checkpointing must sample it *)

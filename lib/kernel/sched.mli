@@ -8,18 +8,17 @@
 type stop_reason = All_exited | All_blocked | Fuel_exhausted
 
 val ready : Machine.t -> Proc.t -> Proc.wait_cond -> bool
-(** Does the wait condition hold right now? The one shared recheck both
-    wake implementations use. *)
+(** Does the wait condition hold right now? The one definition of
+    "ready" that {!wake} rechecks. *)
 
 val wake : Machine.t -> unit
 (** Event-driven wake: drain [Machine.pending_wakeups], recheck the
     candidates in ascending pid order, requeue the ready ones and
-    re-register the rest. O(woken). *)
-
-val wake_scan : Machine.t -> unit
-(** The seed's reference implementation: scan every blocked process and
-    requeue the ones whose wait condition now holds. O(processes). Kept
-    for the wake-equivalence harness; also clears the pending list. *)
+    re-register the rest. O(woken). It never loses a wakeup: after each
+    call no [Blocked] process satisfies {!ready}, so it requeues exactly
+    the processes a scan of every blocked process would, in the same pid
+    order. The determinism harness (test/test_equiv.ml) checks this at
+    every scheduler boundary of its baseline runs. *)
 
 val dequeue_runnable : Machine.t -> Proc.t option
 (** Pop the next runnable process, clearing its [in_runq] bit (and that of
@@ -37,14 +36,11 @@ val run_quantum : ?table:Syscalls.table -> Machine.t -> Proc.t -> int ref -> uni
 (** Run [p] for up to one quantum, decrementing [fuel] per instruction;
     requeues the process if it is still runnable. *)
 
-val run :
-  ?fuel:int -> ?wake_scan:bool -> ?table:Syscalls.table -> Machine.t -> stop_reason
+val run : ?fuel:int -> ?table:Syscalls.table -> Machine.t -> stop_reason
 (** Schedule until every process exited, everything blocked, or fuel ran
     out. [table] (default {!Syscalls.default}) is the syscall table traps
-    dispatch through. [wake_scan] (default [false]) selects the seed's
-    scan-everything wake instead of the indexed one — the two are
-    observably identical (test/test_wake_equiv.ml); the scan is O(procs)
-    per boundary. *)
+    dispatch through. Each loop boundary expires sleepers, runs {!wake},
+    then fires the sched hook and the inject hook. *)
 
 (** {2 Snapshot support} *)
 

@@ -1,187 +1,16 @@
 (* The decoded basic-block cache (lib/hw/bbcache) and its dispatch path.
 
-   The contract under test is run_block's bit-exactness pledge: with the
-   cache on, every observable — event log, every cost counter, both TLB
-   statistics, the detection verdicts of the defense x attack matrix and
-   of the seed-7 fault-injection campaign — must equal exact dispatch's
-   (the same machine with [env.cache = None]), byte for byte. Around the
-   differential property: page-edge block construction (the
-   once-"unreachable" [Truncated] decode arm is now exercised, and the
-   negative-block fallback must stay exact on both paths), the trap-flag
-   single-step window, generation-based invalidation under
-   self-modifying stores, [Tlb.note_hits] parity with individual finds
-   including LRU recency, and snapshot restore treating the cache as
-   derived state. *)
-
-let run_to_end os = Kernel.Os.run ~fuel:2_000_000 os
-
-let final_state os =
-  let c = Kernel.Os.cost os in
-  let tlb t =
-    let s = Hw.Tlb.stats t in
-    (s.Hw.Tlb.hits, s.misses, s.flushes, s.invalidations, s.evictions)
-  in
-  let mmu = Kernel.Os.mmu os in
-  ( (c.cycles, c.insns, c.traps, c.split_faults, c.single_steps, c.syscalls, c.ctx_switches),
-    (tlb (Hw.Mmu.itlb mmu), tlb (Hw.Mmu.dtlb mmu)),
-    List.map
-      (Fmt.str "%a" Kernel.Event_log.pp_event)
-      (Kernel.Event_log.to_list (Kernel.Os.log os)) )
-
-(* Switch one freshly built machine to exact dispatch. *)
-let exact os = (Kernel.Os.env os).Hw.Exec_env.cache <- None
-
-(* Build and run the same spec twice — cached dispatch, then exact. *)
-let run_both spec =
-  let go tune =
-    let os = Workload.Harness.build spec in
-    tune os;
-    ignore (run_to_end os : Kernel.Os.stop_reason);
-    os
-  in
-  (go ignore, go exact)
-
-(* --- The differential property -------------------------------------------- *)
-
-let gen_spec =
-  QCheck.Gen.(
-    let* defense =
-      oneofl
-        [ Defense.unprotected; Defense.nx; Defense.split_standalone; Defense.split_plus_cfi ]
-    in
-    let* guest =
-      oneof
-        [
-          map (fun iters -> Workload.Guests.nbench ~iters ()) (int_range 1 4);
-          map (fun size -> Workload.Guests.gzip ~size ()) (int_range 512 2048);
-          map (fun iters -> Workload.Guests.syscall_bench ~iters ()) (int_range 5 40);
-        ]
-    in
-    return (defense, guest))
-
-let print_spec (defense, guest) =
-  Fmt.str "%s/%s" (Defense.name defense) guest.Kernel.Image.name
-
-let prop_bbcache_invisible =
-  QCheck.Test.make ~name:"block dispatch is bit-invisible" ~count:30
-    (QCheck.make ~print:print_spec gen_spec)
-    (fun (defense, guest) ->
-      let on, off = run_both (Workload.Harness.single ~defense guest) in
-      final_state on = final_state off)
-
-(* --- Golden scenarios on/off ---------------------------------------------- *)
-
-let golden_specs =
-  [
-    ("apache/split", Workload.Figures.apache_spec ~defense:Defense.split_standalone ~size:2048 ~requests:3);
-    ("gzip/nx", Workload.Figures.gzip_spec ~defense:Defense.nx ~size:8192);
-    ("ctxsw/split", Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40);
-    ("ctxsw/split+cfi", Workload.Figures.ctxsw_spec ~defense:Defense.split_plus_cfi ~iters:25);
-    ("nbench/unprotected", Workload.Harness.single ~defense:Defense.unprotected (Workload.Guests.nbench ~iters:2 ()));
-  ]
-
-let test_goldens_on_off () =
-  List.iter
-    (fun (name, spec) ->
-      let on, off = run_both spec in
-      Alcotest.(check bool) (name ^ " identical on/off") true (final_state on = final_state off))
-    golden_specs
-
-(* The cache must actually be live under the protected scenarios above —
-   a trivially-disabled cache would pass every differential test. *)
-let test_cache_engaged () =
-  let on, _ =
-    run_both (Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40)
-  in
-  match Kernel.Os.bbcache on with
-  | None -> Alcotest.fail "bbcache missing with default on"
-  | Some c ->
-    let s = Hw.Bbcache.stats c in
-    Alcotest.(check bool) "blocks built" true (s.Hw.Bbcache.blocks_built > 0);
-    Alcotest.(check bool) "block hits" true (s.hits > 0)
-
-(* --- Detection modes on/off ----------------------------------------------- *)
-
-(* One matrix cell driven by hand through [Attack.Runner.start ~tune], so
-   the machine can be switched to exact dispatch before the exploit runs.
-   Injection rows replay [Attack.Wilander.run] with the shellcode on the
-   stack (selector byte 0); reuse rows replay [Reuse.Campaign.run]. *)
-let matrix_cell ~tune (defense, row) =
-  let session =
-    match row with
-    | Reuse.Campaign.Injection t ->
-      let s = Attack.Runner.start ~defense ~tune (Attack.Wilander.victim t) in
-      Attack.Runner.send s "\000";
-      let landing = Attack.Runner.leak_addr (Attack.Runner.recv s) in
-      Attack.Runner.send s (Attack.Wilander.shellcode t ~landing);
-      ignore (Attack.Runner.step s : Kernel.Os.stop_reason);
-      Attack.Runner.send s (Attack.Wilander.packet t ~landing);
-      s
-    | Reuse.Campaign.Reuse a ->
-      let img = Reuse.Victim.image () in
-      let s = Attack.Runner.start ~defense ~tune img in
-      Attack.Runner.send s (Reuse.Campaign.packet img a);
-      s
-  in
-  ignore (Attack.Runner.step session : Kernel.Os.stop_reason);
-  (Attack.Runner.outcome session, final_state session.k)
-
-(* All 30 defense x attack matrix cells — injection and code-reuse rows —
-   must end in identical machines with block dispatch on and off, and the
-   hand-driven cells must reproduce [Reuse.Campaign.matrix]. *)
-let test_matrix_on_off () =
-  let reference = Reuse.Campaign.matrix ~jobs:2 () in
-  Alcotest.(check int) "30 cells" 30 (List.length reference);
-  Alcotest.(check bool) "matrix matches threat model" true (Reuse.Campaign.check reference);
-  let cells =
-    List.concat_map
-      (fun (_, row) -> List.map (fun (_, d) -> (d, row)) Reuse.Campaign.defenses)
-      Reuse.Campaign.rows
-  in
-  let runs =
-    Fleet.map ~jobs:2 (fun c -> (matrix_cell ~tune:ignore c, matrix_cell ~tune:exact c)) cells
-  in
-  List.iter2
-    (fun (cell : Reuse.Campaign.cell) run ->
-      let name = cell.attack ^ "/" ^ cell.defense in
-      match run with
-      | Error (e : Fleet.error) -> Alcotest.fail (name ^ ": " ^ e.reason)
-      | Ok ((outcome_on, on), (outcome_off, off)) ->
-        Alcotest.(check bool) (name ^ " reproduces the matrix") true (cell.result = Ok outcome_on);
-        Alcotest.(check bool) (name ^ " identical on/off") true
-          (outcome_on = outcome_off && on = off))
-    reference runs
-
-(* One plan's fault-free twin and armed run, built as [Inject.run_plan]
-   builds them, with [tune] applied to each machine before the engine
-   arms. *)
-let inject_runs ~tune (plan : Inject.Plan.t) =
-  let scenario = Option.get (Snap.Scenario.find plan.scenario) in
-  let base = scenario.start () in
-  tune base;
-  let base_stop = Kernel.Os.run ~fuel:plan.fuel base in
-  let os = scenario.start () in
-  tune os;
-  let eng = Inject.Engine.arm os plan in
-  let stop = Kernel.Os.run ~fuel:plan.fuel os in
-  ( (base_stop, final_state base),
-    (stop, final_state os, Inject.Engine.injected eng, Inject.Engine.detections eng) )
-
-(* The seed-7 fault-injection campaign: both machines of every plan — twin
-   and armed run, including injected-fault details and detector firings —
-   identical under block dispatch on and off. *)
-let test_inject_on_off () =
-  let plans = Inject.default_plans ~seed:7 () in
-  Alcotest.(check int) "12 plans" 12 (List.length plans);
-  let _, _, escaped, _ = Inject.tally (Inject.campaign ~jobs:2 plans) in
-  Alcotest.(check int) "no escapes" 0 escaped;
-  List.iter2
-    (fun (plan : Inject.Plan.t) run ->
-      match run with
-      | Error (e : Fleet.error) -> Alcotest.fail (plan.label ^ ": " ^ e.reason)
-      | Ok same -> Alcotest.(check bool) (plan.label ^ " identical on/off") true same)
-    plans
-    (Fleet.map ~jobs:2 (fun p -> inject_runs ~tune:ignore p = inject_runs ~tune:exact p) plans)
+   The differential contract — cached dispatch renders every scenario
+   exactly like exact dispatch ([env.cache = None]) — is the exact-dispatch
+   axis of the determinism harness (test_equiv.ml), which the first five
+   cases run on the generated workloads, golden specs, matrix cells and
+   seed-7 plans (and the cache liveness of ctxsw/split's baseline).
+   Besides those: page-edge block construction (the once-"unreachable"
+   [Truncated] decode arm is now exercised, and the negative-block
+   fallback must stay exact on both paths), the trap-flag single-step
+   window, generation-based invalidation under self-modifying stores,
+   [Tlb.note_hits] parity with individual finds including LRU recency, and
+   snapshot restore treating the cache as derived state. *)
 
 (* --- Page-edge blocks and the negative-block fallback ---------------------- *)
 
@@ -371,26 +200,30 @@ let test_note_hits_parity () =
    reference run bit-exactly. *)
 let test_restore_drops_cache () =
   let spec = Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40 in
-  let reference = Workload.Harness.build spec in
-  ignore (run_to_end reference : Kernel.Os.stop_reason);
+  let run_to_end os = Test_equiv.observe os (Kernel.Os.run ~fuel:Test_equiv.fuel os) in
+  let reference = run_to_end (Workload.Harness.build spec) in
   let os1 = Workload.Harness.build spec in
   ignore (Kernel.Os.run ~fuel:5_000 os1 : Kernel.Os.stop_reason);
   let snap = Snap.Snapshot.checkpoint os1 in
   let os2 = Workload.Harness.build spec in
   ignore (Kernel.Os.run ~fuel:3_000 os2 : Kernel.Os.stop_reason);
   Snap.Snapshot.restore os2 snap;
-  ignore (run_to_end os2 : Kernel.Os.stop_reason);
-  Alcotest.(check bool)
-    "restored run replays the reference bit-exactly" true
-    (final_state os2 = final_state reference)
+  Alcotest.(check string) "restored run replays the reference bit-exactly" reference
+    (run_to_end os2)
 
 let suite =
-  [
-    QCheck_alcotest.to_alcotest prop_bbcache_invisible;
-    Alcotest.test_case "golden scenarios identical on/off" `Quick test_goldens_on_off;
-    Alcotest.test_case "cache engages under split defense" `Quick test_cache_engaged;
-    Alcotest.test_case "matrix identical on/off" `Slow test_matrix_on_off;
-    Alcotest.test_case "inject seed-7 campaign identical on/off" `Slow test_inject_on_off;
+  Test_equiv.
+    [
+      generated ~name:"block dispatch is bit-invisible" [ Exact ];
+      Alcotest.test_case "golden scenarios identical on/off" `Quick
+        (test_cells golden_specs [ Exact ]);
+      Alcotest.test_case "cache engages under split defense" `Quick
+        (test_cells [ golden "ctxsw/split" ] []);
+      Alcotest.test_case "matrix identical on/off" `Slow (test_matrix [ Exact ]);
+      Alcotest.test_case "inject seed-7 campaign identical on/off" `Slow
+        (test_cells inject_scenarios [ Exact ]);
+    ]
+  @ [
     Alcotest.test_case "page-straddling insn: negative-block fallback" `Quick test_page_straddle;
     Alcotest.test_case "trap flag: one attempt, #DB pending" `Quick test_trap_flag_single_step;
     Alcotest.test_case "self-modifying store invalidates" `Quick test_smc_invalidation;

@@ -1,8 +1,7 @@
-(* The fleet executor: submission-order determinism across worker counts,
-   per-job failure containment, and the spec-based harness entrypoints. *)
-
-let result_eq (a : Workload.Harness.result) (b : Workload.Harness.result) =
-  a = b
+(* The fleet executor: per-job failure containment, ordering and stats,
+   and the spec-based harness entrypoints. That every producer renders the
+   same at -j 1 and -j 4 is the grid tier of the determinism harness
+   (test_equiv.ml); the first case runs its COW scale grid cell. *)
 
 let specs_small () =
   [
@@ -15,21 +14,6 @@ let specs_small () =
     Workload.Harness.single ~defense:Defense.unprotected
       (Workload.Guests.syscall_bench ~iters:50 ());
   ]
-
-(* The determinism contract: the same spec list produces identical results
-   at -j 1 (inline, no domains) and -j 4 (parallel). *)
-let test_jobs_invariant () =
-  let r1 = Workload.Harness.run_fleet ~jobs:1 (specs_small ()) in
-  let r4 = Workload.Harness.run_fleet ~jobs:4 (specs_small ()) in
-  Alcotest.(check int) "same length" (List.length r1) (List.length r4);
-  List.iteri
-    (fun i (a, b) ->
-      match (a, b) with
-      | Ok (ra : Workload.Harness.result), Ok rb ->
-        Alcotest.(check bool) (Fmt.str "job %d (%s) identical" i ra.label) true
-          (result_eq ra rb)
-      | _ -> Alcotest.fail (Fmt.str "job %d did not finish" i))
-    (List.combine r1 r4)
 
 (* A deliberately crashing spec (fuel too small) yields Error while its
    siblings complete normally. *)
@@ -137,7 +121,8 @@ let test_empty_and_degenerate () =
 
 let suite =
   [
-    Alcotest.test_case "same results at -j 1 and -j 4" `Quick test_jobs_invariant;
+    Alcotest.test_case "same results at -j 1 and -j 4" `Quick
+      (Test_equiv.test_grid "COW scale grid");
     Alcotest.test_case "crashing job contained, siblings finish" `Quick
       test_failure_containment;
     Alcotest.test_case "map: submission order + stats" `Quick test_map_ordering_and_stats;

@@ -2,23 +2,18 @@
 
    The foundation is the null-effect property: an armed engine whose plan
    never fires leaves a run bit-identical to an unarmed one — the
-   differential oracle is meaningless without it, so it is property-tested
-   across defenses, guests and never-firing modes. On top of that, per-class
-   unit tests pin the detection semantics (a phantom ITLB entry is caught at
-   translation time, a data-copy flip never reaches the fetch path, the
-   kernel contains allocator exhaustion and restarts squeezed syscalls), the
-   seed-7 campaign must have zero escaped verdicts at any -j, and the
+   differential oracle is meaningless without it. It is the never-firing
+   engine axis of the determinism harness (test_equiv.ml), which also
+   checks that the seed-7 campaign renders the same at -j 1 and -j 4. Here,
+   per-class unit tests pin the detection semantics (a phantom ITLB entry
+   is caught at translation time, a data-copy flip never reaches the fetch
+   path, the kernel contains allocator exhaustion and restarts squeezed
+   syscalls), the seed-7 campaign must have zero escaped verdicts, and the
    rendered summary is pinned by a golden file (regenerate with
-   REGEN_GOLDEN=test/golden dune exec test/test_main.exe -- test inject). *)
+   REGEN_GOLDEN=test/golden dune exec test/test_main.exe -- test inject).
+   Both read the harness's memoized campaign runs. *)
 
 let run_to_end os = Kernel.Os.run ~fuel:2_000_000 os
-
-let final_state os =
-  let c = Kernel.Os.cost os in
-  ( (c.cycles, c.insns, c.traps, c.split_faults, c.single_steps, c.syscalls, c.ctx_switches),
-    List.map
-      (Fmt.str "%a" Kernel.Event_log.pp_event)
-      (Kernel.Event_log.to_list (Kernel.Os.log os)) )
 
 (* The guest-visible event log: everything except the injection subsystem's
    own detection records. Fault-containment tests compare this against the
@@ -61,54 +56,6 @@ let test_plan_roundtrip () =
         (Inject.Plan.class_name c) true
         (Inject.Plan.class_of_name (Inject.Plan.class_name c) = Some c))
     Inject.Plan.all_classes
-
-(* --- The null-effect property --------------------------------------------- *)
-
-(* A never-firing plan: budget zero, an unreachable trigger cycle, or a pid
-   no process ever has. Armed or not, the run must be bit-identical —
-   including cycle counts — across random guests and defenses. *)
-
-type never = Zero_budget | Far_cycle | No_such_pid
-
-let never_plan = function
-  | Zero_budget -> Inject.Plan.make ~budget:0 ()
-  | Far_cycle -> Inject.Plan.make ~at_cycle:1_000_000_000 ()
-  | No_such_pid -> Inject.Plan.make ~pid:999 ()
-
-let gen_spec =
-  QCheck.Gen.(
-    let* defense = oneofl [ Defense.unprotected; Defense.nx; Defense.split_standalone ] in
-    let* guest =
-      oneof
-        [
-          map (fun iters -> Workload.Guests.nbench ~iters ()) (int_range 1 4);
-          map (fun size -> Workload.Guests.gzip ~size ()) (int_range 512 2048);
-          map (fun iters -> Workload.Guests.syscall_bench ~iters ()) (int_range 5 40);
-        ]
-    in
-    let* mode = oneofl [ Zero_budget; Far_cycle; No_such_pid ] in
-    return (defense, guest, mode))
-
-let print_spec (defense, guest, mode) =
-  Fmt.str "%s/%s/%s" (Defense.name defense) guest.Kernel.Image.name
-    (match mode with
-    | Zero_budget -> "zero-budget"
-    | Far_cycle -> "far-cycle"
-    | No_such_pid -> "no-such-pid")
-
-let prop_null_effect =
-  QCheck.Test.make ~name:"never-firing engine is bit-invisible" ~count:30
-    (QCheck.make ~print:print_spec gen_spec)
-    (fun (defense, guest, mode) ->
-      let spec = Workload.Harness.single ~defense guest in
-      let base = Workload.Harness.build spec in
-      ignore (run_to_end base : Kernel.Os.stop_reason);
-      let os = Workload.Harness.build spec in
-      let eng = Inject.Engine.arm os (never_plan mode) in
-      ignore (run_to_end os : Kernel.Os.stop_reason);
-      Inject.Engine.injected_count eng = 0
-      && Inject.Engine.detections eng = 0
-      && final_state base = final_state os)
 
 (* --- Per-class detection semantics ----------------------------------------- *)
 
@@ -257,7 +204,7 @@ let test_alloc_denial_mechanism () =
 (* --- The campaign ---------------------------------------------------------- *)
 
 let test_campaign_zero_escaped () =
-  let verdicts = Inject.campaign ~jobs:2 (Inject.default_plans ~seed:7 ()) in
+  let verdicts = Test_equiv.inject_seed7 ~jobs:4 in
   Alcotest.(check int) "12 plans" 12 (List.length verdicts);
   List.iter
     (fun (v : Inject.verdict) ->
@@ -284,12 +231,6 @@ let test_campaign_zero_escaped () =
         true hit)
     [ Inject.Plan.Tlb_wrong_pfn; Inject.Plan.Tlb_wrong_perms; Inject.Plan.Tlb_phantom ]
 
-let test_campaign_jobs_deterministic () =
-  let plans = Inject.default_plans ~seed:11 () in
-  let s1 = Inject.summary_string (Inject.campaign ~jobs:1 plans) in
-  let s4 = Inject.summary_string (Inject.campaign ~jobs:4 plans) in
-  Alcotest.(check string) "summary identical at -j1 and -j4" s1 s4
-
 (* --- Golden summary (the `simctl inject --seed 7` output) ------------------ *)
 
 let read_file path =
@@ -300,7 +241,7 @@ let read_file path =
   s
 
 let test_golden_summary () =
-  let got = Inject.summary_string (Inject.campaign ~jobs:2 (Inject.default_plans ~seed:7 ())) in
+  let got = Inject.summary_string (Test_equiv.inject_seed7 ~jobs:1) in
   match Sys.getenv_opt "REGEN_GOLDEN" with
   | Some dir ->
     let path = Filename.concat dir "inject-seed7.golden" in
@@ -330,7 +271,7 @@ let test_golden_summary () =
 let suite =
   [
     Alcotest.test_case "plan serialization round trip" `Quick test_plan_roundtrip;
-    QCheck_alcotest.to_alcotest prop_null_effect;
+    Test_equiv.(generated ~name:"never-firing engine is bit-invisible" [ Inject_armed ]);
     Alcotest.test_case "phantom ITLB entry caught before retire" `Quick
       test_phantom_detected_before_retire;
     Alcotest.test_case "data-copy flip never reaches the fetch path" `Quick
@@ -343,7 +284,7 @@ let suite =
       test_alloc_denial_mechanism;
     Alcotest.test_case "seed-7 campaign: zero escaped" `Quick test_campaign_zero_escaped;
     Alcotest.test_case "campaign summary identical across -j" `Quick
-      test_campaign_jobs_deterministic;
+      (Test_equiv.test_grid "inject seed-7");
     Alcotest.test_case "golden summary (simctl inject --seed 7)" `Quick
       test_golden_summary;
   ]

@@ -17,7 +17,7 @@ let () =
       ("workload", Test_workload.suite);
       ("fleet", Test_fleet.suite);
       ("properties", Test_props.suite);
-      ("wake-equiv", Test_wake_equiv.suite);
+      ("wake-equiv", Test_equiv.wake_suite);
       ("scale", Test_scale.suite);
       ("cache", Test_cache.suite);
       ("stress", Test_stress.suite);
@@ -32,4 +32,5 @@ let () =
       ("prof", Test_prof.suite);
       ("bbcache", Test_bbcache.suite);
       ("serve", Test_serve.suite);
+      ("equiv", Test_equiv.suite);
     ]

@@ -1,56 +1,15 @@
 (* The address-sampling profiler (lib/prof).
 
-   The foundation mirrors lib/inject's null-effect property: sampling is
-   an observer, so an attached profiler must leave the run bit-identical
-   (event log and every cost counter) to an unprofiled one — property-
-   tested across defenses and guests. On top of that: the sampler's
+   Sampling is an observer: that an attached profiler leaves every run
+   bit-identical, and that the fleet-fanned policy sweep renders the same
+   at -j 1 and -j 4, are cells of the determinism harness (test_equiv.ml),
+   run here by the first and fourth cases. Besides those: the sampler's
    snapshot state round-trips exactly (including future decimation
    decisions), a checkpoint/restore/rearm replay renders byte-identical
-   reports, the fleet-fanned policy sweep is byte-identical at -j1 and
-   -j4, the LRU TLB keeps recently-touched entries that FIFO evicts, and
-   zero-access hit rates render as "-" rather than NaN. *)
+   reports, the LRU TLB keeps recently-touched entries that FIFO evicts,
+   and zero-access hit rates render as "-" rather than NaN. *)
 
-let run_to_end os = Kernel.Os.run ~fuel:2_000_000 os
-
-let final_state os =
-  let c = Kernel.Os.cost os in
-  ( (c.cycles, c.insns, c.traps, c.split_faults, c.single_steps, c.syscalls, c.ctx_switches),
-    List.map
-      (Fmt.str "%a" Kernel.Event_log.pp_event)
-      (Kernel.Event_log.to_list (Kernel.Os.log os)) )
-
-(* --- The observer property ------------------------------------------------ *)
-
-let gen_spec =
-  QCheck.Gen.(
-    let* defense = oneofl [ Defense.unprotected; Defense.nx; Defense.split_standalone ] in
-    let* guest =
-      oneof
-        [
-          map (fun iters -> Workload.Guests.nbench ~iters ()) (int_range 1 4);
-          map (fun size -> Workload.Guests.gzip ~size ()) (int_range 512 2048);
-          map (fun iters -> Workload.Guests.syscall_bench ~iters ()) (int_range 5 40);
-        ]
-    in
-    let* rate = oneofl [ 1; 7; 64 ] in
-    return (defense, guest, rate))
-
-let print_spec (defense, guest, rate) =
-  Fmt.str "%s/%s/rate=%d" (Defense.name defense) guest.Kernel.Image.name rate
-
-let prop_profiler_invisible =
-  QCheck.Test.make ~name:"attached profiler is bit-invisible" ~count:30
-    (QCheck.make ~print:print_spec gen_spec)
-    (fun (defense, guest, rate) ->
-      let spec = Workload.Harness.single ~defense guest in
-      let base = Workload.Harness.build spec in
-      ignore (run_to_end base : Kernel.Os.stop_reason);
-      let os = Workload.Harness.build spec in
-      let prof = Prof.attach ~rate os in
-      ignore (run_to_end os : Kernel.Os.stop_reason);
-      (* the sampler must actually be live, not trivially disabled *)
-      Prof.Sampler.seen (Prof.sampler prof) > 0
-      && final_state base = final_state os)
+let run_to_end os = Kernel.Os.run ~fuel:Test_equiv.fuel os
 
 (* --- Sampler state round-trip --------------------------------------------- *)
 
@@ -102,7 +61,7 @@ let test_replay_identical () =
   let prof = Prof.attach ~rate:16 os in
   ignore (Kernel.Os.run ~fuel:30_000 os : Kernel.Os.stop_reason);
   let snap = Prof.checkpoint prof in
-  ignore (run_to_end os : Kernel.Os.stop_reason);
+  let ref_machine = Test_equiv.observe os (run_to_end os) in
   let reference = profile_report prof in
   let os' = Workload.Harness.build spec in
   Snap.Snapshot.restore os' snap;
@@ -111,20 +70,9 @@ let test_replay_identical () =
     | Some p -> p
     | None -> Alcotest.fail "snapshot carries no profiler state"
   in
-  ignore (run_to_end os' : Kernel.Os.stop_reason);
+  let machine = Test_equiv.observe os' (run_to_end os') in
   Alcotest.(check string) "replayed report" reference (profile_report prof');
-  Alcotest.(check bool) "machine state" true (final_state os = final_state os')
-
-(* --- Fleet determinism ----------------------------------------------------- *)
-
-let test_sweep_jobs_invariant () =
-  let sweep jobs =
-    Prof.Experiments.render_tlb_sweep
-      (Prof.Experiments.tlb_sweep ~jobs ~capacities:[ 2; 16 ] ())
-  in
-  let j1 = sweep 1 in
-  Alcotest.(check string) "-j4 = -j1" j1 (sweep 4);
-  Alcotest.(check bool) "sweep nonempty" true (String.length j1 > 0)
+  Alcotest.(check string) "machine state" ref_machine machine
 
 (* --- TLB replacement policy ------------------------------------------------ *)
 
@@ -209,11 +157,11 @@ let test_hit_rate_guards () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_profiler_invisible;
+    Test_equiv.(generated ~name:"attached profiler is bit-invisible" [ Prof_attached ]);
     Alcotest.test_case "sampler state round-trips exactly" `Quick test_sampler_roundtrip;
     Alcotest.test_case "checkpoint/rearm replay renders identically" `Quick
       test_replay_identical;
-    Alcotest.test_case "tlb sweep is -j invariant" `Slow test_sweep_jobs_invariant;
+    Alcotest.test_case "tlb sweep is -j invariant" `Slow (Test_equiv.test_grid "tlb sweep");
     Alcotest.test_case "golden profile report (ctxsw, rate 64)" `Quick
       test_golden_profile;
     Alcotest.test_case "lru keeps touched entries, fifo does not" `Quick

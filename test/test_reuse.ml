@@ -164,15 +164,13 @@ let test_benign_clean () =
         [ Victim.sel_stack; Victim.sel_fptr ])
     Campaign.defenses
 
-(* The full 30-cell grid matches the threat model, at any -j. *)
+(* The full 30-cell grid matches the threat model (the determinism
+   harness's memoized run; it also checks -j invariance). *)
 let test_matrix () =
-  let cells = Campaign.matrix ~jobs:2 () in
+  let cells = Test_equiv.reuse_matrix ~jobs:4 in
   Alcotest.(check int) "matrix is 6 attacks x 5 defenses" 30 (List.length cells);
   Alcotest.(check bool) "every cell matches the threat model" true
-    (Campaign.check cells);
-  let rendered = Fmt.str "%a" Campaign.render cells in
-  let rendered1 = Fmt.str "%a" Campaign.render (Campaign.matrix ~jobs:1 ()) in
-  Alcotest.(check string) "-j invariant rendering" rendered1 rendered
+    (Campaign.check cells)
 
 (* ------------------------------------------------------------------ *)
 (* Encode -> Decode -> Disasm round trip                               *)

@@ -163,20 +163,6 @@ let test_zero_request_guard () =
   check Alcotest.string "present renders digits" "123"
     (Serve.Sweep.cycles_opt (Some 123))
 
-(* --- sweep determinism: -j1 and -j4 render the same bytes ------------------ *)
-
-let small_sweep ~jobs () =
-  Serve.Sweep.run ~jobs
-    ~defenses:[ Defense.unprotected; Defense.split_standalone ]
-    ~concurrencies:[ 1; 2 ] ~reps:2 ~requests:4
-    ~model:(L.Closed { think = 30_000 }) ~resp_size:1024 ()
-
-let test_sweep_jobs_invariant () =
-  let a = Serve.Sweep.render (small_sweep ~jobs:1 ()) in
-  let b = Serve.Sweep.render (small_sweep ~jobs:4 ()) in
-  check Alcotest.string "render identical at -j1 and -j4" a b;
-  if a = "" then Alcotest.fail "sweep rendered nothing"
-
 (* --- golden: the fixed split-memory knee table ----------------------------- *)
 
 let read_file path =
@@ -249,7 +235,7 @@ let suite =
     Alcotest.test_case "zero requests render dashes, not NaN" `Quick
       test_zero_request_guard;
     Alcotest.test_case "sweep renders identically at -j1 and -j4" `Slow
-      test_sweep_jobs_invariant;
+      (Test_equiv.test_grid "quick serve sweep");
     Alcotest.test_case "golden serving knee table" `Quick test_golden_knee;
     Alcotest.test_case "replay gate across a sleeping client" `Quick
       test_replay_mid_serve;

@@ -3,19 +3,14 @@
    determinism, the auto-checkpoint ring, forensic capture, and the
    file format. *)
 
-let run_to_end os = Kernel.Os.run ~fuel:2_000_000 os
+(* Run to the end and render the machine (the determinism harness's one
+   observation). *)
+let run_to_end os = Test_equiv.observe os (Kernel.Os.run ~fuel:Test_equiv.fuel os)
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
-
-let final_state os =
-  let c = Kernel.Os.cost os in
-  ( (c.cycles, c.insns, c.traps, c.split_faults, c.single_steps, c.syscalls, c.ctx_switches),
-    List.map
-      (Fmt.str "%a" Kernel.Event_log.pp_event)
-      (Kernel.Event_log.to_list (Kernel.Os.log os)) )
 
 let scenario name =
   match Snap.Scenario.find name with
@@ -88,13 +83,10 @@ let test_restore_into_fresh_machine () =
   let os1 = s.start () in
   ignore (Kernel.Os.run ~fuel:1500 os1);
   let snap = Snap.Snapshot.checkpoint os1 in
-  ignore (run_to_end os1);
-  let ref_final = final_state os1 in
+  let ref_final = run_to_end os1 in
   let os2 = s.start () in
   Snap.Snapshot.restore os2 (Snap.Snapshot.decode (Snap.Snapshot.encode snap));
-  ignore (run_to_end os2);
-  Alcotest.(check (list string)) "event logs match" (snd ref_final) (snd (final_state os2));
-  Alcotest.(check bool) "final state matches" true (final_state os2 = ref_final)
+  Alcotest.(check string) "final state matches" ref_final (run_to_end os2)
 
 (* Canonical serialization: checkpointing a restored machine re-encodes to
    the exact same bytes — there is no hidden state the format misses. *)
@@ -119,16 +111,15 @@ let test_run_to_run_determinism name () =
     let obs = Obs.create () in
     let s = scenario name in
     let os = s.start ~obs () in
-    ignore (run_to_end os);
+    let final = run_to_end os in
     let metrics =
       Obs.Json.to_string (Obs.Metrics.to_json (Obs.snapshot obs))
     in
-    (final_state os, metrics)
+    (final, metrics)
   in
   let (f1, m1) = once () in
   let (f2, m2) = once () in
-  Alcotest.(check (list string)) "event logs" (snd f1) (snd f2);
-  Alcotest.(check bool) "cost counters" true (fst f1 = fst f2);
+  Alcotest.(check string) "machine state" f1 f2;
   Alcotest.(check string) "metrics snapshots" m1 m2
 
 (* --- Sparse frames ------------------------------------------------------- *)
@@ -175,8 +166,7 @@ let test_ring () =
   let s = scenario "benign" in
   let os = s.start () in
   let ring = Snap.Ring.install ~every_cycles:1500 ~keep:3 os in
-  ignore (run_to_end os);
-  let final = final_state os in
+  let final = run_to_end os in
   let snaps = Snap.Ring.snapshots ring in
   Alcotest.(check bool)
     (Fmt.str "several taken (%d)" (Snap.Ring.taken ring))
@@ -197,8 +187,7 @@ let test_ring () =
   | Some snap ->
     let os2 = s.start () in
     Snap.Snapshot.restore os2 snap;
-    ignore (run_to_end os2);
-    Alcotest.(check bool) "warm start converges" true (final_state os2 = final)
+    Alcotest.(check string) "warm start converges" final (run_to_end os2)
 
 (* --- Forensic capture ---------------------------------------------------- *)
 
@@ -340,7 +329,7 @@ let test_inject_rearm () =
     && Inject.Engine.injected_count eng1 < plan.budget);
   let snap = Inject.checkpoint os1 eng1 in
   let mid_count = Inject.Engine.injected_count eng1 in
-  ignore (run_to_end os1);
+  let final1 = run_to_end os1 in
   Alcotest.(check bool)
     "reference keeps injecting after the checkpoint" true
     (Inject.Engine.injected_count eng1 > mid_count);
@@ -348,11 +337,7 @@ let test_inject_rearm () =
   Snap.Snapshot.restore os2 (Snap.Snapshot.decode (Snap.Snapshot.encode snap));
   let eng2 = Inject.rearm os2 snap in
   Alcotest.(check int) "journal restored" mid_count (Inject.Engine.injected_count eng2);
-  ignore (run_to_end os2);
-  Alcotest.(check (list string))
-    "event logs match" (snd (final_state os1)) (snd (final_state os2));
-  Alcotest.(check bool) "cost counters match" true
-    (fst (final_state os1) = fst (final_state os2));
+  Alcotest.(check string) "machine state matches" final1 (run_to_end os2);
   Alcotest.(check string)
     "engine state converges" (Inject.Engine.export eng1) (Inject.Engine.export eng2)
 
