@@ -15,9 +15,12 @@
    copies, and snapshot-restore refills all funnel through the same hook.
    Stale blocks are detected lazily on lookup (the stored generation no
    longer matches) and rebuilt from the current bytes. Pagetable remapping
-   and [invlpg] need no hook at all: dispatch re-translates the first byte
-   of every instruction, so a changed mapping simply resolves to a
-   different frame and therefore a different key.
+   and [invlpg] need no hook at all: they only take effect between two
+   [Cpu.run_block] calls, and each call translates its first fetch and
+   every cross-page transfer through the ITLB, so a changed mapping simply
+   resolves to a different frame and therefore a different key. (Within a
+   call the ITLB is immutable apart from fetch accounting, which is why
+   dispatch may fold mid-block and same-page fetches into hit counts.)
 
    Blocks are decoded with {!Isa.Decode.of_string} over the frame's bytes,
    so construction is bounded by the page edge by construction: an
@@ -37,6 +40,10 @@ type block = {
   n : int;  (* 0 = negative block: dispatch must fall back for this pc *)
 }
 
+(* A block that is never looked up: the dispatcher's "no current block"
+   loop state, so that state needs no option box. *)
+let none = { b_pa0 = -1; b_frame = -1; b_gen = -1; insns = [||]; sizes = [||]; offs = [||]; n = 0 }
+
 type stats = {
   mutable hits : int;
   mutable misses : int;  (* lookups that had to build (cold or stale) *)
@@ -48,7 +55,7 @@ type stats = {
 type t = {
   phys : Phys.t;
   page_size : int;
-  blocks : (int, block) Hashtbl.t;
+  blocks : block Int_table.t;
   gen : int array;  (* per-frame generation *)
   stats : stats;
   max_block : int;  (* instruction-count cap per block *)
@@ -61,7 +68,7 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
     {
       phys;
       page_size = Phys.page_size phys;
-      blocks = Hashtbl.create 1024;
+      blocks = Int_table.create 1024;
       gen = Array.make (Phys.frame_count phys) 0;
       stats = { hits = 0; misses = 0; invalidations = 0; blocks_built = 0; insns_built = 0 };
       max_block;
@@ -81,7 +88,7 @@ let generation t frame = t.gen.(frame)
 
 (* Drop every cached block. Generations are kept (monotonic per machine
    lifetime) so blocks cached before the clear can never validate again. *)
-let clear t = Hashtbl.reset t.blocks
+let clear t = Int_table.reset t.blocks
 
 let build t pa0 =
   let frame = pa0 / t.page_size in
@@ -115,13 +122,13 @@ let build t pa0 =
   t.stats.blocks_built <- t.stats.blocks_built + 1;
   t.stats.insns_built <- t.stats.insns_built + n;
   let b = { b_pa0 = pa0; b_frame = frame; b_gen = t.gen.(frame); insns; sizes; offs; n } in
-  if Hashtbl.length t.blocks >= t.max_blocks then clear t;
-  Hashtbl.replace t.blocks pa0 b;
+  if Int_table.length t.blocks >= t.max_blocks then clear t;
+  Int_table.replace t.blocks pa0 b;
   Phys.watch_frame t.phys ~frame;
   b
 
 let lookup t pa0 =
-  match Hashtbl.find t.blocks pa0 with
+  match Int_table.find t.blocks pa0 with
   | b ->
     if b.b_gen = t.gen.(b.b_frame) then begin
       t.stats.hits <- t.stats.hits + 1;

@@ -13,7 +13,11 @@
     The cache stores pre-decoded instructions only; every architectural
     side effect of fetching them (TLB traffic, walk charges, sampling,
     icache touches) is replayed by {!Cpu.run_block} at dispatch time, so
-    enabling the cache is observationally invisible. *)
+    enabling the cache is observationally invisible. Remaps and [invlpg]
+    need no invalidation: they happen between [run_block] calls, and each
+    call translates its first fetch and every cross-page transfer through
+    the ITLB, so a new mapping resolves to a new frame and hence a new
+    key. *)
 
 type block = private {
   b_pa0 : int;  (** packed paddr ([frame * page_size + off]) of byte 0 *)
@@ -27,6 +31,10 @@ type block = private {
           first instruction is undecodable or straddles the page edge, and
           dispatch must fall back to the byte-at-a-time interpreter *)
 }
+
+val none : block
+(** A placeholder block that no lookup returns ([n = 0], [b_frame = -1]):
+    the dispatcher's "no current block" state. *)
 
 type stats = {
   mutable hits : int;

@@ -336,105 +336,144 @@ let run_exact (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
 
    Equivalence discipline — every architectural side effect of the
    exact loop is replayed, per instruction:
-   - byte 0 of every instruction goes through a real [translate_result]
-     (ITLB hit/walk/fill, walk charges, obs events, sampling) — this is
-     also what revalidates the mapping, so pagetable remaps and [invlpg]
-     need no cache invalidation at all;
-   - bytes 1..size-1 are same-page by construction (blocks are
-     page-bounded). With no sampling hook and no icache model their only
-     architectural effect is ITLB hit accounting, batched through
-     [Tlb.note_hits]; with either installed, each byte replays a real
-     translation + icache touch so decimation order and cache-line
-     traffic are preserved exactly;
+   - within one call the ITLB is immutable apart from fetch accounting:
+     only instruction fetches touch it (data accesses go to the DTLB), and
+     flushes, [invlpg], CR3 reloads, timer ticks and injected tampering all
+     happen between calls. So byte 0 goes through a real
+     [translate_result] (ITLB hit/walk/fill, walk charges, obs events,
+     sampling) only for the call's first instruction and after a transfer
+     to another page. Every other fetch is from the page the previous
+     instruction was fetched from: a certain hit on the same entry, with
+     the same frame and the same permission verdict. With no sampling hook
+     and no icache model ([fast_fetch]) such a hit's only effect is the
+     hit count (and LRU recency), so a mid-block or same-page instruction
+     folds all its bytes into one [Tlb.note_hits], and a same-page
+     successor's paddr is the previous block's frame plus the page offset.
+     Blocks are page-bounded, so a block never leaves its first byte's
+     page. A pagetable remap or [invlpg] takes effect at the next call's
+     first translation, with no cache invalidation at all;
+   - with a sampling hook or an icache model, every byte of every
+     instruction replays a real translation + icache touch, so decimation
+     order and cache-line traffic are preserved exactly;
    - retired instructions charge [params.insn] cycles inline (the timer
      comparison and the sampling hook both read [cycles] mid-block) while
      the [insns] counter and retire-rate metrics are batched by the
      caller from [retired];
    - staleness ([Bbcache.stale]) is checked before every instruction, not
      just at block entry, so self-modifying code that rewrites its own
-     block takes effect at the very next instruction boundary. *)
+     block takes effect at the very next instruction boundary.
+
+   The loop state is three plain arguments, so an instruction allocates
+   nothing: [b], the previous instruction's block ([Bbcache.none] before
+   the first); [idx], the index of its successor in [b] when execution
+   fell through to it, else -1; and [vpn], the page of the previous fetch
+   when fetches from it may be folded, else -1 (before the first
+   instruction, after the byte-at-a-time fallback, whose fetches may reach
+   into the next page, and always without [fast_fetch]). *)
 let run_cached (env : Exec_env.t) cache mmu (r : regs) ~max_insns ~tick_limit =
   let cost = Mmu.cost mmu in
   let insn_cycles = cost.Cost.params.Cost.insn in
-  let page_size = Phys.page_size (Mmu.phys mmu) in
+  let phys = Mmu.phys mmu in
+  let shift = Phys.page_shift phys in
+  let off_mask = Phys.page_size phys - 1 in
   let itlb = Mmu.itlb mmu in
-  (* Batched fetch accounting is only exact when nothing observes the
-     individual byte fetches. *)
+  let ctrl = env.Exec_env.ctrl in
   let fast_fetch = env.Exec_env.sample = None && Mmu.icache mmu = None in
   let attempts = ref 0 in
   let retired = ref 0 in
   let pending = ref None in
   let finish s = pending := Some s in
-  let rec loop cur =
+  let rec loop b idx vpn =
     if !attempts < max_insns && cost.Cost.cycles < tick_limit then begin
       let eip = r.eip in
-      let pa0 = Mmu.translate_result mmu ~from_user:true Mmu.Fetch eip in
-      if pa0 < 0 then begin
-        incr attempts;
-        finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
-      end
-      else begin
-        let b, idx =
-          match cur with
-          | Some (b, idx)
-            when pa0 = b.Bbcache.b_pa0 + b.Bbcache.offs.(idx) && not (Bbcache.stale cache b)
-            -> (b, idx)
-          | Some _ | None -> (Bbcache.lookup cache pa0, 0)
-        in
-        if b.Bbcache.n = 0 then begin
-          (* negative block: byte-at-a-time fallback for this one pc *)
-          let s = step_env_at_pa0 env mmu r pa0 in
-          incr attempts;
-          match s.outcome with
-          | Ok Retired ->
-            env.Exec_env.retire eip;
-            cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
-            incr retired;
-            loop None
-          | Ok (Syscall _) ->
-            env.Exec_env.retire eip;
-            finish s
-          | Error _ -> finish s
+      if vpn >= 0 && (idx >= 0 || mask32 eip lsr shift = vpn) then
+        if idx >= 0 && not (Bbcache.stale cache b) then begin
+          Tlb.note_hits itlb vpn b.Bbcache.sizes.(idx);
+          exec b idx vpn eip
         end
         else begin
-          let insn = b.Bbcache.insns.(idx) in
-          let sz = b.Bbcache.sizes.(idx) in
-          Mmu.touch_icache mmu pa0;
-          if sz > 1 then
-            if fast_fetch then Tlb.note_hits itlb (mask32 eip / page_size) (sz - 1)
-            else
-              for i = 1 to sz - 1 do
-                let pa = Mmu.translate_result mmu ~from_user:true Mmu.Fetch (eip + i) in
-                Mmu.touch_icache mmu pa
-              done;
-          match exec_insn ~ctrl:env.Exec_env.ctrl mmu r insn ~eip ~next:(eip + sz) with
-          | exception Mmu.Pending_fault ->
-            incr attempts;
-            finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
-          | exception Mmu.Page_fault f ->
-            incr attempts;
-            finish { outcome = Error (Page f); debug_trap = false }
-          | Error fault as e ->
-            incr attempts;
-            trace_trap mmu fault;
-            finish { outcome = e; debug_trap = false }
-          | Ok Retired ->
-            incr attempts;
-            env.Exec_env.retire eip;
-            cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
-            incr retired;
-            let next_idx = idx + 1 in
-            if next_idx < b.Bbcache.n && r.eip = eip + sz then loop (Some (b, next_idx))
-            else loop None
-          | Ok (Syscall _) as ok ->
-            incr attempts;
-            env.Exec_env.retire eip;
-            finish { outcome = ok; debug_trap = false }
+          let pa0 = (b.Bbcache.b_frame lsl shift) lor (eip land off_mask) in
+          let b = Bbcache.lookup cache pa0 in
+          if b.Bbcache.n = 0 then begin
+            Tlb.note_hits itlb vpn 1;
+            fallback eip pa0
+          end
+          else begin
+            Tlb.note_hits itlb vpn b.Bbcache.sizes.(0);
+            exec b 0 vpn eip
+          end
         end
+      else
+        let pa0 = Mmu.translate_result mmu ~from_user:true Mmu.Fetch eip in
+        if pa0 < 0 then begin
+          incr attempts;
+          finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
+        end
+        else if
+          idx >= 0 && pa0 = b.Bbcache.b_pa0 + b.Bbcache.offs.(idx) && not (Bbcache.stale cache b)
+        then translated b idx eip pa0
+        else translated (Bbcache.lookup cache pa0) 0 eip pa0
+    end
+  (* byte 0 was translated to [pa0]; replay the remaining bytes' fetches *)
+  and translated b idx eip pa0 =
+    if b.Bbcache.n = 0 then fallback eip pa0
+    else begin
+      let sz = b.Bbcache.sizes.(idx) in
+      Mmu.touch_icache mmu pa0;
+      if fast_fetch then begin
+        let vpn = mask32 eip lsr shift in
+        Tlb.note_hits itlb vpn (sz - 1);
+        exec b idx vpn eip
+      end
+      else begin
+        for i = 1 to sz - 1 do
+          let pa = Mmu.translate_result mmu ~from_user:true Mmu.Fetch (eip + i) in
+          Mmu.touch_icache mmu pa
+        done;
+        exec b idx (-1) eip
       end
     end
+  (* negative block: byte-at-a-time fallback for this one pc *)
+  and fallback eip pa0 =
+    let s = step_env_at_pa0 env mmu r pa0 in
+    incr attempts;
+    match s.outcome with
+    | Ok Retired ->
+      env.Exec_env.retire eip;
+      cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
+      incr retired;
+      loop Bbcache.none (-1) (-1)
+    | Ok (Syscall _) ->
+      env.Exec_env.retire eip;
+      finish s
+    | Error _ -> finish s
+  (* every byte of instruction [idx] of [b] has been fetched *)
+  and exec b idx vpn eip =
+    let sz = b.Bbcache.sizes.(idx) in
+    match exec_insn ~ctrl mmu r b.Bbcache.insns.(idx) ~eip ~next:(eip + sz) with
+    | exception Mmu.Pending_fault ->
+      incr attempts;
+      finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
+    | exception Mmu.Page_fault f ->
+      incr attempts;
+      finish { outcome = Error (Page f); debug_trap = false }
+    | Error fault as e ->
+      incr attempts;
+      trace_trap mmu fault;
+      finish { outcome = e; debug_trap = false }
+    | Ok Retired ->
+      incr attempts;
+      env.Exec_env.retire eip;
+      cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
+      incr retired;
+      let next = idx + 1 in
+      loop b (if next < b.Bbcache.n && r.eip = eip + sz then next else -1) vpn
+    | Ok (Syscall _) as ok ->
+      incr attempts;
+      env.Exec_env.retire eip;
+      finish { outcome = ok; debug_trap = false }
   in
-  loop None;
+  loop Bbcache.none (-1) (-1);
   { attempts = !attempts; retired = !retired; pending = !pending }
 
 (* The one dispatcher. The path is chosen once, at entry: the cached loop

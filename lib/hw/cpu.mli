@@ -87,9 +87,14 @@ val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -
 
     The path is chosen once, at entry. With [env.cache] installed, the trap
     flag clear, no TLB integrity guard and ECC off, it replays decoded
-    basic blocks from the {!Bbcache}: byte 0 of every instruction goes
-    through a real translation (which also revalidates the mapping) and the
-    remaining bytes replay their TLB/icache/sampling effects. Otherwise it
+    basic blocks from the {!Bbcache}. Within one call the ITLB is
+    immutable apart from fetch accounting (flushes, [invlpg], CR3 reloads
+    and ticks happen between calls), so a real translation runs only for
+    the call's first instruction and after a transfer to another page —
+    which is also where a remap takes effect. With no sampling hook and no
+    icache, every other instruction (mid-block, or a same-page successor
+    block) folds all its byte fetches into ITLB hit counts; with either,
+    every byte replays its TLB/icache/sampling effects. Otherwise it
     runs the exact loop, byte-at-a-time through the same decoder as
     {!step}. Both paths are bit-identical to iterated {!step}. Under the
     trap flag the run stops after one instruction: a retired one comes back

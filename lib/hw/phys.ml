@@ -12,6 +12,7 @@ type ecc = {
 
 type t = {
   page_size : int;
+  page_shift : int;  (* log2 page_size *)
   frames : Bytes.t array;
   mutable ecc : ecc option;
   (* Write watch (lib/hw Bbcache): one flag byte per frame, set by
@@ -29,8 +30,12 @@ type t = {
 
 let create ?(page_size = 4096) ~frames () =
   if frames <= 0 then invalid_arg "Phys.create: frames must be positive";
+  if page_size <= 0 || page_size land (page_size - 1) <> 0 then
+    invalid_arg "Phys.create: page_size must be a power of two";
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   {
     page_size;
+    page_shift = log2 page_size;
     frames = Array.init frames (fun _ -> Bytes.make page_size '\000');
     ecc = None;
     watched = Bytes.make frames '\000';
@@ -51,6 +56,7 @@ let note_write t frame =
   end
 
 let page_size t = t.page_size
+let page_shift t = t.page_shift
 let frame_count t = Array.length t.frames
 
 let check t frame off len =
@@ -90,16 +96,11 @@ let write8 t ~frame ~off v =
 let read32 t ~frame ~off =
   check t frame off 4;
   scrub t frame off 4;
-  let b i = Char.code (Bytes.get t.frames.(frame) (off + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+  Int32.to_int (Bytes.get_int32_le t.frames.(frame) off) land 0xFFFF_FFFF
 
 let write32 t ~frame ~off v =
   check t frame off 4;
-  let set i x = Bytes.set t.frames.(frame) (off + i) (Char.chr (x land 0xFF)) in
-  set 0 v;
-  set 1 (v lsr 8);
-  set 2 (v lsr 16);
-  set 3 (v lsr 24);
+  Bytes.set_int32_le t.frames.(frame) off (Int32.of_int v);
   note_write t frame;
   match t.ecc with
   | None -> ()

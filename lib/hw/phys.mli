@@ -6,9 +6,14 @@
 type t
 
 val create : ?page_size:int -> frames:int -> unit -> t
-(** Fresh physical memory of [frames] zeroed frames (default 4 KiB pages). *)
+(** Fresh physical memory of [frames] zeroed frames (default 4 KiB pages).
+    [page_size] must be a power of two. *)
 
 val page_size : t -> int
+
+val page_shift : t -> int
+(** [log2 (page_size t)]: a vpn is [vaddr lsr page_shift]. *)
+
 val frame_count : t -> int
 
 val read8 : t -> frame:int -> off:int -> int

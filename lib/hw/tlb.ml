@@ -16,14 +16,14 @@ type t = {
   name : string;
   capacity : int;
   policy : policy;
-  table : (int, entry) Hashtbl.t;
+  table : entry Int_table.t;
   fifo : int Queue.t;
   (* occurrence count of each vpn currently in the queue. Under [Lru] the
      same vpn is re-pushed on every hit; only its *last* occurrence carries
      recency, so [evict_one] must skip a popped vpn whose count says a
      fresher occurrence is still queued. Under [Fifo] counts are 0/1 and the
      logic degenerates to the classic stale-skip. *)
-  occ : (int, int) Hashtbl.t;
+  occ : int Int_table.t;
   stats : stats;
 }
 
@@ -33,23 +33,23 @@ let create ?(policy = Fifo) ~name ~capacity () =
     name;
     capacity;
     policy;
-    table = Hashtbl.create capacity;
+    table = Int_table.create capacity;
     fifo = Queue.create ();
-    occ = Hashtbl.create capacity;
+    occ = Int_table.create capacity;
     stats = { hits = 0; misses = 0; flushes = 0; invalidations = 0; evictions = 0 };
   }
 
 let name t = t.name
 let capacity t = t.capacity
 let policy t = t.policy
-let size t = Hashtbl.length t.table
+let size t = Int_table.length t.table
 let stats t = t.stats
 
 let push t vpn =
   Queue.add vpn t.fifo;
-  match Hashtbl.find_opt t.occ vpn with
-  | None -> Hashtbl.add t.occ vpn 1
-  | Some n -> Hashtbl.replace t.occ vpn (n + 1)
+  match Int_table.find_opt t.occ vpn with
+  | None -> Int_table.add t.occ vpn 1
+  | Some n -> Int_table.replace t.occ vpn (n + 1)
 
 (* Under LRU every hit pushes, so the queue would grow without bound;
    compact it deterministically once it exceeds a fixed multiple of
@@ -60,13 +60,13 @@ let push t vpn =
 let compact t =
   let raw = Array.of_seq (Queue.to_seq t.fifo) in
   Queue.clear t.fifo;
-  Hashtbl.reset t.occ;
+  Int_table.reset t.occ;
   let kept = ref [] in
-  let seen = Hashtbl.create t.capacity in
+  let seen = Int_table.create t.capacity in
   for i = Array.length raw - 1 downto 0 do
     let vpn = raw.(i) in
-    if Hashtbl.mem t.table vpn && not (Hashtbl.mem seen vpn) then begin
-      Hashtbl.add seen vpn ();
+    if Int_table.mem t.table vpn && not (Int_table.mem seen vpn) then begin
+      Int_table.add seen vpn ();
       kept := vpn :: !kept
     end
   done;
@@ -80,7 +80,7 @@ let touch t vpn =
   if Queue.length t.fifo > 8 * t.capacity then compact t
 
 let lookup t vpn =
-  match Hashtbl.find_opt t.table vpn with
+  match Int_table.find_opt t.table vpn with
   | Some e ->
     t.stats.hits <- t.stats.hits + 1;
     if t.policy = Lru then touch t vpn;
@@ -93,7 +93,7 @@ let lookup t vpn =
    and [Not_found] is a constant exception. (Under [Lru] the recency push
    allocates; see [touch].) *)
 let find t vpn =
-  match Hashtbl.find t.table vpn with
+  match Int_table.find t.table vpn with
   | e ->
     t.stats.hits <- t.stats.hits + 1;
     if t.policy = Lru then touch t vpn;
@@ -117,7 +117,7 @@ let note_hits t vpn n =
       done
   end
 
-let peek t vpn = Hashtbl.find_opt t.table vpn
+let peek t vpn = Int_table.find_opt t.table vpn
 
 (* Replacement: pop until a victim qualifies. A popped vpn is skipped when
    it was already invalidated, or (LRU) when a fresher occurrence remains
@@ -127,48 +127,48 @@ let rec evict_one t =
   | None -> ()
   | Some victim ->
     let remaining =
-      match Hashtbl.find_opt t.occ victim with Some n -> n - 1 | None -> 0
+      match Int_table.find_opt t.occ victim with Some n -> n - 1 | None -> 0
     in
-    if remaining <= 0 then Hashtbl.remove t.occ victim
-    else Hashtbl.replace t.occ victim remaining;
+    if remaining <= 0 then Int_table.remove t.occ victim
+    else Int_table.replace t.occ victim remaining;
     if remaining > 0 then evict_one t
-    else if Hashtbl.mem t.table victim then begin
-      Hashtbl.remove t.table victim;
+    else if Int_table.mem t.table victim then begin
+      Int_table.remove t.table victim;
       t.stats.evictions <- t.stats.evictions + 1
     end
     else evict_one t
 
 let insert t (e : entry) =
-  let fresh = not (Hashtbl.mem t.table e.vpn) in
-  if fresh && Hashtbl.length t.table >= t.capacity then evict_one t;
-  Hashtbl.replace t.table e.vpn e;
+  let fresh = not (Int_table.mem t.table e.vpn) in
+  if fresh && Int_table.length t.table >= t.capacity then evict_one t;
+  Int_table.replace t.table e.vpn e;
   if fresh then push t e.vpn
 
 (* Fault-injection surface (lib/inject): enumerate and mutate live entries
    without touching statistics or the FIFO replacement queue — a tampered
    entry must age exactly like the original would have. *)
 let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
+  Int_table.fold (fun _ e acc -> e :: acc) t.table []
   |> List.sort (fun a b -> compare a.vpn b.vpn)
 
 let tamper t vpn f =
-  match Hashtbl.find_opt t.table vpn with
+  match Int_table.find_opt t.table vpn with
   | None -> false
   | Some e ->
     let e' = f e in
-    Hashtbl.replace t.table vpn { e' with vpn };
+    Int_table.replace t.table vpn { e' with vpn };
     true
 
 let invalidate t vpn =
-  if Hashtbl.mem t.table vpn then begin
-    Hashtbl.remove t.table vpn;
+  if Int_table.mem t.table vpn then begin
+    Int_table.remove t.table vpn;
     t.stats.invalidations <- t.stats.invalidations + 1
   end
 
 let flush t =
-  Hashtbl.reset t.table;
+  Int_table.reset t.table;
   Queue.clear t.fifo;
-  Hashtbl.reset t.occ;
+  Int_table.reset t.occ;
   t.stats.flushes <- t.stats.flushes + 1
 
 (* Raw state export for snapshots. The FIFO queue is exported verbatim
@@ -189,7 +189,7 @@ type state = {
 
 let export t =
   let entries =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
+    Int_table.fold (fun _ e acc -> e :: acc) t.table []
     |> List.sort (fun a b -> compare a.vpn b.vpn)
   in
   {
@@ -203,10 +203,10 @@ let export t =
   }
 
 let import t (s : state) =
-  Hashtbl.reset t.table;
+  Int_table.reset t.table;
   Queue.clear t.fifo;
-  Hashtbl.reset t.occ;
-  List.iter (fun e -> Hashtbl.replace t.table e.vpn e) s.s_entries;
+  Int_table.reset t.occ;
+  List.iter (fun e -> Int_table.replace t.table e.vpn e) s.s_entries;
   List.iter (fun vpn -> push t vpn) s.s_fifo;
   t.stats.hits <- s.s_hits;
   t.stats.misses <- s.s_misses;

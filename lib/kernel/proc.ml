@@ -58,7 +58,8 @@ type t = {
 
 let record_trace t eip =
   t.trace.(t.trace_pos) <- eip;
-  t.trace_pos <- (t.trace_pos + 1) mod Array.length t.trace
+  let next = t.trace_pos + 1 in
+  t.trace_pos <- (if next = Array.length t.trace then 0 else next)
 
 let create ~pid ~name ~aspace =
   let console_in = Pipe.create ~name:(Fmt.str "%s.stdin" name) () in

@@ -263,13 +263,14 @@ let default_entries : (int * string * handler) list =
     (162, "nanosleep", sys_nanosleep);
   ]
 
+(* Built eagerly at module initialisation: worker domains reach it
+   through [Trap], and a concurrent first force of a [lazy] raises. *)
 let default_table =
-  lazy
-    (let t = create () in
-     List.iter (fun (n, name, h) -> register t n ~name h) default_entries;
-     t)
+  let t = create () in
+  List.iter (fun (n, name, h) -> register t n ~name h) default_entries;
+  t
 
-let default () = Lazy.force default_table
+let default () = default_table
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)

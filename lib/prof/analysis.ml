@@ -1,8 +1,8 @@
 (* Deriving the profiler's reports from a sample list. Every function here
    is a pure fold over samples with deterministic (sorted) output order,
    so a report is byte-identical for identical sample streams — which is
-   what lets the CI gate diff -j1 against -j4 and a run against its
-   snapshot replay. *)
+   what lets the determinism harness's grid tier compare -j 1 with -j 4,
+   and a run be compared with its snapshot replay. *)
 
 type wset_point = { window : int; win_pages : int; win_samples : int }
 (* [window] is the absolute window index (cycle / window_size): anchoring

@@ -1,6 +1,7 @@
 (** Reports derived from a profiler sample stream. Pure folds with sorted
     output, so identical streams render byte-identically — the property
-    the -j1/-j4 and replay CI diffs rely on. *)
+    the determinism harness's -j 1 = -j 4 grid cells and the replay
+    checks rely on. *)
 
 type wset_point = {
   window : int;  (** absolute window index, [cycle / window_size] *)

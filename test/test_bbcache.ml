@@ -9,10 +9,35 @@
    [Truncated] decode arm is now exercised, and the negative-block
    fallback must stay exact on both paths), the trap-flag single-step
    window, generation-based invalidation under self-modifying stores,
-   [Tlb.note_hits] parity with individual finds including LRU recency, and
-   snapshot restore treating the cache as derived state. *)
+   [Tlb.note_hits] parity with individual finds including LRU recency,
+   snapshot restore treating the cache as derived state, and the
+   translate-once discipline: remaps between calls, stores into a
+   same-page successor, and an allocation-free instruction loop. *)
 
 (* --- Page-edge blocks and the negative-block fallback ---------------------- *)
+
+(* A bare machine: 8 frames, 16-entry TLBs and a pagetable the test
+   edits in place with [map]. *)
+let bare () =
+  let phys = Hw.Phys.create ~frames:8 () in
+  let mmu =
+    Hw.Mmu.create ~itlb_capacity:16 ~dtlb_capacity:16 ~phys ~cost:(Hw.Cost.create ()) ()
+  in
+  let table : (int, Hw.Mmu.hw_pte) Hashtbl.t = Hashtbl.create 4 in
+  Hw.Mmu.reload_cr3 mmu (Hashtbl.find_opt table);
+  let map ~vpn ~frame =
+    Hashtbl.replace table vpn
+      { Hw.Mmu.frame; present = true; writable = true; user = true; nx = false }
+  in
+  (phys, mmu, map)
+
+let dispatch_env phys ~cached =
+  let env = Hw.Exec_env.create () in
+  if cached then env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
+  env
+
+let run_n env mmu regs n =
+  Hw.Cpu.run_block env mmu regs ~max_insns:n ~tick_limit:max_int
 
 (* An instruction whose encoding crosses a code-page boundary: 4093 one-
    byte nops fill page 0 up to offset 4093, then a 6-byte [mov ecx, imm]
@@ -26,19 +51,13 @@ let straddle_program =
   @ [ I (Mov_ri (ECX, 0x11223344)); I (Mov_ri (EDX, 0x55667788)); I Hlt ]
 
 let straddle_fixture () =
-  let phys = Hw.Phys.create ~frames:8 () in
-  let cost = Hw.Cost.create () in
-  let mmu = Hw.Mmu.create ~itlb_capacity:16 ~dtlb_capacity:16 ~phys ~cost () in
+  let phys, mmu, map = bare () in
   let a = Isa.Asm.assemble ~origin:0 straddle_program in
   Hw.Phys.blit_from_string phys ~frame:1 ~off:0 (String.sub a.code 0 4096);
   Hw.Phys.blit_from_string phys ~frame:2 ~off:0
     (String.sub a.code 4096 (String.length a.code - 4096));
-  let table : (int, Hw.Mmu.hw_pte) Hashtbl.t = Hashtbl.create 4 in
-  Hashtbl.replace table 0
-    { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
-  Hashtbl.replace table 1
-    { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (fun vpn -> Hashtbl.find_opt table vpn);
+  map ~vpn:0 ~frame:1;
+  map ~vpn:1 ~frame:2;
   (phys, mmu, Hw.Cpu.create_regs (), a)
 
 let test_page_straddle () =
@@ -65,11 +84,10 @@ let test_page_straddle () =
   (* run_block over the same image, exact and cached *)
   let dispatch name ~cached =
     let phys, mmu, regs, _ = straddle_fixture () in
-    let env = Hw.Exec_env.create () in
-    if cached then env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
+    let env = dispatch_env phys ~cached in
     let retired = ref 0 in
     let rec drive () =
-      let br = Hw.Cpu.run_block env mmu regs ~max_insns:10_000 ~tick_limit:max_int in
+      let br = run_n env mmu regs 10_000 in
       retired := !retired + br.Hw.Cpu.retired;
       match br.pending with
       | None -> drive ()
@@ -104,10 +122,9 @@ let test_trap_flag_single_step () =
   regs_ref.Hw.Cpu.tf <- true;
   ignore (Hw.Cpu.step mmu_ref regs_ref : Hw.Cpu.step);
   let phys, mmu, regs, _ = straddle_fixture () in
-  let env = Hw.Exec_env.create () in
-  env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
+  let env = dispatch_env phys ~cached:true in
   regs.Hw.Cpu.tf <- true;
-  let br = Hw.Cpu.run_block env mmu regs ~max_insns:100 ~tick_limit:max_int in
+  let br = run_n env mmu regs 100 in
   Alcotest.(check int) "one attempt" 1 br.Hw.Cpu.attempts;
   Alcotest.(check int) "nothing retired in-loop" 0 br.retired;
   Alcotest.(check bool) "same registers as Cpu.step" true (regs = regs_ref);
@@ -191,6 +208,111 @@ let test_note_hits_parity () =
     [ 1; 2; 3; 4; 5; 6; 7 ];
   Alcotest.(check bool) "hot vpn survives in both" true (Hw.Tlb.peek b 2 <> None)
 
+(* --- Translate-once dispatch ------------------------------------------------ *)
+
+(* What both dispatch paths must agree on after a run. *)
+let machine_state mmu (regs : Hw.Cpu.regs) =
+  ( regs,
+    (Hw.Mmu.cost mmu).Hw.Cost.cycles,
+    Hw.Tlb.export (Hw.Mmu.itlb mmu),
+    Hw.Tlb.export (Hw.Mmu.dtlb mmu) )
+
+let counting reg =
+  (Isa.Asm.assemble Isa.Asm.[ L "top"; I (Add_ri (reg, 1)); I (Jmp (Lbl "top")) ]).code
+
+(* Cached dispatch translates only a call's first fetch and cross-page
+   transfers, folding the rest into ITLB hits. A remap done between two
+   calls must still take effect exactly when the exact loop sees it: not
+   while the ITLB holds the old entry, and at the next call after the
+   [invlpg]. *)
+let test_remap_between_calls () =
+  let final ~cached =
+    let phys, mmu, map = bare () in
+    Hw.Phys.blit_from_string phys ~frame:1 ~off:0 (counting Isa.Reg.EAX);
+    Hw.Phys.blit_from_string phys ~frame:2 ~off:0 (counting Isa.Reg.EBX);
+    map ~vpn:0 ~frame:1;
+    let env = dispatch_env phys ~cached and regs = Hw.Cpu.create_regs () in
+    let go () = ignore (run_n env mmu regs 10 : Hw.Cpu.block_result) in
+    go ();
+    map ~vpn:0 ~frame:2;
+    go ();
+    Hw.Mmu.invlpg mmu 0;
+    go ();
+    machine_state mmu regs
+  in
+  let ((regs, _, _, _) as cached) = final ~cached:true in
+  Alcotest.(check int) "old frame runs until the invlpg" 10 (Hw.Cpu.get regs Isa.Reg.EAX);
+  Alcotest.(check int) "new frame runs from the next call" 5 (Hw.Cpu.get regs Isa.Reg.EBX);
+  Alcotest.(check bool) "cached = exact (regs, cycles, TLBs)" true (cached = final ~cached:false)
+
+(* Block [a] stores into the immediate of block [b] on the same page and
+   jumps there: dispatch reaches [b] as a same-page successor (no
+   translation) and must still see the patched bytes. *)
+let test_smc_same_page_successor () =
+  let program ~target =
+    Isa.Asm.
+      [
+        I (Mov_ri (ECX, 0x2A));
+        I (Mov_ri (EDI, target));
+        I (Storeb (EDI, 0, ECX));
+        I (Jmp (Lbl "b"));
+        L "b";
+        I (Mov_ri (EAX, 1));
+        I Hlt;
+      ]
+  in
+  let b = Isa.Asm.label (Isa.Asm.assemble (program ~target:0)) "b" in
+  (* [mov eax, imm32] keeps its immediate at byte 2 *)
+  let code = (Isa.Asm.assemble (program ~target:(b + 2))).code in
+  let final ~cached =
+    let phys, mmu, map = bare () in
+    Hw.Phys.blit_from_string phys ~frame:1 ~off:0 code;
+    map ~vpn:0 ~frame:1;
+    let env = dispatch_env phys ~cached and regs = Hw.Cpu.create_regs () in
+    (* run [b] once, so its block is cached before it is patched *)
+    regs.eip <- b;
+    ignore (run_n env mmu regs 10 : Hw.Cpu.block_result);
+    Alcotest.(check int) "unpatched b" 1 (Hw.Cpu.get regs Isa.Reg.EAX);
+    regs.eip <- 0;
+    let br = run_n env mmu regs 10 in
+    Alcotest.(check int) "ran a, then b up to its hlt" 6 br.attempts;
+    Option.iter
+      (fun c ->
+        (* cold b, cold a; the store stales the frame, so a's tail (the
+           jmp) and then b are rebuilt *)
+        Alcotest.(check int) "rebuilt after the store" 4 (Hw.Bbcache.stats c).misses)
+      env.cache;
+    machine_state mmu regs
+  in
+  let ((regs, _, _, _) as cached) = final ~cached:true in
+  Alcotest.(check int) "patched b" 0x2A (Hw.Cpu.get regs Isa.Reg.EAX);
+  Alcotest.(check bool) "cached = exact (regs, cycles, TLBs)" true (cached = final ~cached:false)
+
+(* The cached loop allocates nothing per instruction: a straight-line
+   loop with loads and stores stays under half a minor word per retired
+   instruction (the run's result record and closures are the rest). *)
+let test_dispatch_allocation () =
+  let code =
+    (Isa.Asm.assemble
+       Isa.Asm.(
+         [ L "top"; I (Mov_ri (EDI, 0x1000)) ]
+         @ List.init 8 (fun i -> I (Add_ri (EAX, i)))
+         @ [ I (Store (EDI, 0, EAX)); I (Load (EBX, EDI, 4)); I (Jmp (Lbl "top")) ]))
+      .code
+  in
+  let phys, mmu, map = bare () in
+  Hw.Phys.blit_from_string phys ~frame:1 ~off:0 code;
+  map ~vpn:0 ~frame:1;
+  map ~vpn:1 ~frame:2;
+  let env = dispatch_env phys ~cached:true and regs = Hw.Cpu.create_regs () in
+  ignore (run_n env mmu regs 1_000 : Hw.Cpu.block_result);
+  let before = Gc.minor_words () in
+  let br = run_n env mmu regs 200_000 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "ran the whole budget" 200_000 br.retired;
+  let per_insn = words /. float_of_int br.retired in
+  if per_insn >= 0.5 then Alcotest.failf "%.3f minor words per instruction (limit 0.5)" per_insn
+
 (* --- Snapshot restore drops the cache -------------------------------------- *)
 
 (* The cache is derived state: restore refills frames, so any block the
@@ -229,4 +351,10 @@ let suite =
     Alcotest.test_case "self-modifying store invalidates" `Quick test_smc_invalidation;
     Alcotest.test_case "note_hits equals repeated finds" `Quick test_note_hits_parity;
     Alcotest.test_case "snapshot restore drops the cache" `Quick test_restore_drops_cache;
+    Alcotest.test_case "remap between calls takes effect at the next" `Quick
+      test_remap_between_calls;
+    Alcotest.test_case "store into a same-page successor block" `Quick
+      test_smc_same_page_successor;
+    Alcotest.test_case "cached loop: < 0.5 minor words per insn" `Quick
+      test_dispatch_allocation;
   ]

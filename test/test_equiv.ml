@@ -21,12 +21,21 @@ let stop_name : Kernel.Os.stop_reason -> string = function
   | All_blocked -> "all-blocked"
   | Fuel_exhausted -> "fuel-exhausted"
 
+(* A digest of a TLB's resident entries and its replacement queue (FIFO
+   order, or LRU recency with every re-pushed occurrence): two TLBs with
+   the same digest evict the same victims from here on. *)
+let tlb_digest tlb =
+  let s = Hw.Tlb.export tlb in
+  Digest.to_hex (Digest.string (Marshal.to_string (s.s_entries, s.s_fifo) []))
+
 (* Everything a run leaves behind that the contract covers: the stop
-   reason, every cost counter, both TLBs' statistics and the event log. *)
+   reason, every cost counter, both TLBs' statistics and contents, and
+   the event log. *)
 let observe os stop =
   let mmu = Kernel.Os.mmu os in
-  Fmt.str "%s@.%a@.%a@.%a@.%a" (stop_name stop) Hw.Cost.pp (Kernel.Os.cost os)
-    Hw.Tlb.pp_stats (Hw.Mmu.itlb mmu) Hw.Tlb.pp_stats (Hw.Mmu.dtlb mmu)
+  let itlb = Hw.Mmu.itlb mmu and dtlb = Hw.Mmu.dtlb mmu in
+  Fmt.str "%s@.%a@.%a %s@.%a %s@.%a" (stop_name stop) Hw.Cost.pp (Kernel.Os.cost os)
+    Hw.Tlb.pp_stats itlb (tlb_digest itlb) Hw.Tlb.pp_stats dtlb (tlb_digest dtlb)
     Kernel.Event_log.pp (Kernel.Os.log os)
 
 let fuel = 2_000_000
@@ -269,6 +278,33 @@ let golden_specs =
          (Workload.Guests.nbench ~iters:2 ()));
   ]
 
+(* LRU TLBs small enough to evict constantly. Under LRU every hit pushes
+   a recency occurrence, so these are the scenarios where cached dispatch's
+   folded fetch hits must reproduce the exact loop's queue entry for entry
+   (no other scenario runs LRU without a sampler, which forces per-byte
+   fetches). Run on the exact-dispatch axis only. *)
+let lru_scenarios =
+  let module G = Workload.Guests in
+  List.concat_map
+    (fun cap ->
+      List.map
+        (fun (name, (spec : Workload.Harness.spec)) ->
+          of_spec
+            (Fmt.str "%s/lru tlb=%d" name cap)
+            {
+              spec with
+              itlb_capacity = Some cap;
+              dtlb_capacity = Some cap;
+              tlb_policy = Some Hw.Tlb.Lru;
+            })
+        [
+          ( "numeric sort",
+            Workload.Harness.single ~defense:Defense.split_standalone
+              (G.numeric_sort ~rounds:1 ()) );
+          ("ctxsw", Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:10);
+        ])
+    [ 2; 4 ]
+
 (* Closed-loop clients sleep their think time: the scenario that crosses
    tickless idle and sleeper expiry. *)
 let serve_scenario =
@@ -501,10 +537,11 @@ let gen_case =
     (snd workload)
 
 (* The generated scenario over [axes]. Every such case draws the same 60
-   workloads (qcheck seeds each case alike), so a workload's baseline and
-   axis runs are shared by every case that names them. *)
+   workloads (each starts a fresh generator from one fixed seed, so every
+   run of the suite draws them too), and a workload's baseline and axis
+   runs are shared by every case that names them. *)
 let generated ~name axes =
-  QCheck_alcotest.to_alcotest
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
     (QCheck.Test.make ~name ~count:60
        (QCheck.make ~print:(fun sc -> sc.name) gen_case)
        (fun sc ->
@@ -549,6 +586,7 @@ let suite =
   @ List.map
       (fun (name, _) -> Alcotest.test_case ("-j 1 = -j 4: " ^ name) `Quick (test_grid name))
       grids
+  @ [ Alcotest.test_case "LRU TLBs x exact dispatch" `Quick (test_cells lru_scenarios [ Exact ]) ]
 
 (* The wake check on the generated scenario's baselines: [Sched.wake]
    requeues exactly what a scan of every blocked process would. *)
