@@ -482,6 +482,15 @@ let gate_metrics =
             (Workload.Harness.single ~defense:Defense.split_standalone (quickstart_image ()))
       ) );
     ("alloc.fig7_ctxsw", (Lower, fun () -> alloc_per_insn (ctxsw_spec ())));
+    (* The kernel round trip: fig 7's Apache 1 KB pair, syscall- and
+       Algorithm-1-bound, allocates only the fault records, TLB fills and
+       pagetable walks the trap path must build (DESIGN.md §9). *)
+    ( "alloc.fig7_apache1k",
+      ( Lower,
+        fun () ->
+          alloc_per_insn
+            (Workload.Figures.apache_spec ~defense:Defense.split_standalone ~size:1024
+               ~requests:Workload.Figures.apache_requests) ) );
     (* Block cache on vs off: identical simulations, so the wall-clock
        ratio is its whole dividend. Self-relative, machine-independent. *)
     ( "bbcache.fig7_ctxsw.speedup",

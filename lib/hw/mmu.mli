@@ -190,4 +190,5 @@ val touch_icache : t -> int -> unit
 
 val touch_read : t -> int -> unit
 (** Algorithm 1's DTLB load: user-mode read of one byte so the hardware
-    walks the (temporarily unrestricted) PTE into the data-TLB. *)
+    walks the (temporarily unrestricted) PTE into the data-TLB. Goes
+    through {!Fast.read8}: a fault raises {!Pending_fault}. *)

@@ -54,12 +54,9 @@ let pending_flips e = List.length e.pending_ecc
 let cycles e = (e.m.K.Machine.cost).Hw.Cost.cycles
 
 let current_proc e =
-  match e.m.K.Machine.last_running with
-  | None -> None
-  | Some pid -> (
-    match K.Machine.proc e.m pid with
-    | Some p when not (K.Proc.is_zombie p) -> Some p
-    | _ -> None)
+  match K.Machine.proc e.m e.m.K.Machine.last_running with
+  | Some p when not (K.Proc.is_zombie p) -> Some p
+  | _ -> None
 
 let record_detection e ~pid ~kind ~action ~metric =
   e.detections <- e.detections + 1;

@@ -42,7 +42,10 @@ let remove_pte t vpn = Hashtbl.remove t.ptes vpn
 let iter_ptes t f = Hashtbl.iter (fun _ p -> f p) t.ptes
 let mapped_count t = Hashtbl.length t.ptes
 
-let walk t vpn = Option.map Pte.to_hw (pte t vpn)
+let walk t vpn =
+  match Hashtbl.find t.ptes vpn with
+  | p -> Some (Pte.to_hw p)
+  | exception Not_found -> None
 
 (* Hardware-split views (§3.3.1): the code pagetable maps split pages to
    their code copy, the data pagetable to their data copy; everything else

@@ -48,6 +48,7 @@ type t = {
   cost : Hw.Cost.t;
   log : Event_log.t;
   protection : Protection.t;
+  ctx : Protection.ctx;  (* built once: every source field is immutable *)
   procs : (int, Proc.t) Hashtbl.t;
   (* parent pid -> live child pids, ascending — keeps [children_of]
      O(children) instead of a full-table scan. Maintained by fork/reap,
@@ -84,7 +85,7 @@ type t = {
   quantum : int;
   stack_jitter_pages : int;
   verify_signatures : bool;
-  mutable last_running : int option;
+  mutable last_running : int;  (* pid; -1 before the first switch *)
   mutable next_pid : int;
   mutable next_tick : int;
   mutable ticks : int;
@@ -166,6 +167,7 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
      switch *)
   env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
   let log = Event_log.create () in
+  let alloc = Frame_alloc.create phys in
   let hot =
     if not (Obs.enabled obs) then None
     else begin
@@ -191,12 +193,13 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
   let t =
     {
       phys;
-      alloc = Frame_alloc.create phys;
+      alloc;
       mmu;
       env;
       cost;
       log;
       protection;
+      ctx = { Protection.phys; alloc; mmu; cost; log; obs };
       procs = Hashtbl.create 8;
       children_index = Hashtbl.create 8;
       pending_wakeups = [];
@@ -212,7 +215,7 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
     quantum;
     stack_jitter_pages;
     verify_signatures;
-    last_running = None;
+    last_running = -1;
     next_pid = 1;
     next_tick = (if cost.params.timer_tick_cycles > 0 then cost.params.timer_tick_cycles else max_int);
     ticks = 0;
@@ -229,8 +232,7 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
   t.wakeup_sink <- (fun pid -> t.pending_wakeups <- pid :: t.pending_wakeups);
   t
 
-let ctx t : Protection.ctx =
-  { phys = t.phys; alloc = t.alloc; mmu = t.mmu; cost = t.cost; log = t.log; obs = t.obs }
+let ctx t = t.ctx
 
 let proc t pid = Hashtbl.find_opt t.procs pid
 
@@ -367,7 +369,7 @@ let rec earliest_sleeper t =
 let map_demand_page t (p : Proc.t) (region : Aspace.region) vpn =
   let finish frame =
     let pte = Pte.make ~vpn ~kind:region.kind ~frame ~writable:region.writable in
-    if p.protected_ then t.protection.on_page_mapped (ctx t) p region pte;
+    if p.protected_ then t.protection.on_page_mapped t.ctx p region pte;
     Aspace.set_pte p.aspace pte;
     pte
   in
@@ -458,6 +460,49 @@ let copy_to_user t p addr s =
     Hw.Phys.write_from t.phys ~frame:(Pte.data_frame pte) ~off s ~pos:!pos ~len:chunk;
     pos := !pos + chunk
   done
+
+(* Pipe I/O straight between guest frames and a pipe's storage, page by
+   page, with no intermediate string: the kernel half of read/write. *)
+
+(* Queue [len] guest bytes at [addr] on [pipe] (the caller bounds [len]
+   by the pipe's space). Every page is mapped and checked before the first
+   byte is queued, so an EFAULT on a later page leaves the pipe untouched. *)
+let pipe_from_user t p pipe addr len =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    ignore (ensure_mapped_for_kernel t p (a / t.page_size) ~write:false : Pte.t);
+    pos := !pos + min (len - !pos) (t.page_size - (a mod t.page_size))
+  done;
+  pos := 0;
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a mod t.page_size in
+    let chunk = min (len - !pos) (t.page_size - off) in
+    let pte = ensure_mapped_for_kernel t p (a / t.page_size) ~write:false in
+    ignore (Pipe.write_from_phys pipe t.phys ~frame:(Pte.data_frame pte) ~off ~len:chunk : int);
+    pos := !pos + chunk
+  done
+
+(* Consume [n] buffered bytes of [pipe] (the caller bounds [n] by its
+   level) into guest memory at [addr]. The bytes are consumed whatever
+   happens: when a page faults (EFAULT) or cannot be allocated, the pages
+   before it hold their bytes and the rest are dropped — what consuming
+   all [n] first and then copying page by page leaves behind. *)
+let pipe_to_user t p pipe addr n =
+  let pos = ref 0 in
+  try
+    while !pos < n do
+      let a = addr + !pos in
+      let off = a mod t.page_size in
+      let chunk = min (n - !pos) (t.page_size - off) in
+      let pte = ensure_mapped_for_kernel t p (a / t.page_size) ~write:true in
+      ignore (Pipe.read_to_phys pipe t.phys ~frame:(Pte.data_frame pte) ~off ~len:chunk : int);
+      pos := !pos + chunk
+    done
+  with e ->
+    Pipe.discard pipe ~max:(n - !pos);
+    raise e
 
 let read_cstring t p addr ~max =
   let buf = Buffer.create 16 in
@@ -733,14 +778,19 @@ let do_fork t (parent : Proc.t) =
 (* Misc services shared by the syscall and trap layers                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Callers build [info] only under [p.sebek_active], so a process that is
+   not under post-detection tracing formats nothing. *)
 let sebek_trace t (p : Proc.t) name info =
   if p.sebek_active then Event_log.add t.log (Syscall_traced { pid = p.pid; name; info })
 
 let preview s =
+  let n = String.length s in
   let clean =
-    String.map (fun c -> if Char.code c >= 32 && Char.code c < 127 then c else '.') s
+    String.init (min n 40) (fun i ->
+        let c = String.unsafe_get s i in
+        if Char.code c >= 32 && Char.code c < 127 then c else '.')
   in
-  if String.length clean > 40 then String.sub clean 0 40 ^ "..." else clean
+  if n > 40 then clean ^ "..." else clean
 
 let block t (p : Proc.t) cond =
   (* Rewind over [int 0x80] so the syscall re-executes on wake-up. *)

@@ -55,6 +55,9 @@ type t = {
   cost : Hw.Cost.t;
   log : Event_log.t;
   protection : Protection.t;
+  ctx : Protection.ctx;
+      (** the protection hooks' view of the machine, built once (every
+          field it copies is immutable) *)
   procs : (int, Proc.t) Hashtbl.t;
   children_index : (int, int list) Hashtbl.t;
       (** parent pid -> live child pids, ascending — [children_of] is
@@ -89,7 +92,9 @@ type t = {
   quantum : int;
   stack_jitter_pages : int;
   verify_signatures : bool;
-  mutable last_running : int option;
+  mutable last_running : int;
+      (** pid of the process whose pagetables are loaded; -1 before the
+          first switch *)
   mutable next_pid : int;
   mutable next_tick : int;
   mutable ticks : int;
@@ -134,6 +139,8 @@ val create :
     path on one machine sets [env.cache <- None] after [create]. *)
 
 val ctx : t -> Protection.ctx
+(** [t.ctx]. *)
+
 val proc : t -> int -> Proc.t option
 
 val procs : t -> Proc.t list
@@ -185,6 +192,20 @@ val ensure_mapped_for_kernel : t -> Proc.t -> int -> write:bool -> Pte.t
 
 val copy_from_user : t -> Proc.t -> int -> int -> string
 val copy_to_user : t -> Proc.t -> int -> string -> unit
+
+val pipe_from_user : t -> Proc.t -> Pipe.t -> int -> int -> unit
+(** [pipe_from_user t p pipe addr len] queues [len] guest bytes at [addr]
+    on [pipe], frame by frame with no intermediate string; [len] must not
+    exceed the pipe's space. Every page is mapped and checked before the
+    first byte is queued. @raise Efault leaving the pipe untouched. *)
+
+val pipe_to_user : t -> Proc.t -> Pipe.t -> int -> int -> unit
+(** [pipe_to_user t p pipe addr n] consumes [n] buffered bytes (at most
+    the pipe's level) into guest memory at [addr], frame by frame. The [n]
+    bytes are consumed even when a page faults: the pages before the
+    fault hold their bytes. @raise Efault on an unmapped or read-only
+    page. *)
+
 val read_cstring : t -> Proc.t -> int -> max:int -> string
 
 val terminate : t -> Proc.t -> Proc.exit_status -> unit
@@ -207,10 +228,13 @@ val do_fork : t -> Proc.t -> int
 (** Fork [parent]; returns the child pid. *)
 
 val sebek_trace : t -> Proc.t -> string -> string -> unit
-(** Covert per-syscall logging when the process is sebek-tagged. *)
+(** Covert per-syscall logging when the process is sebek-tagged. Callers
+    build the [info] line only under [p.sebek_active], so tracing costs
+    nothing before a detection. *)
 
 val preview : string -> string
-(** Printable, truncated preview of guest bytes for log lines. *)
+(** Printable, truncated preview of guest bytes for log lines: the first
+    40 bytes, non-printable ones as ['.'], then ["..."] if more follow. *)
 
 val block : t -> Proc.t -> Proc.wait_cond -> unit
 (** Block the process, rewind EIP over [int 0x80] so the syscall

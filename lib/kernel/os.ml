@@ -101,4 +101,5 @@ let set_syscall_squeeze (t : t) squeeze = t.Machine.syscall_squeeze <- squeeze
 (* ------------------------------------------------------------------ *)
 
 let set_switch_hook (t : t) hook = t.Machine.switch_hook <- hook
-let last_running (t : t) = t.Machine.last_running
+let last_running (t : t) =
+  if t.Machine.last_running < 0 then None else Some t.Machine.last_running

@@ -42,6 +42,24 @@ val read : t -> max:int -> string
 val drain : t -> string
 (** Consume everything buffered. *)
 
+(** {2 In-place I/O}
+
+    The syscall layer moves guest bytes between physical frames and the
+    pipe's own storage, with no intermediate string. Each call is one
+    {!write} or {!read} of a frame slice: same space/level bounds, same
+    counter and the same wakeups. *)
+
+val write_from_phys : t -> Hw.Phys.t -> frame:int -> off:int -> len:int -> int
+(** {!write} of the [len] bytes at [off] in [frame]; returns the number
+    taken. *)
+
+val read_to_phys : t -> Hw.Phys.t -> frame:int -> off:int -> len:int -> int
+(** {!read} of up to [len] bytes, stored at [off] in [frame]; returns the
+    number consumed. *)
+
+val discard : t -> max:int -> unit
+(** Consume up to [max] buffered bytes without copying them anywhere. *)
+
 type state = {
   s_name : string;
   s_capacity : int;

@@ -3,7 +3,7 @@
     loop iteration fires the timer, runs {!Hw.Cpu.run_block} up to the
     next tick or the end of the quantum, flushes the batched retire
     counters, and hands the trap that ended the run (if any) to
-    {!Trap.deliver}. *)
+    {!Trap.deliver_trap}. *)
 
 type stop_reason = All_exited | All_blocked | Fuel_exhausted
 

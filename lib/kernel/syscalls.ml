@@ -2,7 +2,12 @@
    replacing the monolithic dispatch match the kernel grew up with.
    Handlers are registered data — adding a syscall touches nothing but the
    table — and every dispatch is traceable per-entry through the machine's
-   [syscall_tracer] (simctl --strace). *)
+   [syscall_tracer] (simctl --strace).
+
+   The round trip allocates nothing a process does not ask for: the Sebek
+   line of observe mode is only formatted once the process is under
+   post-detection tracing ([p.sebek_active]), and read/write move bytes
+   between guest frames and the pipe directly. *)
 
 module M = Machine
 
@@ -10,11 +15,18 @@ type handler = M.t -> Proc.t -> unit
 
 type entry = { name : string; handler : handler }
 
-type table = { entries : (int, entry) Hashtbl.t }
+(* [frozen] tables refuse [register]: the shared default table is reached
+   from every machine and every worker domain. *)
+type table = { entries : (int, entry) Hashtbl.t; frozen : bool }
 
-let create () = { entries = Hashtbl.create 32 }
+let create () = { entries = Hashtbl.create 32; frozen = false }
 
-let register t n ~name handler = Hashtbl.replace t.entries n { name; handler }
+let register t n ~name handler =
+  if t.frozen then
+    invalid_arg
+      (Fmt.str "Syscalls.register %d (%s): the default table is shared and read-only; \
+                build your own with Syscalls.create" n name);
+  Hashtbl.replace t.entries n { name; handler }
 
 let find t n = Hashtbl.find_opt t.entries n
 
@@ -30,15 +42,15 @@ let arg (p : Proc.t) r = Hw.Cpu.get p.regs r
 let ret (p : Proc.t) v = Hw.Cpu.set p.regs Isa.Reg.EAX v
 
 (* exit(status) *)
-let sys_exit (m : M.t) p =
+let sys_exit (m : M.t) (p : Proc.t) =
   let ebx = arg p Isa.Reg.EBX in
-  M.sebek_trace m p "exit" (string_of_int ebx);
+  if p.sebek_active then M.sebek_trace m p "exit" (string_of_int ebx);
   M.terminate m p (Proc.Exited (ebx land 0xFF))
 
 (* fork() *)
-let sys_fork (m : M.t) p =
+let sys_fork (m : M.t) (p : Proc.t) =
   let child = M.do_fork m p in
-  M.sebek_trace m p "fork" (Fmt.str "-> %d" child);
+  if p.sebek_active then M.sebek_trace m p "fork" (Fmt.str "-> %d" child);
   ret p child
 
 (* read(fd, buf, len) *)
@@ -47,10 +59,12 @@ let sys_read (m : M.t) (p : Proc.t) =
   match Proc.fd p fd with
   | Some (Read_end pipe) ->
     if not (Pipe.is_empty pipe) then begin
-      let s = Pipe.read pipe ~max:len in
-      M.copy_to_user m p buf s;
-      M.sebek_trace m p "read" (Fmt.str "fd=%d %S" fd (M.preview s));
-      ret p (String.length s)
+      let n = min len (Pipe.level pipe) in
+      M.pipe_to_user m p pipe buf n;
+      if p.sebek_active then
+        M.sebek_trace m p "read"
+          (Fmt.str "fd=%d %S" fd (M.preview (M.copy_from_user m p buf n)));
+      ret p n
     end
     else if Pipe.has_writers pipe then M.block m p (Proc.Read_fd fd)
     else ret p 0
@@ -65,11 +79,12 @@ let sys_write (m : M.t) (p : Proc.t) =
     else if Pipe.space pipe = 0 then M.block m p (Proc.Write_fd fd)
     else begin
       let chunk = min len (Pipe.space pipe) in
-      let s = M.copy_from_user m p buf chunk in
-      let written = Pipe.write pipe s in
-      Hw.Cost.charge m.cost (written * m.cost.params.io_byte);
-      M.sebek_trace m p "write" (Fmt.str "fd=%d %S" fd (M.preview s));
-      ret p written
+      M.pipe_from_user m p pipe buf chunk;
+      Hw.Cost.charge m.cost (chunk * m.cost.params.io_byte);
+      if p.sebek_active then
+        M.sebek_trace m p "write"
+          (Fmt.str "fd=%d %S" fd (M.preview (M.copy_from_user m p buf chunk)));
+      ret p chunk
     end
   | Some (Read_end _) | None -> ret p (-9)
 
@@ -88,7 +103,7 @@ let sys_waitpid (m : M.t) p =
     match List.find_opt Proc.is_zombie children with
     | Some z ->
       M.reap m z;
-      M.sebek_trace m p "waitpid" (Fmt.str "-> %d" z.pid);
+      if p.sebek_active then M.sebek_trace m p "waitpid" (Fmt.str "-> %d" z.pid);
       ret p z.pid
     | None -> M.block m p (Proc.Child target))
 
@@ -96,7 +111,7 @@ let sys_waitpid (m : M.t) p =
 let sys_execve (m : M.t) (p : Proc.t) =
   let path = M.read_cstring m p (arg p Isa.Reg.EBX) ~max:64 in
   Event_log.add m.log (Exec_shell { pid = p.pid; path });
-  M.sebek_trace m p "execve" (Fmt.str "%S" path);
+  if p.sebek_active then M.sebek_trace m p "execve" (Fmt.str "%S" path);
   ret p 0
 
 (* time() — cycle counter *)
@@ -129,7 +144,7 @@ let sys_brk (_m : M.t) (p : Proc.t) =
 let sys_sigrecover (m : M.t) (p : Proc.t) =
   let ebx = arg p Isa.Reg.EBX in
   p.recovery_handler <- (if ebx = 0 then None else Some ebx);
-  M.sebek_trace m p "sigrecover" (Fmt.str "0x%08x" ebx);
+  if p.sebek_active then M.sebek_trace m p "sigrecover" (Fmt.str "0x%08x" ebx);
   ret p 0
 
 (* mmap(len, prot) *)
@@ -150,7 +165,8 @@ let sys_mmap (m : M.t) (p : Proc.t) =
         share = None;
       };
     p.aspace.mmap_cursor <- base + ((pages + 1) * m.page_size);
-    M.sebek_trace m p "mmap" (Fmt.str "len=%d prot=%d -> 0x%08x" len prot base);
+    if p.sebek_active then
+      M.sebek_trace m p "mmap" (Fmt.str "len=%d prot=%d -> 0x%08x" len prot base);
     ret p base
   end
 
@@ -216,7 +232,8 @@ let sys_uselib (m : M.t) (p : Proc.t) =
             source = Image_bytes { base = lib.lib_base; bytes = lib.code };
             share = None;
           };
-      M.sebek_trace m p "uselib" (Fmt.str "%S -> 0x%08x" name lib.lib_base);
+      if p.sebek_active then
+        M.sebek_trace m p "uselib" (Fmt.str "%S -> 0x%08x" name lib.lib_base);
       ret p lib.lib_base
     end
 
@@ -230,7 +247,7 @@ let sys_sched_yield (_m : M.t) p = ret p 0
    *after* the [int 0x80] when the deadline passes. *)
 let sys_nanosleep (m : M.t) (p : Proc.t) =
   let d = arg p Isa.Reg.EBX in
-  M.sebek_trace m p "nanosleep" (Fmt.str "%d cycles" d);
+  if p.sebek_active then M.sebek_trace m p "nanosleep" (Fmt.str "%d cycles" d);
   ret p 0;
   if d > 0 then begin
     let until_ = m.cost.cycles + d in
@@ -264,11 +281,13 @@ let default_entries : (int * string * handler) list =
   ]
 
 (* Built eagerly at module initialisation: worker domains reach it
-   through [Trap], and a concurrent first force of a [lazy] raises. *)
+   through [Trap], and a concurrent first force of a [lazy] raises. Frozen,
+   since every machine and domain shares it; [default ()] returns it as
+   is, with no allocation, on every syscall. *)
 let default_table =
   let t = create () in
   List.iter (fun (n, name, h) -> register t n ~name h) default_entries;
-  t
+  { t with frozen = true }
 
 let default () = default_table
 
@@ -277,24 +296,23 @@ let default () = default_table
 (* ------------------------------------------------------------------ *)
 
 let run_handler t m p n =
-  match Hashtbl.find_opt t.entries n with
-  | Some e -> e.handler m p
-  | None -> ret p (-38)
+  (* the two kernel-internal escapes every handler may take: a bad guest
+     pointer (EFAULT) and physical-memory exhaustion (OOM-kill) *)
+  try
+    match Hashtbl.find t.entries n with
+    | e -> e.handler m p
+    | exception Not_found -> ret p (-38)
+  with
+  | M.Efault -> ret p (-14)
+  | Frame_alloc.Out_of_frames -> M.oom_kill m p
 
 let dispatch t (m : M.t) (p : Proc.t) n =
-  let go () =
-    (* the two kernel-internal escapes every handler may take: a bad guest
-       pointer (EFAULT) and physical-memory exhaustion (OOM-kill) *)
-    try run_handler t m p n with
-    | M.Efault -> ret p (-14)
-    | Frame_alloc.Out_of_frames -> M.oom_kill m p
-  in
   match m.syscall_tracer with
-  | None -> go ()
+  | None -> run_handler t m p n
   | Some tracer ->
     let args = (arg p Isa.Reg.EBX, arg p Isa.Reg.ECX, arg p Isa.Reg.EDX) in
     let since = m.cost.cycles in
-    go ();
+    run_handler t m p n;
     let outcome =
       match p.state with
       | Proc.Zombie _ -> M.Exited

@@ -22,7 +22,8 @@ val create : unit -> table
 
 val register : table -> int -> name:string -> handler -> unit
 (** [register t n ~name h] binds syscall number [n] (replacing any
-    previous binding). *)
+    previous binding).
+    @raise Invalid_argument on the shared {!default} table. *)
 
 val find : table -> int -> entry option
 
@@ -33,8 +34,11 @@ val numbers : table -> int list
 (** Registered numbers, sorted. *)
 
 val default : unit -> table
-(** The kernel's standard (Linux-numbered) table. Shared; treat as
-    read-only and {!create} a fresh table to experiment. *)
+(** The kernel's standard (Linux-numbered) table, shared by every machine
+    and domain and therefore read-only: {!register} on it raises. To
+    experiment, {!create} a fresh table and copy entries over with
+    {!find}/{!numbers}. Returns the same value every call, allocating
+    nothing. *)
 
 val dispatch : table -> Machine.t -> Proc.t -> int -> unit
 (** Route one syscall: runs the handler (or sets EAX to [-ENOSYS] for an

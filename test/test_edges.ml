@@ -214,6 +214,123 @@ let test_image_duplicate_cross_segment () =
   | exception Isa.Asm.Duplicate_label "x" -> ()
   | _ -> Alcotest.fail "expected Duplicate_label"
 
+(* The Sebek trace of observe mode, pinned byte for byte. After detection
+   the injected code writes and reads payloads longer than the 40-byte
+   preview (so the "..." cut shows), holding quotes, backslashes and
+   control bytes (so the '.' mapping and the %S escaping show), then
+   sleeps and exits. *)
+let sebek_out = "say \"hi\" \\ \x01\x7f\tthen some text that runs past forty bytes"
+let sebek_in = "got \"it\"\\\x02\x1b[0m and a tail long enough to be cut"
+
+let test_sebek_trace_bytes () =
+  let image =
+    Kernel.Image.build ~name:"sebek"
+      ~data:(fun ~lbl:_ -> [ L "buf"; Space 512 ])
+      ~code:(fun ~lbl ->
+        (L "main" :: Guest.sys_read_imm ~buf:(lbl "buf") ~len:512)
+        @ [ I (Mov_ri (ESI, lbl "buf")); I (Jmp_r ESI) ])
+      ~entry:"main" ()
+  in
+  let shellcode =
+    Attack.Shellcode.with_layout ~base:(Kernel.Image.label image "buf") (fun lbl ->
+        Guest.sys_write_imm ~buf:(lbl "out") ~len:(String.length sebek_out) ()
+        @ Guest.sys_read_imm ~buf:(lbl "in") ~len:128
+        @ [ I (Mov_ri (EAX, 162)); I (Mov_ri (EBX, 100)); I (Int 0x80) ]
+        @ Guest.sys_exit 0
+        @ [ L "out"; Bytes sebek_out; L "in"; Space 128 ])
+  in
+  let defense =
+    Defense.split_with ~response:(Split_memory.Response.Observe { sebek = true }) ()
+  in
+  let s = Attack.Runner.start ~defense image in
+  ignore (Attack.Runner.step s);
+  Attack.Runner.send s shellcode;
+  ignore (Attack.Runner.step s);
+  Attack.Runner.send s sebek_in;
+  ignore (Attack.Runner.step s);
+  let traced =
+    List.filter_map
+      (function
+        | Kernel.Event_log.Syscall_traced { pid; name; info } -> Some (pid, name, info)
+        | _ -> None)
+      (Kernel.Event_log.to_list (Kernel.Os.log s.k))
+  in
+  let pid = s.victim.pid in
+  Alcotest.(check (list (triple int string string)))
+    "Syscall_traced entries"
+    [
+      (pid, "write", {|fd=1 "say \"hi\" \\ ...then some text that runs p..."|});
+      (pid, "read", {|fd=0 "got \"it\"\\..[0m and a tail long enough to..."|});
+      (pid, "nanosleep", "100 cycles");
+      (pid, "exit", "0");
+    ]
+    traced;
+  Alcotest.(check string) "the write reached stdout" sebek_out
+    (Kernel.Os.read_stdout s.k s.victim)
+
+(* read/write on a buffer that starts on a mapped page and runs onto an
+   unmapped one (mmap's guard page). [write] checks every page before it
+   enqueues a byte, so the pipe stays untouched; [read] consumes first,
+   then copies up to the fault, so the mapped part sees the data and the
+   consumed bytes are gone. Both return -EFAULT. *)
+let test_efault_page_edge () =
+  let image =
+    Kernel.Image.build ~name:"edge-efault"
+      ~code:(fun ~lbl:_ ->
+        [
+          L "main";
+          (* mmap(4096, rw): one page, then an unmapped guard page *)
+          I (Mov_ri (EAX, 90));
+          I (Mov_ri (EBX, 4096));
+          I (Mov_ri (ECX, 3));
+          I (Int 0x80);
+          I (Lea (EBP, EAX, 4096 - 16));
+          (* write(1, page_end - 16, 32) *)
+          I (Mov_ri (EAX, 4));
+          I (Mov_ri (EBX, 1));
+          I (Mov_rr (ECX, EBP));
+          I (Mov_ri (EDX, 32));
+          I (Int 0x80);
+          I (Mov_rr (EDI, EAX));
+          (* read(0, page_end - 16, 32) *)
+          I (Mov_ri (EAX, 3));
+          I (Mov_ri (EBX, 0));
+          I (Mov_rr (ECX, EBP));
+          I (Mov_ri (EDX, 32));
+          I (Int 0x80);
+          I (Mov_rr (ESI, EAX));
+          L "spin";
+          I (Jmp (Lbl "spin"));
+        ])
+      ~entry:"main" ()
+  in
+  let input = String.init 64 (fun i -> Char.chr (0x41 + (i mod 26))) in
+  List.iter
+    (fun defense ->
+      let name = Defense.name defense in
+      let k =
+        Kernel.Os.create ~tlb_fill:(Defense.tlb_fill defense)
+          ~protection:(Defense.to_protection defense) ()
+      in
+      let p = Kernel.Os.spawn k image in
+      ignore (Kernel.Os.feed_stdin k p input : int);
+      Alcotest.(check bool) (name ^ ": spins to the fuel limit") true
+        (Kernel.Os.run ~fuel:5_000 k = Kernel.Os.Fuel_exhausted);
+      let reg r = Hw.Cpu.sign32 (Hw.Cpu.get p.regs r) in
+      Alcotest.(check int) (name ^ ": write returns -EFAULT") (-14) (reg EDI);
+      Alcotest.(check int) (name ^ ": write left the pipe untouched") 0
+        (Kernel.Pipe.level p.console_out);
+      Alcotest.(check int) (name ^ ": read returns -EFAULT") (-14) (reg ESI);
+      Alcotest.(check int) (name ^ ": read consumed its 32 bytes") 32
+        (Kernel.Pipe.level p.console_in);
+      Alcotest.(check string) (name ^ ": the mapped part holds the first 16 bytes")
+        (String.sub input 0 16)
+        (Kernel.Os.copy_from_user k p (Hw.Cpu.get p.regs EBP) 16);
+      Alcotest.(check string) (name ^ ": the rest of stdin is intact")
+        (String.sub input 32 32)
+        (Kernel.Pipe.drain p.console_in))
+    [ Defense.unprotected; Defense.split_standalone ]
+
 let suite =
   [
     Alcotest.test_case "read/write on bad fds" `Quick test_bad_fd;
@@ -221,6 +338,8 @@ let suite =
       test_close_twice_and_waitpid_no_children;
     Alcotest.test_case "brk out of range" `Quick test_brk_out_of_range;
     Alcotest.test_case "syscall EFAULT" `Quick test_efault_syscall;
+    Alcotest.test_case "syscall EFAULT across a page edge" `Quick test_efault_page_edge;
+    Alcotest.test_case "observe: Sebek trace bytes" `Quick test_sebek_trace_bytes;
     Alcotest.test_case "observe: per-page detection (2 pages)" `Quick test_observe_two_pages;
     Alcotest.test_case "forensics execution trail" `Quick test_forensics_trail_event;
     Alcotest.test_case "mmap window exhaustion" `Quick test_mmap_exhaustion;
