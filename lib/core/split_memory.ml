@@ -114,7 +114,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
             let off = psz - 1 in
             let saved = Hw.Phys.read8 ctx.phys ~frame:s.code_frame ~off in
             Hw.Mmu.kernel_code_write ctx.mmu ~frame:s.code_frame ~off 0x32;
-            ignore (Hw.Mmu.fetch8 ctx.mmu ~from_user:true ((f.addr / psz * psz) + off));
+            ignore (Hw.Mmu.Fast.fetch8 ctx.mmu ~from_user:true ((f.addr / psz * psz) + off));
             Hw.Mmu.kernel_code_write ctx.mmu ~frame:s.code_frame ~off saved;
             Kernel.Pte.restrict pte;
             Kernel.Protection.Handled)

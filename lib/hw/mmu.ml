@@ -13,8 +13,6 @@ type fault_kind = Not_present | Protection | Tlb_miss
 
 type fault = { addr : int; access : access; kind : fault_kind; from_user : bool }
 
-exception Page_fault of fault
-
 let fault_kind_name = function
   | Not_present -> "not-present"
   | Protection -> "protection"
@@ -283,15 +281,9 @@ let rec translate_result t ~from_user access vaddr =
         end
     end)
 
-let translate t ~from_user access vaddr =
-  let pa = translate_result t ~from_user access vaddr in
-  if pa < 0 then raise (Page_fault (pending_fault t));
-  let page_size = Phys.page_size t.phys in
-  (pa / page_size, pa mod page_size)
-
-(* The fast-path access module for the CPU dispatch loop. One shared
-   translation core ([paddr]) holds the fault plumbing that used to be
-   copy-pasted across five accessors: a negative translation raises the
+(* The one memory-access API, for the CPU dispatch loop, the kernel and
+   tools alike. One shared translation core ([paddr]) holds the fault
+   plumbing of all five accessors: a negative translation raises the
    constant [Pending_fault], so the whole miss path allocates nothing and
    the caller materializes the fault record once, at the trap boundary,
    via [pending_fault]. Each accessor then layers exactly its cache
@@ -343,29 +335,6 @@ module Fast = struct
         write8 t ~from_user (vaddr + i) ((v lsr (8 * i)) land 0xFF)
       done
 end
-
-(* Record-raising wrappers for existing callers (the kernel's copy loops,
-   tests, tools): same semantics as before the fast path existed. *)
-
-let fetch8 t ~from_user vaddr =
-  try Fast.fetch8 t ~from_user vaddr
-  with Pending_fault -> raise (Page_fault (pending_fault t))
-
-let read8 t ~from_user vaddr =
-  try Fast.read8 t ~from_user vaddr
-  with Pending_fault -> raise (Page_fault (pending_fault t))
-
-let write8 t ~from_user vaddr v =
-  try Fast.write8 t ~from_user vaddr v
-  with Pending_fault -> raise (Page_fault (pending_fault t))
-
-let read32 t ~from_user vaddr =
-  try Fast.read32 t ~from_user vaddr
-  with Pending_fault -> raise (Page_fault (pending_fault t))
-
-let write32 t ~from_user vaddr v =
-  try Fast.write32 t ~from_user vaddr v
-  with Pending_fault -> raise (Page_fault (pending_fault t))
 
 (* The pagetable-walk DTLB-load trick of Algorithm 1: with the PTE
    temporarily unrestricted, the kernel "reads a byte off the page", which

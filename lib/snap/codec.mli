@@ -1,43 +1,72 @@
-(** Binary reader/writer primitives for the snapshot format.
+(** Two-way binary codecs: the snapshot format, stated once.
+
+    An ['a t] pairs the writer and the reader of one type, so each layout
+    is one description that reads back in exactly the order it writes.
+    {!Snapshot} describes every type it stores this way.
 
     Integers are zigzag-encoded into 8 little-endian bytes (OCaml ints are
-    63-bit, all simulator values fit in 62), strings and lists are
-    length-prefixed, options and booleans are single tag bytes. The format
-    favors dead-simple decoding over compactness — sparse frame skipping
-    (see {!Snapshot}) is where the real size win lives. *)
+    63-bit, all simulator values fit in 62). Strings, arrays and lists are
+    length-prefixed; options and booleans are one tag byte; an enumeration
+    or variant is a tag byte (the position of its case) followed by the
+    case's payload; a record is its fields in order. The format favors
+    dead-simple decoding over compactness — sparse frame skipping (see
+    {!Snapshot}) is where the real size win lives.
+
+    Decoding is total: every read is bounds-checked, and a length prefix
+    larger than the bytes left is rejected before anything is allocated. *)
 
 exception Corrupt of string
 (** Raised by every read on truncated or malformed input. *)
 
-module W : sig
-  type t
+type 'a t
 
-  val create : unit -> t
-  val u8 : t -> int -> unit
-  val int : t -> int -> unit
-  val bool : t -> bool -> unit
-  val str : t -> string -> unit
-  val opt : (t -> 'a -> unit) -> t -> 'a option -> unit
-  val list : (t -> 'a -> unit) -> t -> 'a list -> unit
-  val int_array : t -> int array -> unit
-  val raw : t -> string -> unit
-  (** Append bytes verbatim, no length prefix (magic headers). *)
+val u8 : int t
+val int : int t
+val bool : bool t
+val str : string t
+val int_array : int array t
+val opt : 'a t -> 'a option t
+val list : 'a t -> 'a list t
+val pair : 'a t -> 'b t -> ('a * 'b) t
+val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
-  val contents : t -> string
-end
+val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
+(** [conv to_wire of_wire c] stores an ['a] as its image under [to_wire];
+    [of_wire] may reject a decoded value by raising {!Corrupt}. *)
 
-module R : sig
-  type t
+val enum : string -> 'a list -> 'a t
+(** [enum what cases]: a value's position in [cases] (compared with [=]),
+    as one byte. [what] names the type in error messages. *)
 
-  val of_string : string -> t
-  val u8 : t -> int
-  val int : t -> int
-  val bool : t -> bool
-  val str : t -> string
-  val opt : (t -> 'a) -> t -> 'a option
-  val list : (t -> 'a) -> t -> 'a list
-  val int_array : t -> int array
-  val at_end : t -> bool
-  val expect : t -> string -> unit
-  (** Consume exactly these raw bytes or raise {!Corrupt}. *)
-end
+(** {1 Records}
+
+    [record () |+ (c1, get1) |+ (c2, get2) |> seal make] writes [get1 v]
+    with [c1], then [get2 v] with [c2], and reads back [make x1 x2],
+    reading [x1] first. *)
+
+type ('r, 'c, 'k) fields
+(** The fields of an ['r] added so far: a constructor of type ['c] applied
+    to them leaves a ['k]. *)
+
+val record : unit -> ('r, 'k, 'k) fields
+val ( |+ ) : ('r, 'c, 'a -> 'k) fields -> 'a t * ('r -> 'a) -> ('r, 'c, 'k) fields
+val seal : 'c -> ('r, 'c, 'r) fields -> 'r t
+
+(** {1 Variants} *)
+
+type 'a case
+
+val case : 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
+(** [case c inject project]: the values [project] accepts, stored as their
+    payload with [c] and rebuilt with [inject]. *)
+
+val variant : string -> 'a case list -> 'a t
+(** The tag of the first case that accepts the value, then its payload. *)
+
+(** {1 Blobs} *)
+
+val encode : magic:string -> 'a t -> 'a -> string
+
+val decode : magic:string -> 'a t -> string -> 'a
+(** @raise Corrupt on a missing [magic], malformed or truncated input, or
+    bytes left over after the value. *)

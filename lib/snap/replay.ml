@@ -60,7 +60,8 @@ let check ?(fuel_to_checkpoint = 1500) ?(fuel = 2_000_000) os =
   let ref_stop = Kernel.Os.run ~fuel os in
   let ref_cost = cost_fields (Kernel.Os.cost os) in
   let ref_events = render_log os in
-  Snapshot.restore os snap;
+  (* through the wire format, so every replay also checks the codec *)
+  Snapshot.restore os (Snapshot.decode (Snapshot.encode snap));
   let replay_stop = Kernel.Os.run ~fuel os in
   let replay_cost = cost_fields (Kernel.Os.cost os) in
   let replay_events = render_log os in

@@ -22,6 +22,8 @@ val check : ?fuel_to_checkpoint:int -> ?fuel:int -> Kernel.Os.t -> report * Snap
     instructions (default 1500), checkpoint, run the rest of the way
     (bounded by [fuel], default 2,000,000) recording the reference outcome,
     then restore the checkpoint into the same machine and re-run. The
-    returned snapshot is the mid-run checkpoint. *)
+    restored copy goes through the wire format ([decode (encode snap)]),
+    so a replay checks the codec as well. The returned snapshot is the
+    mid-run checkpoint. *)
 
 val pp : Format.formatter -> report -> unit

@@ -5,7 +5,7 @@
     {!Kernel.Os.run} (or a fuel-sliced sequence of runs with checkpoints in
     between) carries it to completion deterministically. They back the
     round-trip/replay tests, the [simctl snapshot/replay] subcommands and
-    the CI replay gate. *)
+    the replay gate that [dune runtest] runs (test/replay/dune). *)
 
 type t = {
   name : string;

@@ -4,30 +4,17 @@ let magic = "SMEMSNP1"
 type trigger = { t_pid : int; t_eip : int; t_mode : string }
 
 (* ------------------------------------------------------------------ *)
-(* State model: plain immutable data, no live kernel references        *)
+(* State model: plain data, no live kernel references                  *)
 (* ------------------------------------------------------------------ *)
 
-type pte_state = {
-  ps_vpn : int;
-  ps_kind : int;
-  ps_frame : int;
-  ps_present : bool;
-  ps_writable : bool;
-  ps_user : bool;
-  ps_nx : bool;
-  ps_cow : bool;
-  ps_orig_writable : bool;
-  ps_split : (int * int * bool) option;  (* code_frame, data_frame, locked *)
-}
+(* Kernel PTEs and regions are mutable records: a snapshot holds private
+   copies and hands fresh copies to every machine it restores. A region's
+   [share] is derived state, recomputed by [Machine.rebuild_shares]. *)
+let copy_pte (p : Kernel.Pte.t) =
+  let copy_split (s : Kernel.Pte.split) = { s with code_frame = s.code_frame } in
+  { p with split = Option.map copy_split p.split }
 
-type region_state = {
-  rs_lo : int;
-  rs_hi : int;
-  rs_kind : int;
-  rs_writable : bool;
-  rs_execable : bool;
-  rs_source : (int * string) option;  (* Image_bytes (base, bytes); None = Zero *)
-}
+let copy_region (r : Kernel.Aspace.region) = { r with share = None }
 
 type proc_state = {
   pr_pid : int;
@@ -38,9 +25,7 @@ type proc_state = {
   pr_zf : bool;
   pr_sf : bool;
   pr_tf : bool;
-  pr_state : int;  (* 0 runnable, 1 blocked, 2 zombie *)
-  pr_wait : (int * int) option;  (* blocked: (cond tag, arg) *)
-  pr_exit : (int * int) option;  (* zombie: (status tag, arg) *)
+  pr_state : Kernel.Proc.state;
   pr_next_fd : int;
   pr_pending_fault : int option;
   pr_sebek : bool;
@@ -55,8 +40,8 @@ type proc_state = {
   pr_fds : (int * bool * int) list;  (* fd, is_write_end, pipe id *)
   pr_brk : int;
   pr_mmap_cursor : int;
-  pr_regions : region_state list;  (* aspace list order preserved *)
-  pr_ptes : pte_state list;  (* sorted by vpn *)
+  pr_regions : Kernel.Aspace.region list;  (* aspace list order preserved *)
+  pr_ptes : Kernel.Pte.t list;  (* sorted by vpn *)
 }
 
 type cost_state = {
@@ -105,73 +90,10 @@ let meta t = t.sn_meta
 let find_meta t k = List.assoc_opt k t.sn_meta
 let trigger t = t.sn_trigger
 
-(* ------------------------------------------------------------------ *)
-(* Enum tags                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let kind_to_int : Kernel.Pte.kind -> int = function
-  | Code -> 0
-  | Rodata -> 1
-  | Data -> 2
-  | Bss -> 3
-  | Heap -> 4
-  | Stack -> 5
-  | Mixed -> 6
-  | Lib -> 7
-  | Mmap -> 8
-
-let kind_of_int : int -> Kernel.Pte.kind = function
-  | 0 -> Code
-  | 1 -> Rodata
-  | 2 -> Data
-  | 3 -> Bss
-  | 4 -> Heap
-  | 5 -> Stack
-  | 6 -> Mixed
-  | 7 -> Lib
-  | 8 -> Mmap
-  | n -> raise (Codec.Corrupt (Fmt.str "bad pte kind %d" n))
-
-let signal_to_int : Kernel.Proc.signal -> int = function
-  | Sigsegv -> 0
-  | Sigill -> 1
-  | Sigkill -> 2
-  | Sigpipe -> 3
-  | Sigbus -> 4
-
-let signal_of_int : int -> Kernel.Proc.signal = function
-  | 0 -> Sigsegv
-  | 1 -> Sigill
-  | 2 -> Sigkill
-  | 3 -> Sigpipe
-  | 4 -> Sigbus
-  | n -> raise (Codec.Corrupt (Fmt.str "bad signal %d" n))
-
-let proc_state_fields (st : Kernel.Proc.state) =
-  match st with
-  | Runnable -> (0, None, None)
-  | Blocked (Read_fd fd) -> (1, Some (0, fd), None)
-  | Blocked (Write_fd fd) -> (1, Some (1, fd), None)
-  | Blocked (Child pid) -> (1, Some (2, pid), None)
-  | Blocked (Sleep until_) -> (1, Some (3, until_), None)
-  | Zombie (Exited n) -> (2, None, Some (0, n))
-  | Zombie (Killed s) -> (2, None, Some (1, signal_to_int s))
-
-let proc_state_of_fields tag wait exit : Kernel.Proc.state =
-  match (tag, wait, exit) with
-  | 0, _, _ -> Runnable
-  | 1, Some (0, fd), _ -> Blocked (Read_fd fd)
-  | 1, Some (1, fd), _ -> Blocked (Write_fd fd)
-  | 1, Some (2, pid), _ -> Blocked (Child pid)
-  | 1, Some (3, until_), _ -> Blocked (Sleep until_)
-  | 2, _, Some (0, n) -> Zombie (Exited n)
-  | 2, _, Some (1, s) -> Zombie (Killed (signal_of_int s))
-  | _ -> raise (Codec.Corrupt "bad process state")
-
-let state_name = function
-  | 0 -> "runnable"
-  | 1 -> "blocked"
-  | _ -> "zombie"
+let state_name : Kernel.Proc.state -> string = function
+  | Runnable -> "runnable"
+  | Blocked _ -> "blocked"
+  | Zombie _ -> "zombie"
 
 let proc_summaries t =
   List.map (fun p -> (p.pr_pid, p.pr_name, state_name p.pr_state)) t.sn_procs
@@ -209,7 +131,6 @@ let export_pipes_and_procs os =
       id
   in
   let export_proc (p : Kernel.Proc.t) =
-    let tag, wait, exit = proc_state_fields p.state in
     let console_in = pipe_id p.console_in in
     let console_out = pipe_id p.console_out in
     let fds =
@@ -220,42 +141,8 @@ let export_pipes_and_procs os =
              | Read_end pipe -> (n, false, pipe_id pipe)
              | Write_end pipe -> (n, true, pipe_id pipe))
     in
-    let regions =
-      List.map
-        (fun (r : Kernel.Aspace.region) ->
-          {
-            rs_lo = r.lo;
-            rs_hi = r.hi;
-            rs_kind = kind_to_int r.kind;
-            rs_writable = r.writable;
-            rs_execable = r.execable;
-            rs_source =
-              (match r.source with
-              | Zero -> None
-              | Image_bytes { base; bytes } -> Some (base, bytes));
-          })
-        p.aspace.regions
-    in
     let ptes = ref [] in
-    Kernel.Aspace.iter_ptes p.aspace (fun pte ->
-        ptes :=
-          {
-            ps_vpn = pte.vpn;
-            ps_kind = kind_to_int pte.kind;
-            ps_frame = pte.frame;
-            ps_present = pte.present;
-            ps_writable = pte.writable;
-            ps_user = pte.user;
-            ps_nx = pte.nx;
-            ps_cow = pte.cow;
-            ps_orig_writable = pte.orig_writable;
-            ps_split =
-              Option.map
-                (fun (s : Kernel.Pte.split) ->
-                  (s.code_frame, s.data_frame, s.locked_to_data))
-                pte.split;
-          }
-          :: !ptes);
+    Kernel.Aspace.iter_ptes p.aspace (fun pte -> ptes := copy_pte pte :: !ptes);
     {
       pr_pid = p.pid;
       pr_name = p.name;
@@ -265,9 +152,7 @@ let export_pipes_and_procs os =
       pr_zf = p.regs.zf;
       pr_sf = p.regs.sf;
       pr_tf = p.regs.tf;
-      pr_state = tag;
-      pr_wait = wait;
-      pr_exit = exit;
+      pr_state = p.state;
       pr_next_fd = p.next_fd;
       pr_pending_fault = p.pending_fault_addr;
       pr_sebek = p.sebek_active;
@@ -282,8 +167,8 @@ let export_pipes_and_procs os =
       pr_fds = fds;
       pr_brk = p.aspace.brk;
       pr_mmap_cursor = p.aspace.mmap_cursor;
-      pr_regions = regions;
-      pr_ptes = List.sort (fun a b -> compare a.ps_vpn b.ps_vpn) !ptes;
+      pr_regions = List.map copy_region p.aspace.regions;
+      pr_ptes = List.sort (fun (a : Kernel.Pte.t) b -> compare a.vpn b.vpn) !ptes;
     }
   in
   let procs = List.map export_proc (Kernel.Os.procs os) in
@@ -405,44 +290,8 @@ let restore os snap =
     let aspace = Kernel.Aspace.create ~page_size:snap.sn_page_size in
     aspace.brk <- ps.pr_brk;
     aspace.mmap_cursor <- ps.pr_mmap_cursor;
-    aspace.regions <-
-      List.map
-        (fun rs ->
-          {
-            Kernel.Aspace.lo = rs.rs_lo;
-            hi = rs.rs_hi;
-            kind = kind_of_int rs.rs_kind;
-            writable = rs.rs_writable;
-            execable = rs.rs_execable;
-            source =
-              (match rs.rs_source with
-              | None -> Kernel.Aspace.Zero
-              | Some (base, bytes) -> Kernel.Aspace.Image_bytes { base; bytes });
-            (* derived perf-only state, deliberately not serialized:
-               recomputed by [Machine.rebuild_shares] below *)
-            share = None;
-          })
-        ps.pr_regions;
-    List.iter
-      (fun p ->
-        Kernel.Aspace.set_pte aspace
-          {
-            Kernel.Pte.vpn = p.ps_vpn;
-            kind = kind_of_int p.ps_kind;
-            frame = p.ps_frame;
-            present = p.ps_present;
-            writable = p.ps_writable;
-            user = p.ps_user;
-            nx = p.ps_nx;
-            cow = p.ps_cow;
-            orig_writable = p.ps_orig_writable;
-            split =
-              Option.map
-                (fun (code_frame, data_frame, locked_to_data) ->
-                  { Kernel.Pte.code_frame; data_frame; locked_to_data })
-                p.ps_split;
-          })
-      ps.pr_ptes;
+    aspace.regions <- List.map copy_region ps.pr_regions;
+    List.iter (fun p -> Kernel.Aspace.set_pte aspace (copy_pte p)) ps.pr_ptes;
     let fds = Hashtbl.create 8 in
     List.iter
       (fun (n, is_write, id) ->
@@ -459,7 +308,7 @@ let restore os snap =
         fds;
         console_in = pipe ps.pr_console_in;
         console_out = pipe ps.pr_console_out;
-        state = proc_state_of_fields ps.pr_state ps.pr_wait ps.pr_exit;
+        state = ps.pr_state;
         (* scheduler-derived, not serialized: [Sched.restore] re-marks the
            queued pids *)
         in_runq = false;
@@ -517,484 +366,294 @@ let restore os snap =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Binary encoding                                                     *)
+(* Binary format: each type's layout, stated once as a two-way codec   *)
 (* ------------------------------------------------------------------ *)
 
-let event_w b (e : Kernel.Event_log.event) =
-  let open Codec.W in
-  match e with
-  | Exec_shell { pid; path } ->
-    u8 b 0;
-    int b pid;
-    str b path
-  | Injection_detected { pid; eip; mode } ->
-    u8 b 1;
-    int b pid;
-    int b eip;
-    str b mode
-  | Shellcode_dump { pid; eip; bytes } ->
-    u8 b 2;
-    int b pid;
-    int b eip;
-    str b bytes
-  | Forensic_injected { pid; new_eip } ->
-    u8 b 3;
-    int b pid;
-    int b new_eip
-  | Recovery_invoked { pid; handler; faulting_eip } ->
-    u8 b 4;
-    int b pid;
-    int b handler;
-    int b faulting_eip
-  | Execution_trail { pid; eips } ->
-    u8 b 5;
-    int b pid;
-    list int b eips
-  | Signal_delivered { pid; signal } ->
-    u8 b 6;
-    int b pid;
-    str b signal
-  | Syscall_traced { pid; name; info } ->
-    u8 b 7;
-    int b pid;
-    str b name;
-    str b info
-  | Process_exited { pid; status } ->
-    u8 b 8;
-    int b pid;
-    str b status
-  | Library_rejected { name } ->
-    u8 b 9;
-    str b name
-  | Note s ->
-    u8 b 10;
-    str b s
-  | Fault_detected { pid; kind; action } ->
-    u8 b 11;
-    int b pid;
-    str b kind;
-    str b action
+let event : Kernel.Event_log.event Codec.t =
+  let open Kernel.Event_log in
+  let open Codec in
+  variant "event"
+    [
+      case (pair int str)
+        (fun (pid, path) -> Exec_shell { pid; path })
+        (function Exec_shell { pid; path } -> Some (pid, path) | _ -> None);
+      case (triple int int str)
+        (fun (pid, eip, mode) -> Injection_detected { pid; eip; mode })
+        (function Injection_detected { pid; eip; mode } -> Some (pid, eip, mode) | _ -> None);
+      case (triple int int str)
+        (fun (pid, eip, bytes) -> Shellcode_dump { pid; eip; bytes })
+        (function Shellcode_dump { pid; eip; bytes } -> Some (pid, eip, bytes) | _ -> None);
+      case (pair int int)
+        (fun (pid, new_eip) -> Forensic_injected { pid; new_eip })
+        (function Forensic_injected { pid; new_eip } -> Some (pid, new_eip) | _ -> None);
+      case (triple int int int)
+        (fun (pid, handler, faulting_eip) -> Recovery_invoked { pid; handler; faulting_eip })
+        (function
+          | Recovery_invoked { pid; handler; faulting_eip } -> Some (pid, handler, faulting_eip)
+          | _ -> None);
+      case (pair int (list int))
+        (fun (pid, eips) -> Execution_trail { pid; eips })
+        (function Execution_trail { pid; eips } -> Some (pid, eips) | _ -> None);
+      case (pair int str)
+        (fun (pid, signal) -> Signal_delivered { pid; signal })
+        (function Signal_delivered { pid; signal } -> Some (pid, signal) | _ -> None);
+      case (triple int str str)
+        (fun (pid, name, info) -> Syscall_traced { pid; name; info })
+        (function Syscall_traced { pid; name; info } -> Some (pid, name, info) | _ -> None);
+      case (pair int str)
+        (fun (pid, status) -> Process_exited { pid; status })
+        (function Process_exited { pid; status } -> Some (pid, status) | _ -> None);
+      case str
+        (fun name -> Library_rejected { name })
+        (function Library_rejected { name } -> Some name | _ -> None);
+      case str (fun s -> Note s) (function Note s -> Some s | _ -> None);
+      case (triple int str str)
+        (fun (pid, kind, action) -> Fault_detected { pid; kind; action })
+        (function Fault_detected { pid; kind; action } -> Some (pid, kind, action) | _ -> None);
+    ]
 
-let event_r r : Kernel.Event_log.event =
-  let open Codec.R in
-  match u8 r with
-  | 0 ->
-    let pid = int r in
-    let path = str r in
-    Exec_shell { pid; path }
-  | 1 ->
-    let pid = int r in
-    let eip = int r in
-    let mode = str r in
-    Injection_detected { pid; eip; mode }
-  | 2 ->
-    let pid = int r in
-    let eip = int r in
-    let bytes = str r in
-    Shellcode_dump { pid; eip; bytes }
-  | 3 ->
-    let pid = int r in
-    let new_eip = int r in
-    Forensic_injected { pid; new_eip }
-  | 4 ->
-    let pid = int r in
-    let handler = int r in
-    let faulting_eip = int r in
-    Recovery_invoked { pid; handler; faulting_eip }
-  | 5 ->
-    let pid = int r in
-    let eips = list int r in
-    Execution_trail { pid; eips }
-  | 6 ->
-    let pid = int r in
-    let signal = str r in
-    Signal_delivered { pid; signal }
-  | 7 ->
-    let pid = int r in
-    let name = str r in
-    let info = str r in
-    Syscall_traced { pid; name; info }
-  | 8 ->
-    let pid = int r in
-    let status = str r in
-    Process_exited { pid; status }
-  | 9 -> Library_rejected { name = str r }
-  | 10 -> Note (str r)
-  | 11 ->
-    let pid = int r in
-    let kind = str r in
-    let action = str r in
-    Fault_detected { pid; kind; action }
-  | n -> raise (Codec.Corrupt (Fmt.str "bad event tag %d" n))
-
-let pair fa fb b (x, y) =
-  fa b x;
-  fb b y
-
-let pair_r fa fb r =
-  let a = fa r in
-  let b = fb r in
-  (a, b)
-
-let triple fa fb fc b (x, y, z) =
-  fa b x;
-  fb b y;
-  fc b z
-
-let triple_r fa fb fc r =
-  let a = fa r in
-  let b = fb r in
-  let c = fc r in
-  (a, b, c)
-
-let tlb_w b (s : Hw.Tlb.state) =
-  let open Codec.W in
-  list
-    (fun b (e : Hw.Tlb.entry) ->
-      int b e.vpn;
-      int b e.frame;
-      bool b e.user;
-      bool b e.writable;
-      bool b e.nx)
-    b s.s_entries;
-  list int b s.s_fifo;
-  int b s.s_hits;
-  int b s.s_misses;
-  int b s.s_flushes;
-  int b s.s_invalidations;
-  int b s.s_evictions
-
-let tlb_r r : Hw.Tlb.state =
-  let open Codec.R in
-  let s_entries =
-    list
-      (fun r ->
-        let vpn = int r in
-        let frame = int r in
-        let user = bool r in
-        let writable = bool r in
-        let nx = bool r in
-        { Hw.Tlb.vpn; frame; user; writable; nx })
-      r
+let tlb : Hw.Tlb.state Codec.t =
+  let open Codec in
+  let entry =
+    record ()
+    |+ (int, fun (e : Hw.Tlb.entry) -> e.vpn)
+    |+ (int, fun e -> e.frame)
+    |+ (bool, fun e -> e.user)
+    |+ (bool, fun e -> e.writable)
+    |+ (bool, fun e -> e.nx)
+    |> seal (fun vpn frame user writable nx -> { Hw.Tlb.vpn; frame; user; writable; nx })
   in
-  let s_fifo = list int r in
-  let s_hits = int r in
-  let s_misses = int r in
-  let s_flushes = int r in
-  let s_invalidations = int r in
-  let s_evictions = int r in
-  { s_entries; s_fifo; s_hits; s_misses; s_flushes; s_invalidations; s_evictions }
+  record ()
+  |+ (list entry, fun (s : Hw.Tlb.state) -> s.s_entries)
+  |+ (list int, fun s -> s.s_fifo)
+  |+ (int, fun s -> s.s_hits)
+  |+ (int, fun s -> s.s_misses)
+  |+ (int, fun s -> s.s_flushes)
+  |+ (int, fun s -> s.s_invalidations)
+  |+ (int, fun s -> s.s_evictions)
+  |> seal (fun s_entries s_fifo s_hits s_misses s_flushes s_invalidations s_evictions ->
+         { Hw.Tlb.s_entries; s_fifo; s_hits; s_misses; s_flushes; s_invalidations; s_evictions })
 
-let proc_w b (p : proc_state) =
-  let open Codec.W in
-  int b p.pr_pid;
-  str b p.pr_name;
-  opt int b p.pr_parent;
-  int_array b p.pr_gpr;
-  int b p.pr_eip;
-  bool b p.pr_zf;
-  bool b p.pr_sf;
-  bool b p.pr_tf;
-  u8 b p.pr_state;
-  opt (pair int int) b p.pr_wait;
-  opt (pair int int) b p.pr_exit;
-  int b p.pr_next_fd;
-  opt int b p.pr_pending_fault;
-  bool b p.pr_sebek;
-  int b p.pr_detections;
-  opt int b p.pr_recovery;
-  int_array b p.pr_trace;
-  int b p.pr_trace_pos;
-  int b p.pr_insns;
-  bool b p.pr_protected;
-  int b p.pr_console_in;
-  int b p.pr_console_out;
-  list (triple int bool int) b p.pr_fds;
-  int b p.pr_brk;
-  int b p.pr_mmap_cursor;
-  list
-    (fun b rs ->
-      int b rs.rs_lo;
-      int b rs.rs_hi;
-      u8 b rs.rs_kind;
-      bool b rs.rs_writable;
-      bool b rs.rs_execable;
-      opt (pair int str) b rs.rs_source)
-    b p.pr_regions;
-  list
-    (fun b ps ->
-      int b ps.ps_vpn;
-      u8 b ps.ps_kind;
-      int b ps.ps_frame;
-      bool b ps.ps_present;
-      bool b ps.ps_writable;
-      bool b ps.ps_user;
-      bool b ps.ps_nx;
-      bool b ps.ps_cow;
-      bool b ps.ps_orig_writable;
-      opt (triple int int bool) b ps.ps_split)
-    b p.pr_ptes
+let kind : Kernel.Pte.kind Codec.t =
+  Codec.enum "pte kind" Kernel.Pte.[ Code; Rodata; Data; Bss; Heap; Stack; Mixed; Lib; Mmap ]
 
-let proc_r r : proc_state =
-  let open Codec.R in
-  let pr_pid = int r in
-  let pr_name = str r in
-  let pr_parent = opt int r in
-  let pr_gpr = int_array r in
-  let pr_eip = int r in
-  let pr_zf = bool r in
-  let pr_sf = bool r in
-  let pr_tf = bool r in
-  let pr_state = u8 r in
-  let pr_wait = opt (pair_r int int) r in
-  let pr_exit = opt (pair_r int int) r in
-  let pr_next_fd = int r in
-  let pr_pending_fault = opt int r in
-  let pr_sebek = bool r in
-  let pr_detections = int r in
-  let pr_recovery = opt int r in
-  let pr_trace = int_array r in
-  let pr_trace_pos = int r in
-  let pr_insns = int r in
-  let pr_protected = bool r in
-  let pr_console_in = int r in
-  let pr_console_out = int r in
-  let pr_fds = list (triple_r int bool int) r in
-  let pr_brk = int r in
-  let pr_mmap_cursor = int r in
-  let pr_regions =
-    list
-      (fun r ->
-        let rs_lo = int r in
-        let rs_hi = int r in
-        let rs_kind = u8 r in
-        let rs_writable = bool r in
-        let rs_execable = bool r in
-        let rs_source = opt (pair_r int str) r in
-        { rs_lo; rs_hi; rs_kind; rs_writable; rs_execable; rs_source })
-      r
+let pte : Kernel.Pte.t Codec.t =
+  let open Codec in
+  let split =
+    conv
+      (fun (s : Kernel.Pte.split) -> (s.code_frame, s.data_frame, s.locked_to_data))
+      (fun (code_frame, data_frame, locked_to_data) ->
+        { Kernel.Pte.code_frame; data_frame; locked_to_data })
+      (triple int int bool)
   in
-  let pr_ptes =
-    list
-      (fun r ->
-        let ps_vpn = int r in
-        let ps_kind = u8 r in
-        let ps_frame = int r in
-        let ps_present = bool r in
-        let ps_writable = bool r in
-        let ps_user = bool r in
-        let ps_nx = bool r in
-        let ps_cow = bool r in
-        let ps_orig_writable = bool r in
-        let ps_split = opt (triple_r int int bool) r in
-        {
-          ps_vpn;
-          ps_kind;
-          ps_frame;
-          ps_present;
-          ps_writable;
-          ps_user;
-          ps_nx;
-          ps_cow;
-          ps_orig_writable;
-          ps_split;
-        })
-      r
-  in
-  {
-    pr_pid;
-    pr_name;
-    pr_parent;
-    pr_gpr;
-    pr_eip;
-    pr_zf;
-    pr_sf;
-    pr_tf;
-    pr_state;
-    pr_wait;
-    pr_exit;
-    pr_next_fd;
-    pr_pending_fault;
-    pr_sebek;
-    pr_detections;
-    pr_recovery;
-    pr_trace;
-    pr_trace_pos;
-    pr_insns;
-    pr_protected;
-    pr_console_in;
-    pr_console_out;
-    pr_fds;
-    pr_brk;
-    pr_mmap_cursor;
-    pr_regions;
-    pr_ptes;
-  }
+  record ()
+  |+ (int, fun (p : Kernel.Pte.t) -> p.vpn)
+  |+ (kind, fun p -> p.kind)
+  |+ (int, fun p -> p.frame)
+  |+ (bool, fun p -> p.present)
+  |+ (bool, fun p -> p.writable)
+  |+ (bool, fun p -> p.user)
+  |+ (bool, fun p -> p.nx)
+  |+ (bool, fun p -> p.cow)
+  |+ (bool, fun p -> p.orig_writable)
+  |+ (opt split, fun p -> p.split)
+  |> seal (fun vpn kind frame present writable user nx cow orig_writable split ->
+         { Kernel.Pte.vpn; kind; frame; present; writable; user; nx; cow; orig_writable; split })
 
-let encode t =
-  let open Codec.W in
-  let b = create () in
-  raw b magic;
-  int b version;
-  int b t.sn_page_size;
-  int b t.sn_frame_count;
-  str b t.sn_protection;
-  int b t.sn_params_hash;
-  int b t.sn_cost.cs_cycles;
-  int b t.sn_cost.cs_insns;
-  int b t.sn_cost.cs_traps;
-  int b t.sn_cost.cs_split_faults;
-  int b t.sn_cost.cs_single_steps;
-  int b t.sn_cost.cs_syscalls;
-  int b t.sn_cost.cs_ctx_switches;
-  list (pair int str) b t.sn_frames;
-  int b t.sn_frames_skipped;
-  list int b t.sn_alloc.s_free;
-  int_array b t.sn_alloc.s_refcount;
-  int b t.sn_alloc.s_in_use;
-  int b t.sn_alloc.s_peak_in_use;
-  tlb_w b t.sn_itlb;
-  tlb_w b t.sn_dtlb;
-  list (pair int (fun b (s : Kernel.Pipe.state) ->
-            str b s.s_name;
-            int b s.s_capacity;
-            str b s.s_pending;
-            int b s.s_readers;
-            int b s.s_writers;
-            int b s.s_bytes_written))
-    b t.sn_pipes;
-  list proc_w b t.sn_procs;
-  list
-    (pair str (fun b (l : Kernel.Os.library) ->
-         int b l.lib_base;
-         str b l.code;
-         int b l.lib_signature))
-    b t.sn_libs;
-  list int b t.sn_runq;
-  str b t.sn_rng;
-  opt int b t.sn_last_running;
-  int b t.sn_next_pid;
-  int b t.sn_next_tick;
-  int b t.sn_ticks;
-  int b t.sn_lib_cursor;
-  list event_w b t.sn_events;
-  list (pair str str) b t.sn_meta;
-  opt
-    (fun b (tr : trigger) ->
-      int b tr.t_pid;
-      int b tr.t_eip;
-      str b tr.t_mode)
-    b t.sn_trigger;
-  contents b
+let region : Kernel.Aspace.region Codec.t =
+  let open Codec in
+  let source =
+    conv
+      (function Kernel.Aspace.Zero -> None | Image_bytes { base; bytes } -> Some (base, bytes))
+      (function None -> Kernel.Aspace.Zero | Some (base, bytes) -> Image_bytes { base; bytes })
+      (opt (pair int str))
+  in
+  record ()
+  |+ (int, fun (r : Kernel.Aspace.region) -> r.lo)
+  |+ (int, fun r -> r.hi)
+  |+ (kind, fun r -> r.kind)
+  |+ (bool, fun r -> r.writable)
+  |+ (bool, fun r -> r.execable)
+  |+ (source, fun r -> r.source)
+  |> seal (fun lo hi kind writable execable source ->
+         { Kernel.Aspace.lo; hi; kind; writable; execable; source; share = None })
 
-let decode s =
-  let open Codec.R in
-  let r = of_string s in
-  expect r magic;
-  let v = int r in
-  if v <> version then
-    raise (Codec.Corrupt (Fmt.str "unsupported snapshot version %d (expected %d)" v version));
-  let sn_page_size = int r in
-  let sn_frame_count = int r in
-  let sn_protection = str r in
-  let sn_params_hash = int r in
-  let cs_cycles = int r in
-  let cs_insns = int r in
-  let cs_traps = int r in
-  let cs_split_faults = int r in
-  let cs_single_steps = int r in
-  let cs_syscalls = int r in
-  let cs_ctx_switches = int r in
-  let sn_frames = list (pair_r int str) r in
-  let sn_frames_skipped = int r in
-  let s_free = list int r in
-  let s_refcount = int_array r in
-  let s_in_use = int r in
-  let s_peak_in_use = int r in
-  let sn_itlb = tlb_r r in
-  let sn_dtlb = tlb_r r in
-  let sn_pipes =
-    list
-      (pair_r int (fun r ->
-           let s_name = str r in
-           let s_capacity = int r in
-           let s_pending = str r in
-           let s_readers = int r in
-           let s_writers = int r in
-           let s_bytes_written = int r in
-           {
-             Kernel.Pipe.s_name;
-             s_capacity;
-             s_pending;
-             s_readers;
-             s_writers;
-             s_bytes_written;
-           }))
-      r
+let signals : Kernel.Proc.signal array = [| Sigsegv; Sigill; Sigkill; Sigpipe; Sigbus |]
+let signal_to_int s = Option.get (Array.find_index (( = ) s) signals)
+
+let signal_of_int n =
+  if n < 0 || n >= Array.length signals then raise (Codec.Corrupt (Fmt.str "bad signal %d" n));
+  signals.(n)
+
+(* A process state on the wire: a tag (0 runnable, 1 blocked, 2 zombie),
+   the blocked wait condition and the zombie exit status. *)
+let proc_state_fields (st : Kernel.Proc.state) =
+  match st with
+  | Runnable -> (0, None, None)
+  | Blocked (Read_fd fd) -> (1, Some (0, fd), None)
+  | Blocked (Write_fd fd) -> (1, Some (1, fd), None)
+  | Blocked (Child pid) -> (1, Some (2, pid), None)
+  | Blocked (Sleep until_) -> (1, Some (3, until_), None)
+  | Zombie (Exited n) -> (2, None, Some (0, n))
+  | Zombie (Killed s) -> (2, None, Some (1, signal_to_int s))
+
+let proc_state_of_fields (tag, wait, exit) : Kernel.Proc.state =
+  match (tag, wait, exit) with
+  | 0, _, _ -> Runnable
+  | 1, Some (0, fd), _ -> Blocked (Read_fd fd)
+  | 1, Some (1, fd), _ -> Blocked (Write_fd fd)
+  | 1, Some (2, pid), _ -> Blocked (Child pid)
+  | 1, Some (3, until_), _ -> Blocked (Sleep until_)
+  | 2, _, Some (0, n) -> Zombie (Exited n)
+  | 2, _, Some (1, s) -> Zombie (Killed (signal_of_int s))
+  | _ -> raise (Codec.Corrupt "bad process state")
+
+let proc =
+  let open Codec in
+  let state =
+    conv proc_state_fields proc_state_of_fields
+      (triple u8 (opt (pair int int)) (opt (pair int int)))
   in
-  let sn_procs = list proc_r r in
-  let sn_libs =
-    list
-      (pair_r str (fun r ->
-           let lib_base = int r in
-           let code = str r in
-           let lib_signature = int r in
-           { Kernel.Os.lib_base; code; lib_signature }))
-      r
+  record ()
+  |+ (int, fun p -> p.pr_pid)
+  |+ (str, fun p -> p.pr_name)
+  |+ (opt int, fun p -> p.pr_parent)
+  |+ (int_array, fun p -> p.pr_gpr)
+  |+ (int, fun p -> p.pr_eip)
+  |+ (bool, fun p -> p.pr_zf)
+  |+ (bool, fun p -> p.pr_sf)
+  |+ (bool, fun p -> p.pr_tf)
+  |+ (state, fun p -> p.pr_state)
+  |+ (int, fun p -> p.pr_next_fd)
+  |+ (opt int, fun p -> p.pr_pending_fault)
+  |+ (bool, fun p -> p.pr_sebek)
+  |+ (int, fun p -> p.pr_detections)
+  |+ (opt int, fun p -> p.pr_recovery)
+  |+ (int_array, fun p -> p.pr_trace)
+  |+ (int, fun p -> p.pr_trace_pos)
+  |+ (int, fun p -> p.pr_insns)
+  |+ (bool, fun p -> p.pr_protected)
+  |+ (int, fun p -> p.pr_console_in)
+  |+ (int, fun p -> p.pr_console_out)
+  |+ (list (triple int bool int), fun p -> p.pr_fds)
+  |+ (int, fun p -> p.pr_brk)
+  |+ (int, fun p -> p.pr_mmap_cursor)
+  |+ (list region, fun p -> p.pr_regions)
+  |+ (list pte, fun p -> p.pr_ptes)
+  |> seal
+       (fun pr_pid pr_name pr_parent pr_gpr pr_eip pr_zf pr_sf pr_tf pr_state pr_next_fd
+            pr_pending_fault pr_sebek pr_detections pr_recovery pr_trace pr_trace_pos
+            pr_insns pr_protected pr_console_in pr_console_out pr_fds pr_brk
+            pr_mmap_cursor pr_regions pr_ptes ->
+         { pr_pid; pr_name; pr_parent; pr_gpr; pr_eip; pr_zf; pr_sf; pr_tf; pr_state;
+           pr_next_fd; pr_pending_fault; pr_sebek; pr_detections; pr_recovery; pr_trace;
+           pr_trace_pos; pr_insns; pr_protected; pr_console_in; pr_console_out; pr_fds;
+           pr_brk; pr_mmap_cursor; pr_regions; pr_ptes })
+
+let cost =
+  let open Codec in
+  record ()
+  |+ (int, fun c -> c.cs_cycles)
+  |+ (int, fun c -> c.cs_insns)
+  |+ (int, fun c -> c.cs_traps)
+  |+ (int, fun c -> c.cs_split_faults)
+  |+ (int, fun c -> c.cs_single_steps)
+  |+ (int, fun c -> c.cs_syscalls)
+  |+ (int, fun c -> c.cs_ctx_switches)
+  |> seal
+       (fun cs_cycles cs_insns cs_traps cs_split_faults cs_single_steps cs_syscalls
+            cs_ctx_switches ->
+         { cs_cycles; cs_insns; cs_traps; cs_split_faults; cs_single_steps; cs_syscalls;
+           cs_ctx_switches })
+
+let alloc : Kernel.Frame_alloc.state Codec.t =
+  let open Codec in
+  record ()
+  |+ (list int, fun (a : Kernel.Frame_alloc.state) -> a.s_free)
+  |+ (int_array, fun a -> a.s_refcount)
+  |+ (int, fun a -> a.s_in_use)
+  |+ (int, fun a -> a.s_peak_in_use)
+  |> seal (fun s_free s_refcount s_in_use s_peak_in_use ->
+         { Kernel.Frame_alloc.s_free; s_refcount; s_in_use; s_peak_in_use })
+
+let pipe : Kernel.Pipe.state Codec.t =
+  let open Codec in
+  record ()
+  |+ (str, fun (p : Kernel.Pipe.state) -> p.s_name)
+  |+ (int, fun p -> p.s_capacity)
+  |+ (str, fun p -> p.s_pending)
+  |+ (int, fun p -> p.s_readers)
+  |+ (int, fun p -> p.s_writers)
+  |+ (int, fun p -> p.s_bytes_written)
+  |> seal (fun s_name s_capacity s_pending s_readers s_writers s_bytes_written ->
+         { Kernel.Pipe.s_name; s_capacity; s_pending; s_readers; s_writers; s_bytes_written })
+
+let library : Kernel.Os.library Codec.t =
+  let open Codec in
+  record ()
+  |+ (int, fun (l : Kernel.Os.library) -> l.lib_base)
+  |+ (str, fun l -> l.code)
+  |+ (int, fun l -> l.lib_signature)
+  |> seal (fun lib_base code lib_signature -> { Kernel.Os.lib_base; code; lib_signature })
+
+let trigger_codec =
+  let open Codec in
+  record ()
+  |+ (int, fun t -> t.t_pid)
+  |+ (int, fun t -> t.t_eip)
+  |+ (str, fun t -> t.t_mode)
+  |> seal (fun t_pid t_eip t_mode -> { t_pid; t_eip; t_mode })
+
+(* The version leads the body, so a blob from another format version is
+   rejected before any of its fields are read. *)
+let snapshot =
+  let open Codec in
+  let version =
+    conv
+      (fun () -> version)
+      (fun v ->
+        if v <> version then
+          raise
+            (Corrupt (Fmt.str "unsupported snapshot version %d (expected %d)" v version)))
+      int
   in
-  let sn_runq = list int r in
-  let sn_rng = str r in
-  let sn_last_running = opt int r in
-  let sn_next_pid = int r in
-  let sn_next_tick = int r in
-  let sn_ticks = int r in
-  let sn_lib_cursor = int r in
-  let sn_events = list event_r r in
-  let sn_meta = list (pair_r str str) r in
-  let sn_trigger =
-    opt
-      (fun r ->
-        let t_pid = int r in
-        let t_eip = int r in
-        let t_mode = str r in
-        { t_pid; t_eip; t_mode })
-      r
-  in
-  if not (at_end r) then raise (Codec.Corrupt "trailing bytes after snapshot");
-  {
-    sn_page_size;
-    sn_frame_count;
-    sn_protection;
-    sn_params_hash;
-    sn_cost =
-      {
-        cs_cycles;
-        cs_insns;
-        cs_traps;
-        cs_split_faults;
-        cs_single_steps;
-        cs_syscalls;
-        cs_ctx_switches;
-      };
-    sn_frames;
-    sn_frames_skipped;
-    sn_alloc = { s_free; s_refcount; s_in_use; s_peak_in_use };
-    sn_itlb;
-    sn_dtlb;
-    sn_pipes;
-    sn_procs;
-    sn_libs;
-    sn_runq;
-    sn_rng;
-    sn_last_running;
-    sn_next_pid;
-    sn_next_tick;
-    sn_ticks;
-    sn_lib_cursor;
-    sn_events;
-    sn_meta;
-    sn_trigger;
-  }
+  record ()
+  |+ (version, fun _ -> ())
+  |+ (int, fun t -> t.sn_page_size)
+  |+ (int, fun t -> t.sn_frame_count)
+  |+ (str, fun t -> t.sn_protection)
+  |+ (int, fun t -> t.sn_params_hash)
+  |+ (cost, fun t -> t.sn_cost)
+  |+ (list (pair int str), fun t -> t.sn_frames)
+  |+ (int, fun t -> t.sn_frames_skipped)
+  |+ (alloc, fun t -> t.sn_alloc)
+  |+ (tlb, fun t -> t.sn_itlb)
+  |+ (tlb, fun t -> t.sn_dtlb)
+  |+ (list (pair int pipe), fun t -> t.sn_pipes)
+  |+ (list proc, fun t -> t.sn_procs)
+  |+ (list (pair str library), fun t -> t.sn_libs)
+  |+ (list int, fun t -> t.sn_runq)
+  |+ (str, fun t -> t.sn_rng)
+  |+ (opt int, fun t -> t.sn_last_running)
+  |+ (int, fun t -> t.sn_next_pid)
+  |+ (int, fun t -> t.sn_next_tick)
+  |+ (int, fun t -> t.sn_ticks)
+  |+ (int, fun t -> t.sn_lib_cursor)
+  |+ (list event, fun t -> t.sn_events)
+  |+ (list (pair str str), fun t -> t.sn_meta)
+  |+ (opt trigger_codec, fun t -> t.sn_trigger)
+  |> seal
+       (fun () sn_page_size sn_frame_count sn_protection sn_params_hash sn_cost sn_frames
+            sn_frames_skipped sn_alloc sn_itlb sn_dtlb sn_pipes sn_procs sn_libs sn_runq
+            sn_rng sn_last_running sn_next_pid sn_next_tick sn_ticks sn_lib_cursor
+            sn_events sn_meta sn_trigger ->
+         { sn_page_size; sn_frame_count; sn_protection; sn_params_hash; sn_cost;
+           sn_frames; sn_frames_skipped; sn_alloc; sn_itlb; sn_dtlb; sn_pipes; sn_procs;
+           sn_libs; sn_runq; sn_rng; sn_last_running; sn_next_pid; sn_next_tick;
+           sn_ticks; sn_lib_cursor; sn_events; sn_meta; sn_trigger })
+
+let encode t = Codec.encode ~magic snapshot t
+let decode s = Codec.decode ~magic snapshot s
 
 (* ------------------------------------------------------------------ *)
 (* Manifest + files                                                    *)

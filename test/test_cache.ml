@@ -29,15 +29,15 @@ let test_smc_penalty_through_mmu () =
     { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
   Hw.Mmu.reload_cr3 mmu (Hashtbl.find_opt table);
   (* execute-side access caches the line *)
-  ignore (Hw.Mmu.fetch8 mmu ~from_user:true 0x100);
+  ignore (Hw.Mmu.Fast.fetch8 mmu ~from_user:true 0x100);
   let before = cost.cycles in
   (* a store to the same line must pay the coherency penalty *)
-  Hw.Mmu.write8 mmu ~from_user:true 0x100 0x90;
+  Hw.Mmu.Fast.write8 mmu ~from_user:true 0x100 0x90;
   Alcotest.(check bool) "smc penalty charged" true
     (cost.cycles - before >= cost.params.smc_penalty);
   let before = cost.cycles in
   (* a store to a line never fetched pays only the dcache cost *)
-  Hw.Mmu.write8 mmu ~from_user:true 0xF00 0x90;
+  Hw.Mmu.Fast.write8 mmu ~from_user:true 0xF00 0x90;
   Alcotest.(check bool) "plain store cheap" true
     (cost.cycles - before < cost.params.smc_penalty)
 
