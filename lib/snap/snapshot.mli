@@ -57,7 +57,8 @@ val restore : Kernel.Os.t -> t -> unit
 
 val encode : t -> string
 val decode : string -> t
-(** @raise Codec.Corrupt on truncation, bad magic or unknown version. *)
+(** @raise Codec.Corrupt on truncation, bad magic, an unknown version or
+    any other malformed input; no other exception escapes. *)
 
 val manifest : t -> Obs.Json.t
 
