@@ -1,13 +1,25 @@
 (** Simulated physical memory: an array of fixed-size page frames.
 
     Frames are identified by index; frame ownership and allocation policy
-    belong to the kernel's frame allocator, not to this module. *)
+    belong to the kernel's frame allocator, not to this module.
+
+    Frame backing is zero-fill on demand: every frame starts as a reference
+    to one all-zero page per [t], which is never written, and gets its own
+    storage the first time a mutation path changes it ({!write8},
+    {!write32} and their [_at] forms, {!fill} with a nonzero byte,
+    {!blit_from_string}, {!write_from}, {!blit_from_bytes}, {!copy_frame}'s
+    destination, {!flip_bit}, and ECC correct-on-read). A frame zeroed in
+    place keeps its storage. The ECC shadow shares the zero page the same
+    way. Backing is invisible to every read and export: only the cost of
+    {!create}, {!is_zero_frame}, {!enable_ecc} and zero-filling an
+    untouched frame depends on it. *)
 
 type t
 
 val create : ?page_size:int -> frames:int -> unit -> t
 (** Fresh physical memory of [frames] zeroed frames (default 4 KiB pages).
-    [page_size] must be a power of two. *)
+    [page_size] must be a power of two. Costs one page plus one word and
+    one byte per frame: no frame is backed until it is written. *)
 
 val page_size : t -> int
 
@@ -23,7 +35,9 @@ val read32 : t -> frame:int -> off:int -> int
 
 val write32 : t -> frame:int -> off:int -> int -> unit
 val fill : t -> frame:int -> int -> unit
-(** Fill an entire frame with one byte value. *)
+(** Fill an entire frame with one byte value. [fill t ~frame 0] on a frame
+    that was never written gives it no storage, but still fires the write
+    watch. *)
 
 val blit_from_string : t -> frame:int -> off:int -> string -> unit
 
@@ -44,7 +58,12 @@ val copy_frame : t -> src:int -> dst:int -> unit
 (** Duplicate a frame — used when splitting a page into code/data copies. *)
 
 val is_zero_frame : t -> frame:int -> bool
-(** True when every byte of the frame is zero — lets serializers skip it. *)
+(** True when every byte of the frame is zero — lets serializers skip it.
+    O(1) for a frame that was never written. *)
+
+val materialized : t -> int
+(** Frames that have their own storage: those written at least once since
+    {!create} (ECC shadow frames are not counted). *)
 
 val blit_to_bytes : t -> frame:int -> Bytes.t -> unit
 (** Copy a whole frame into the first [page_size] bytes of a caller-owned
