@@ -46,14 +46,26 @@ val checkpoint :
     mid-execution; for bit-exact replay, capture at a scheduler-loop
     boundary (which is where {!Kernel.Os.run} with bounded fuel stops and
     where {!Ring} hooks fire). [meta] carries free-form provenance (e.g.
-    scenario name) into the manifest and binary.
+    scenario name) into the manifest and binary. Copies only frames that
+    were written; a never-written frame costs one pointer compare.
     @raise Invalid_argument if the machine has the cache model enabled. *)
 
+val compatible : Kernel.Os.t -> t -> (unit, string) result
+(** [Ok ()] when the machine has the snapshot's page size, frame count,
+    protection name and cost parameters (in practice: a machine built by
+    the same scenario constructor); otherwise the first mismatch. *)
+
 val restore : Kernel.Os.t -> t -> unit
-(** Overwrite a compatible live machine with the snapshot state in place.
-    The target must have the same page size, frame count, protection name
-    and cost parameters (in practice: a machine built by the same scenario
-    constructor). @raise Invalid_argument on configuration mismatch. *)
+(** Overwrite a {!compatible} live machine with the snapshot state in place.
+    Pages are copied and zeroed only where the snapshot or the machine
+    holds written frames; what stays proportional to the frame count is
+    word-sized (one check per frame, the allocator's bitmap and refcounts).
+    @raise Invalid_argument on configuration mismatch.
+    @raise Codec.Corrupt when a decoded value is out of range (frame
+    indices, order and lengths, the free list, the refcount array's
+    length, a register or trace array, the PRNG blob's shape), before the
+    machine is touched; no other exception escapes for a compatible
+    machine. *)
 
 val encode : t -> string
 val decode : string -> t

@@ -186,6 +186,211 @@ let prop_split_writes_never_touch_code_copy =
         = String.make 4096 '\000'
       | _ -> false)
 
+(* Zero-fill on demand is invisible: random sequences of every Phys
+   mutation path, with ECC switched on and off, read exactly as an eager
+   reference that holds one [Bytes] per frame (and one per shadow frame)
+   does. The last frame is never written, so it reads the shared zero
+   page: at the end it must still be all zero, and only frames some
+   operation wrote may have their own storage. *)
+type phys_op =
+  | W8 of int * int * int
+  | W32 of int * int * int
+  | W8_at of int * int
+  | W32_at of int * int
+  | Fill of int * int
+  | Blit_string of int * int * string
+  | Write_from of int * int * string * int
+  | Blit_bytes of int * string
+  | Copy of int * int
+  | Flip of int * int * int
+  | Shadow_w8 of int * int * int
+  | R8 of int * int
+  | R32 of int * int
+  | R8_at of int
+  | R32_at of int
+  | Read_into of int * int * int
+  | Ecc of bool
+
+let phys_ps = 64
+let phys_frames = 6
+
+let gen_phys_op =
+  let open Gen in
+  let frame = int_range 0 (phys_frames - 2) in
+  (* half the accesses land in the first 8 bytes, so reads meet writes *)
+  let near hi = oneof [ int_range 0 7; int_range 0 hi ] in
+  let off = near (phys_ps - 1) and off32 = near (phys_ps - 4) in
+  let byte = oneof [ return 0; int_range 0 255 ] in
+  let word = oneof [ return 0; int_range 0 0xFFFF_FFFF ] in
+  let paddr32 = map2 (fun f o -> (f * phys_ps) + o) frame off32 in
+  let bytes n = string_size ~gen:(oneof [ return '\000'; char ]) (int_range 0 n) in
+  let span = int_range 0 phys_ps >>= fun o -> map (fun s -> (o, s)) (bytes (phys_ps - o)) in
+  oneof
+    [
+      map3 (fun f o v -> W8 (f, o, v)) frame off byte;
+      map3 (fun f o v -> W32 (f, o, v)) frame off32 word;
+      map2 (fun a v -> W8_at (a, v)) paddr32 byte;
+      map2 (fun a v -> W32_at (a, v)) paddr32 word;
+      map2 (fun f v -> Fill (f, v)) frame byte;
+      map2 (fun f (o, s) -> Blit_string (f, o, s)) frame span;
+      map3
+        (fun f (o, s) pos -> Write_from (f, o, "xy" ^ s, 2 - (pos mod 3)))
+        frame span (int_range 0 2);
+      map2 (fun f s -> Blit_bytes (f, s)) frame (bytes phys_ps);
+      map2 (fun a b -> Copy (a, b)) (int_range 0 (phys_frames - 1)) frame;
+      map3 (fun f o b -> Flip (f, o, b)) frame off (int_range 0 7);
+      map3 (fun f o v -> Shadow_w8 (f, o, v)) frame off byte;
+      map2 (fun f o -> R8 (f, o)) (int_range 0 (phys_frames - 1)) off;
+      map2 (fun f o -> R32 (f, o)) frame off32;
+      map (fun a -> R8_at a) paddr32;
+      map (fun a -> R32_at a) paddr32;
+      map3 (fun f o n -> Read_into (f, o, n)) frame off (int_range 0 4);
+      map (fun on -> Ecc on) bool;
+    ]
+
+let pp_phys_op = function
+  | W8 (f, o, v) -> Fmt.str "write8 %d %d %d" f o v
+  | W32 (f, o, v) -> Fmt.str "write32 %d %d %#x" f o v
+  | W8_at (a, v) -> Fmt.str "write8_at %d %d" a v
+  | W32_at (a, v) -> Fmt.str "write32_at %d %#x" a v
+  | Fill (f, v) -> Fmt.str "fill %d %d" f v
+  | Blit_string (f, o, s) -> Fmt.str "blit_from_string %d %d %S" f o s
+  | Write_from (f, o, s, pos) -> Fmt.str "write_from %d %d %S %d" f o s pos
+  | Blit_bytes (f, s) -> Fmt.str "blit_from_bytes %d %S" f s
+  | Copy (a, b) -> Fmt.str "copy_frame %d -> %d" a b
+  | Flip (f, o, b) -> Fmt.str "flip_bit %d %d %d" f o b
+  | Shadow_w8 (f, o, v) -> Fmt.str "ecc_shadow_write8 %d %d %d" f o v
+  | R8 (f, o) -> Fmt.str "read8 %d %d" f o
+  | R32 (f, o) -> Fmt.str "read32 %d %d" f o
+  | R8_at a -> Fmt.str "read8_at %d" a
+  | R32_at a -> Fmt.str "read32_at %d" a
+  | Read_into (f, o, n) -> Fmt.str "read_into %d %d %d" f o n
+  | Ecc on -> Fmt.str "ecc %b" on
+
+let prop_phys_zero_page =
+  Test.make ~name:"phys: zero-fill on demand matches an eager reference" ~count:500
+    (make
+       ~print:Print.(pair bool (list pp_phys_op))
+       Gen.(pair bool (list_size (int_range 1 80) gen_phys_op)))
+    (fun (ecc, ops) ->
+      let ps = phys_ps and n = phys_frames in
+      let t = Hw.Phys.create ~page_size:ps ~frames:n () in
+      let prim = Array.init n (fun _ -> Bytes.make ps '\000') in
+      let shadow = ref None and corrections = ref 0 in
+      let written = Array.make n false in
+      let set_ecc on =
+        if on then Hw.Phys.enable_ecc t else Hw.Phys.disable_ecc t;
+        shadow := if on then Some (Array.map Bytes.copy prim) else None;
+        corrections := 0
+      in
+      set_ecc ecc;
+      (* the reference: [store] writes both copies, [scrub] corrects the
+         primary from the shadow before a read *)
+      let store f o s =
+        written.(f) <- true;
+        Bytes.blit_string s 0 prim.(f) o (String.length s);
+        Option.iter (fun sh -> Bytes.blit_string s 0 sh.(f) o (String.length s)) !shadow
+      in
+      let scrub f o len =
+        Option.iter
+          (fun sh ->
+            for i = o to o + len - 1 do
+              if Bytes.get prim.(f) i <> Bytes.get sh.(f) i then begin
+                written.(f) <- true;
+                Bytes.set prim.(f) i (Bytes.get sh.(f) i);
+                incr corrections
+              end
+            done)
+          !shadow
+      in
+      let read f o len =
+        scrub f o len;
+        Bytes.sub_string prim.(f) o len
+      in
+      let le32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+      let int32_of s = String.get_int32_le s 0 |> Int32.to_int |> ( land ) 0xFFFF_FFFF in
+      let split a = (a / ps, a mod ps) in
+      let step = function
+        | W8 (f, o, v) ->
+          Hw.Phys.write8 t ~frame:f ~off:o v;
+          store f o (String.make 1 (Char.chr v));
+          true
+        | W32 (f, o, v) ->
+          Hw.Phys.write32 t ~frame:f ~off:o v;
+          store f o (le32 v);
+          true
+        | W8_at (a, v) ->
+          Hw.Phys.write8_at t a v;
+          let f, o = split a in
+          store f o (String.make 1 (Char.chr v));
+          true
+        | W32_at (a, v) ->
+          Hw.Phys.write32_at t a v;
+          let f, o = split a in
+          store f o (le32 v);
+          true
+        | Fill (f, v) ->
+          Hw.Phys.fill t ~frame:f v;
+          store f 0 (String.make ps (Char.chr v));
+          true
+        | Blit_string (f, o, s) ->
+          Hw.Phys.blit_from_string t ~frame:f ~off:o s;
+          store f o s;
+          true
+        | Write_from (f, o, src, pos) ->
+          let len = String.length src - 2 in
+          Hw.Phys.write_from t ~frame:f ~off:o src ~pos ~len;
+          store f o (String.sub src pos len);
+          true
+        | Blit_bytes (f, s) ->
+          Hw.Phys.blit_from_bytes t ~frame:f (Bytes.of_string (s ^ "pad")) ~len:(String.length s);
+          store f 0 s;
+          true
+        | Copy (src, dst) ->
+          Hw.Phys.copy_frame t ~src ~dst;
+          written.(dst) <- true;
+          Bytes.blit prim.(src) 0 prim.(dst) 0 ps;
+          Option.iter (fun sh -> Bytes.blit sh.(src) 0 sh.(dst) 0 ps) !shadow;
+          true
+        | Flip (f, o, b) ->
+          Hw.Phys.flip_bit t ~frame:f ~off:o ~bit:b;
+          written.(f) <- true;
+          Bytes.set prim.(f) o (Char.chr (Char.code (Bytes.get prim.(f) o) lxor (1 lsl b)));
+          true
+        | Shadow_w8 (f, o, v) ->
+          Hw.Phys.ecc_shadow_write8 t ~frame:f ~off:o v;
+          Option.iter (fun sh -> Bytes.set sh.(f) o (Char.chr v)) !shadow;
+          true
+        | R8 (f, o) -> Hw.Phys.read8 t ~frame:f ~off:o = Char.code (read f o 1).[0]
+        | R32 (f, o) -> Hw.Phys.read32 t ~frame:f ~off:o = int32_of (read f o 4)
+        | R8_at a ->
+          let f, o = split a in
+          Hw.Phys.read8_at t a = Char.code (read f o 1).[0]
+        | R32_at a ->
+          let f, o = split a in
+          Hw.Phys.read32_at t a = int32_of (read f o 4)
+        | Read_into (f, o, len) ->
+          let len = min len (ps - o) in
+          let dst = Bytes.make (len + 1) '*' in
+          Hw.Phys.read_into t ~frame:f ~off:o dst ~pos:1 ~len;
+          Bytes.sub_string dst 1 len = read f o len
+        | Ecc on ->
+          set_ecc on;
+          true
+      in
+      let frames = List.init n Fun.id in
+      List.for_all step ops
+      && Hw.Phys.ecc_corrections t = !corrections
+      && List.for_all
+           (fun f ->
+             Hw.Phys.to_string t ~frame:f = Bytes.to_string prim.(f)
+             && Hw.Phys.is_zero_frame t ~frame:f
+                = (Bytes.to_string prim.(f) = String.make ps '\000'))
+           frames
+      && Hw.Phys.to_string t ~frame:(n - 1) = String.make ps '\000'
+      && Hw.Phys.materialized t
+         <= List.length (List.filter (fun f -> written.(f)) frames))
+
 (* Every property starts from one fixed seed, so the suite's cases (and
    its run time) repeat run to run. *)
 let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) t
@@ -200,6 +405,7 @@ let suite =
       prop_signature;
       prop_pipe_fifo;
       prop_split_writes_never_touch_code_copy;
+      prop_phys_zero_page;
     ]
 
 (* Differential test of CPU semantics: a random straight-line register

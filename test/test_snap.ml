@@ -171,25 +171,47 @@ let test_pinned_format () =
    tried: truncation there, which covers every section boundary, and the
    8-byte field there inflated to [max_int] or 2^40, which covers every
    length prefix (byte 32 is the protection string's). Random byte flips
-   cover the rest. *)
-let test_decode_fuzz () =
+   cover the rest. Every blob that does decode is restored into a fresh
+   machine of the same build: [restore] may raise [Codec.Corrupt], or
+   [Invalid_argument] when the blob no longer matches that machine's
+   configuration, and nothing else. *)
+(* The fuzz subject, and a fresh machine of the same build to restore
+   into. *)
+let fuzz_fresh () =
   let defense = Defense.split_standalone in
-  let os =
-    Kernel.Os.create ~frames:64 ~tlb_fill:(Defense.tlb_fill defense)
-      ~protection:(Defense.to_protection defense) ()
-  in
+  Kernel.Os.create ~frames:64 ~tlb_fill:(Defense.tlb_fill defense)
+    ~protection:(Defense.to_protection defense) ()
+
+let fuzz_subject () =
+  let os = fuzz_fresh () in
   ignore (Kernel.Os.spawn os (Workload.Guests.scale_unit ~ro_pages:1 ~rounds:1000 ()));
   ignore (Kernel.Os.run ~fuel:1500 os);
   Kernel.Event_log.set_events (Kernel.Os.log os) every_event;
   let trigger = { Snap.Snapshot.t_pid = 1; t_eip = 0x0804_8123; t_mode = "fuzz" } in
-  let blob = Snap.Snapshot.encode (Snap.Snapshot.checkpoint ~meta:[ ("k", "v") ] ~trigger os) in
+  (os, Snap.Snapshot.encode (Snap.Snapshot.checkpoint ~meta:[ ("k", "v") ] ~trigger os))
+
+let int_bytes v = Snap.Codec.(encode ~magic:"" int v)
+
+let test_decode_fuzz () =
+  let fresh = fuzz_fresh in
+  let _, blob = fuzz_subject () in
   let n = String.length blob in
-  let int_bytes v = Snap.Codec.(encode ~magic:"" int v) in
-  let escapes = ref [] in
+  let escapes = ref [] and restored = ref 0 in
+  let escape what e = escapes := Fmt.str "%s: %s" what (Printexc.to_string e) :: !escapes in
+  let restore what snap =
+    let os = fresh () in
+    let compatible = Result.is_ok (Snap.Snapshot.compatible os snap) in
+    match Snap.Snapshot.restore os snap with
+    | () -> incr restored
+    | exception Snap.Codec.Corrupt _ -> ()
+    | exception Invalid_argument _ when not compatible -> ()
+    | exception e -> escape (what ^ ", restored") e
+  in
   let decode what s =
     match Snap.Snapshot.decode s with
-    | (_ : Snap.Snapshot.t) | (exception Snap.Codec.Corrupt _) -> ()
-    | exception e -> escapes := Fmt.str "%s: %s" what (Printexc.to_string e) :: !escapes
+    | snap -> restore what snap
+    | exception Snap.Codec.Corrupt _ -> ()
+    | exception e -> escape what e
   in
   let patch i bytes =
     let b = Bytes.of_string blob in
@@ -210,7 +232,81 @@ let test_decode_fuzz () =
     done;
     decode "byte flips" (Bytes.to_string b)
   done;
-  Alcotest.(check (list string)) "only Codec.Corrupt escapes" [] (List.rev !escapes)
+  Alcotest.(check (list string)) "only Codec.Corrupt escapes" [] (List.rev !escapes);
+  Alcotest.(check bool) (Fmt.str "blobs restored (%d)" !restored) true (!restored > 0)
+
+(* A blob that decodes but carries a value [restore] would index or size
+   by raises [Codec.Corrupt] before the machine is touched. Each case
+   splices one well-formed but out-of-range field into the fuzz subject's
+   blob, located by its encoding (taken from the live machine). *)
+let test_hostile_restore () =
+  let os, blob = fuzz_subject () in
+  let ints l = String.concat "" (List.map int_bytes l) in
+  let int_array a = int_bytes (Array.length a) ^ ints (Array.to_list a) in
+  let splice needle by =
+    let n = String.length needle in
+    let rec find i =
+      if i + n > String.length blob then Alcotest.failf "field not found in the blob"
+      else if String.sub blob i n = needle then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub blob 0 i ^ by ^ String.sub blob (i + n) (String.length blob - i - n)
+  in
+  let p = List.hd (Kernel.Os.procs os) in
+  let gpr = p.regs.gpr and trace = p.trace in
+  let trail = int_array trace ^ int_bytes p.trace_pos in
+  let alloc = Kernel.Frame_alloc.export (Kernel.Os.alloc os) in
+  let refcounts = int_array alloc.s_refcount in
+  let free = int_bytes (List.length alloc.s_free) ^ ints alloc.s_free in
+  let phys = Kernel.Os.phys os in
+  let page = Hw.Phys.page_size phys in
+  let f0, f1 =
+    match
+      List.filter
+        (fun frame -> not (Hw.Phys.is_zero_frame phys ~frame))
+        (List.init (Hw.Phys.frame_count phys) Fun.id)
+    with
+    | f0 :: f1 :: _ -> (f0, f1)
+    | _ -> Alcotest.fail "fewer than two written frames"
+  in
+  let frame f = int_bytes f ^ int_bytes page ^ Hw.Phys.to_string phys ~frame:f in
+  let cases =
+    [
+      ( "7 registers",
+        splice
+          (int_array gpr ^ int_bytes p.regs.eip)
+          (int_array (Array.sub gpr 0 7) ^ int_bytes p.regs.eip) );
+      ("trace position = length", splice trail (int_array trace ^ int_bytes (Array.length trace)));
+      ("trace position -1", splice trail (int_array trace ^ int_bytes (-1)));
+      ("empty trace", splice trail (int_array [||] ^ int_bytes 0));
+      ("63 refcounts", splice refcounts (int_array (Array.sub alloc.s_refcount 0 63)));
+      ( "free frame 64",
+        splice (free ^ refcounts)
+          (ints (List.length alloc.s_free :: List.rev (64 :: List.tl (List.rev alloc.s_free)))
+          ^ refcounts) );
+      ( "free frame 0",
+        splice (free ^ refcounts)
+          (ints (List.length alloc.s_free :: 0 :: List.tl alloc.s_free) ^ refcounts) );
+      ("frame index 64", splice (frame f0) (int_bytes 64 ^ String.sub (frame f0) 8 (8 + page)));
+      ("frames out of order", splice (frame f0 ^ frame f1) (frame f1 ^ frame f0));
+      ( "short frame",
+        splice (frame f0)
+          (int_bytes f0 ^ int_bytes (page - 1)
+          ^ String.sub (Hw.Phys.to_string phys ~frame:f0) 1 (page - 1)) );
+    ]
+  in
+  List.iter
+    (fun (what, hostile) ->
+      match Snap.Snapshot.decode hostile with
+      | exception e ->
+        Alcotest.failf "%s: the spliced blob does not decode (%s)" what (Printexc.to_string e)
+      | snap -> (
+        match Snap.Snapshot.restore (fuzz_fresh ()) snap with
+        | exception Snap.Codec.Corrupt _ -> ()
+        | () -> Alcotest.failf "%s: restored" what
+        | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)))
+    cases
 
 (* --- Round-trip replay across scenarios ---------------------------------- *)
 
@@ -290,6 +386,49 @@ let test_sparse_skip () =
     (Fmt.str "sparse dominates (%d written, %d skipped)" written skipped)
     true
     (skipped > written)
+
+(* --- Restore over written frames ------------------------------------------ *)
+
+(* Restore zeroes every frame the snapshot records as zero, including ones
+   the machine wrote after the checkpoint (they keep their storage but read
+   as zero), and re-checkpoints to the same bytes. The block cache sees the
+   same write-watch invalidations as when every frame was eagerly backed:
+   [pinned] holds (hits, misses, invalidations, blocks built, insns built)
+   after the restore and after the rerun. *)
+let test_restore_over_written_frames () =
+  let pinned = ([ 42003; 36; 4; 36; 94 ], [ 83945; 72; 4; 72; 188 ]) in
+  let os =
+    Workload.Harness.build
+      (Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:20)
+  in
+  ignore (Kernel.Os.run ~fuel:200 os);
+  let phys = Kernel.Os.phys os in
+  let frames = List.init (Hw.Phys.frame_count phys) Fun.id in
+  let zero_at_checkpoint = List.filter (fun frame -> Hw.Phys.is_zero_frame phys ~frame) frames in
+  let blob = Snap.Snapshot.encode (Snap.Snapshot.checkpoint os) in
+  let final = run_to_end os in
+  let dirtied =
+    List.filter (fun frame -> not (Hw.Phys.is_zero_frame phys ~frame)) zero_at_checkpoint
+  in
+  Alcotest.(check bool)
+    (Fmt.str "run wrote frames zero at the checkpoint (%d)" (List.length dirtied))
+    true (dirtied <> []);
+  Snap.Snapshot.restore os (Snap.Snapshot.decode blob);
+  let zero = String.make (Hw.Phys.page_size phys) '\000' in
+  Alcotest.(check (list int))
+    "dirtied frames read as zero" []
+    (List.filter (fun frame -> Hw.Phys.to_string phys ~frame <> zero) dirtied);
+  Alcotest.(check bool)
+    "re-checkpoint gives the same blob" true
+    (String.equal blob (Snap.Snapshot.encode (Snap.Snapshot.checkpoint os)));
+  let stats () =
+    let s = Hw.Bbcache.stats (Option.get (Kernel.Os.bbcache os)) in
+    [ s.hits; s.misses; s.invalidations; s.blocks_built; s.insns_built ]
+  in
+  let after_restore = stats () in
+  Alcotest.(check string) "rerun matches" final (run_to_end os);
+  Alcotest.(check (pair (list int) (list int)))
+    "block-cache stats" pinned (after_restore, stats ())
 
 (* --- Incompatible restore ------------------------------------------------ *)
 
@@ -509,6 +648,7 @@ let suite =
     Alcotest.test_case "codec rejects corrupt input" `Quick test_codec_corrupt;
     Alcotest.test_case "pinned wire format" `Quick test_pinned_format;
     Alcotest.test_case "decode fuzz: only Codec.Corrupt escapes" `Quick test_decode_fuzz;
+    Alcotest.test_case "hostile restore: out-of-range values" `Quick test_hostile_restore;
     Alcotest.test_case "round trip: benign" `Quick (test_roundtrip "benign");
     Alcotest.test_case "round trip: attack-break" `Quick (test_roundtrip "attack-break");
     Alcotest.test_case "round trip: attack-forensics" `Quick
@@ -521,6 +661,7 @@ let suite =
     Alcotest.test_case "determinism: attack-observe" `Quick
       (test_run_to_run_determinism "attack-observe");
     Alcotest.test_case "sparse frame skipping" `Quick test_sparse_skip;
+    Alcotest.test_case "restore over written frames" `Quick test_restore_over_written_frames;
     Alcotest.test_case "incompatible restore rejected" `Quick test_incompatible_restore;
     Alcotest.test_case "auto-checkpoint ring" `Quick test_ring;
     Alcotest.test_case "forensic capture extracts payload" `Quick test_forensic_capture;

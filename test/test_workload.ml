@@ -86,6 +86,45 @@ let test_fuel_exhaustion_detected () =
   | exception Workload.Harness.Did_not_finish _ -> ()
   | _ -> Alcotest.fail "expected Did_not_finish"
 
+(* Zero-fill on demand: a freshly built fig 7 machine backs only the
+   frames its image loader wrote (none when pages load on demand, every one
+   of them allocated), and after its run at most the frames it held at its
+   peak on top of those. The rest of its 16k frames stay on the shared
+   zero page. *)
+let test_fig7_backs_written_frames () =
+  let eager (spec : Workload.Harness.spec) =
+    { spec with guests = List.map (fun g -> { g with Workload.Harness.eager = true }) spec.guests }
+  in
+  let ctxsw =
+    Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone
+      ~iters:Workload.Figures.ctxsw_iters
+  and apache =
+    Workload.Figures.apache_spec ~defense:Defense.split_standalone ~size:1024
+      ~requests:Workload.Figures.apache_requests
+  in
+  List.iter
+    (fun (name, (spec : Workload.Harness.spec)) ->
+      let os = Workload.Harness.build spec in
+      let phys = Kernel.Os.phys os and alloc = Kernel.Os.alloc os in
+      let loaded = Hw.Phys.materialized phys and in_use = Kernel.Frame_alloc.in_use alloc in
+      let is_eager = List.exists (fun (g : Workload.Harness.guest) -> g.eager) spec.guests in
+      Alcotest.(check bool)
+        (Fmt.str "%s: loader wrote %d frames, %d allocated" name loaded in_use)
+        true
+        (loaded <= in_use && (loaded > 0) = is_eager);
+      ignore (Kernel.Os.run ~fuel:spec.fuel os);
+      let backed = Hw.Phys.materialized phys and peak = Kernel.Frame_alloc.peak_in_use alloc in
+      Alcotest.(check bool)
+        (Fmt.str "%s: %d frames backed, peak %d + loaded %d" name backed peak loaded)
+        true
+        (backed > loaded && backed <= peak + loaded))
+    [
+      ("ctxsw", ctxsw);
+      ("apache1k", apache);
+      ("eager ctxsw", eager ctxsw);
+      ("eager apache1k", eager apache);
+    ]
+
 let suite =
   [
     Alcotest.test_case "all guests terminate" `Quick test_all_guests_terminate;
@@ -98,4 +137,5 @@ let suite =
     Alcotest.test_case "itlb method ablation ordering" `Quick test_itlb_method_ablation;
     Alcotest.test_case "geometric mean" `Quick test_geomean;
     Alcotest.test_case "fuel exhaustion raises" `Quick test_fuel_exhaustion_detected;
+    Alcotest.test_case "fig 7 backs only written frames" `Quick test_fig7_backs_written_frames;
   ]
