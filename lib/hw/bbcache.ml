@@ -28,7 +28,17 @@
    decodes as [Truncated] and ends the block before it — the trailing
    straddler (or an undecodable first byte) leaves an *empty* block, which
    tells the dispatcher to fall back to the exact byte-at-a-time
-   interpreter path for that one instruction. *)
+   interpreter path for that one instruction.
+
+   Chaining: each block remembers the last two blocks [follow] went to
+   from it ([next0] the newer), so [follow] can skip the table
+   probe at a block end. A remembered block is exactly what [lookup] would
+   return while three things hold: its [b_pa0] is the address asked for,
+   its generation is still its frame's (so [build] never replaced it: a
+   rebuild only happens to a stale or missing entry), and the cache epoch
+   is the one the links were made in (entries leave the table only by
+   [clear], which bumps the epoch). The epoch lives in the linking block
+   ([links_epoch]), so one compare drops both links together. *)
 
 type block = {
   b_pa0 : int;  (* packed paddr (frame * page_size + off) of byte 0 *)
@@ -38,11 +48,27 @@ type block = {
   sizes : int array;  (* sizes.(i) = encoded size of insns.(i) *)
   offs : int array;  (* offs.(i) = byte offset of insns.(i) from b_pa0 *)
   n : int;  (* 0 = negative block: dispatch must fall back for this pc *)
+  mutable next0 : block;  (* most recent successor, or [none] *)
+  mutable next1 : block;  (* the one before it, or [none] *)
+  mutable links_epoch : int;  (* cache epoch [next0]/[next1] were made in *)
 }
 
 (* A block that is never looked up: the dispatcher's "no current block"
-   loop state, so that state needs no option box. *)
-let none = { b_pa0 = -1; b_frame = -1; b_gen = -1; insns = [||]; sizes = [||]; offs = [||]; n = 0 }
+   loop state, so that state needs no option box. [follow] never writes
+   its links, so one value serves every domain. *)
+let rec none =
+  {
+    b_pa0 = -1;
+    b_frame = -1;
+    b_gen = -1;
+    insns = [||];
+    sizes = [||];
+    offs = [||];
+    n = 0;
+    next0 = none;
+    next1 = none;
+    links_epoch = -1;
+  }
 
 type stats = {
   mutable hits : int;
@@ -61,6 +87,7 @@ type t = {
   max_block : int;  (* instruction-count cap per block *)
   max_blocks : int;  (* table size at which the cache resets wholesale *)
   scratch : Bytes.t;  (* page-sized frame snapshot buffer, reused per build *)
+  mutable epoch : int;  (* bumped by every [clear]: invalidates all links *)
 }
 
 let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
@@ -74,6 +101,7 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
       max_block;
       max_blocks;
       scratch = Bytes.create (Phys.page_size phys);
+      epoch = 0;
     }
   in
   Phys.set_write_watch phys
@@ -87,8 +115,11 @@ let stats t = t.stats
 let generation t frame = t.gen.(frame)
 
 (* Drop every cached block. Generations are kept (monotonic per machine
-   lifetime) so blocks cached before the clear can never validate again. *)
-let clear t = Int_table.reset t.blocks
+   lifetime) so blocks cached before the clear can never validate again;
+   the epoch bump retires every chain link made before it. *)
+let clear t =
+  Int_table.reset t.blocks;
+  t.epoch <- t.epoch + 1
 
 let build t pa0 =
   let frame = pa0 / t.page_size in
@@ -121,7 +152,20 @@ let build t pa0 =
   done;
   t.stats.blocks_built <- t.stats.blocks_built + 1;
   t.stats.insns_built <- t.stats.insns_built + n;
-  let b = { b_pa0 = pa0; b_frame = frame; b_gen = t.gen.(frame); insns; sizes; offs; n } in
+  let b =
+    {
+      b_pa0 = pa0;
+      b_frame = frame;
+      b_gen = t.gen.(frame);
+      insns;
+      sizes;
+      offs;
+      n;
+      next0 = none;
+      next1 = none;
+      links_epoch = t.epoch;
+    }
+  in
   if Int_table.length t.blocks >= t.max_blocks then clear t;
   Int_table.replace t.blocks pa0 b;
   Phys.watch_frame t.phys ~frame;
@@ -141,6 +185,41 @@ let lookup t pa0 =
   | exception Not_found ->
     t.stats.misses <- t.stats.misses + 1;
     build t pa0
+
+let[@inline] linked t s pa0 = s.b_pa0 = pa0 && s.b_gen = t.gen.(s.b_frame)
+
+(* [lookup t pa0] reached from block [b]: a remembered successor that is
+   still the table's valid entry for [pa0] is returned with the same hit
+   count [lookup] would make; otherwise [lookup] runs and its result
+   becomes [b]'s newest link. *)
+let follow t b pa0 =
+  if b == none then lookup t pa0
+  else begin
+    if b.links_epoch <> t.epoch then begin
+      b.next0 <- none;
+      b.next1 <- none;
+      b.links_epoch <- t.epoch
+    end;
+    let s0 = b.next0 in
+    if linked t s0 pa0 then begin
+      t.stats.hits <- t.stats.hits + 1;
+      s0
+    end
+    else
+      let s1 = b.next1 in
+      if linked t s1 pa0 then begin
+        t.stats.hits <- t.stats.hits + 1;
+        s1
+      end
+      else begin
+        (* if this build resets the table ([max_blocks]), the links made
+           here are in the old epoch and die at the next [follow] *)
+        let s = lookup t pa0 in
+        b.next1 <- s0;
+        b.next0 <- s;
+        s
+      end
+  end
 
 (* True when [b] no longer describes the bytes at its frame — a store hit
    the frame since the block was decoded (self-modifying code). Dispatch

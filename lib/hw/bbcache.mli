@@ -30,11 +30,19 @@ type block = private {
       (** number of decoded instructions; [0] is a negative block — the
           first instruction is undecodable or straddles the page edge, and
           dispatch must fall back to the byte-at-a-time interpreter *)
+  mutable next0 : block;
+      (** chain link: the block {!follow} last went to from this one that
+          was not already linked, or {!none} *)
+  mutable next1 : block;  (** the link [next0] displaced, or {!none} *)
+  mutable links_epoch : int;
+      (** the cache epoch both links were made in; the links are dead once
+          {!clear} has moved the epoch on *)
 }
 
 val none : block
 (** A placeholder block that no lookup returns ([n = 0], [b_frame = -1]):
-    the dispatcher's "no current block" state. *)
+    the dispatcher's "no current block" state. Its links are never
+    written. *)
 
 type stats = {
   mutable hits : int;
@@ -57,6 +65,15 @@ val lookup : t -> int -> block
     [pa0], building (or rebuilding, if stale) it from the frame's current
     bytes. *)
 
+val follow : t -> block -> int -> block
+(** [follow t b pa0] is [lookup t pa0] reached from block [b], with the
+    same result and the same {!stats} (a hit bumps [hits]). It skips the
+    table probe when one of [b]'s two links is the block at [pa0] and is
+    still valid: same [b_pa0], its frame's generation unchanged, and no
+    {!clear} (which includes the [max_blocks] reset) since the link was
+    made. Otherwise it runs [lookup] and links [b] to the result. From
+    {!none} it is plain [lookup]. *)
+
 val stale : t -> block -> bool
 (** The block's frame was written since it was decoded. Dispatch must
     check before every instruction, not just at block entry. *)
@@ -65,7 +82,8 @@ val generation : t -> int -> int
 (** Current generation of a frame. *)
 
 val clear : t -> unit
-(** Drop all cached blocks (snapshot restore; derived state only). *)
+(** Drop all cached blocks (snapshot restore; derived state only) and
+    start a new epoch, which kills every chain link. *)
 
 val stats : t -> stats
 val insns_per_block : t -> float

@@ -61,15 +61,20 @@ type trap = No_trap | Sys | Pf | Ud | Gp | Db
    reports besides its trap (its attempt and retire counts, the #UD/#GP
    payload). One record, built at the machine's first call and kept in
    its [Exec_env], so the loops below carry one pointer instead of a
-   closure per call, and a call allocates no counters or result record. *)
+   closure per call, and a call allocates no counters or result record.
+   [trail] is [env.trail] as armed when the call began, and [folded] the
+   ITLB hits the cached loop owes a FIFO ITLB, paid when the call ends. *)
 type cursor = {
   env : Exec_env.t;
   mmu : Mmu.t;
   cost : Cost.t;
   itlb : Tlb.t;
+  itlb_lru : bool;  (* folded hits must push LRU recency one by one *)
   page_shift : int;
   fetch : int -> int;  (* the byte-at-a-time decoder's fetch callback *)
   mutable regs : regs;
+  mutable trail : Exec_env.trail;
+  mutable folded : int;
   mutable max_insns : int;
   mutable tick_limit : int;
   mutable fast_fetch : bool;
@@ -94,9 +99,12 @@ let cursor (env : Exec_env.t) mmu r =
         mmu;
         cost = Mmu.cost mmu;
         itlb = Mmu.itlb mmu;
+        itlb_lru = Tlb.policy (Mmu.itlb mmu) = Tlb.Lru;
         page_shift = Phys.page_shift (Mmu.phys mmu);
         fetch = (fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a);
         regs = r;
+        trail = env.trail;
+        folded = 0;
         max_insns = 0;
         tick_limit = 0;
         fast_fetch = false;
@@ -376,11 +384,19 @@ let step_env_at_pa0 c pa0 =
   in
   step_with c ~fetch
 
+(* Write [eip] into the forensic trail: inline, because a call per
+   retired instruction is a measurable share of dispatch. *)
+let[@inline] record c eip =
+  let tr = c.trail in
+  let pos = tr.Exec_env.pos in
+  tr.ring.(pos) <- eip;
+  tr.pos <- (if pos + 1 = Array.length tr.ring then 0 else pos + 1)
+
 (* A plainly retired instruction: [params.insn] cycles inline (the timer
    comparison and the sampling hook both read [cycles] mid-call), the
-   retire hook, and the batched count the caller flushes to [Cost.insns]. *)
+   trail, and the batched count the caller flushes to [Cost.insns]. *)
 let[@inline] retire c eip =
-  c.env.retire eip;
+  record c eip;
   c.cost.cycles <- c.cost.cycles + c.cost.params.insn;
   c.retired <- c.retired + 1
 
@@ -406,14 +422,19 @@ let rec exact_loop c =
       retire c eip;
       exact_loop c
     | No_trap ->
-      c.env.retire eip;
+      record c eip;
       Db
     | Sys ->
-      c.env.retire eip;
+      record c eip;
       Sys
     | (Pf | Ud | Gp | Db) as t -> t
   end
   else No_trap
+
+(* [n] certain ITLB hits on [vpn]: owed under FIFO (paid at the end of
+   the call), pushed now under LRU. *)
+let[@inline] fold_hits c vpn n =
+  if c.itlb_lru then Tlb.note_hits c.itlb vpn n else c.folded <- c.folded + n
 
 (* Cached dispatch: run decoded basic blocks until an instruction traps,
    the attempt budget [max_insns] is exhausted, or the cycle counter
@@ -434,9 +455,13 @@ let rec exact_loop c =
      the same frame and the same permission verdict. With no sampling hook
      and no icache model ([fast_fetch]) such a hit's only effect is the
      hit count (and LRU recency), so a mid-block or same-page instruction
-     folds all its bytes into one [Tlb.note_hits], and a same-page
+     folds all its bytes into hit counts ([fold_hits]), and a same-page
      successor's paddr is the previous block's frame plus the page offset.
-     Blocks are page-bounded, so a block never leaves its first byte's
+     Nothing reads the ITLB's hit count within a call, so under FIFO the
+     folded hits are summed in the cursor and paid with one
+     [Tlb.note_hits] when the call ends; under LRU each folded hit still
+     pushes its recency at once, because a later miss's victim depends on
+     it. Blocks are page-bounded, so a block never leaves its first byte's
      page. A pagetable remap or [invlpg] takes effect at the next call's
      first translation, with no cache invalidation at all;
    - with a sampling hook or an icache model, every byte of every
@@ -447,7 +472,11 @@ let rec exact_loop c =
      from the call's retire count;
    - staleness ([Bbcache.stale]) is checked before every instruction, not
      just at block entry, so self-modifying code that rewrites its own
-     block takes effect at the very next instruction boundary.
+     block takes effect at the very next instruction boundary;
+   - a block end finds the next block with [Bbcache.follow] from the
+     block just left, which returns (and counts) what [Bbcache.lookup]
+     would, usually from the block's chain links without a table probe;
+   - each retired instruction's eip goes into [trail] ([record]).
 
    The loop is four mutually tail-recursive top-level functions over the
    cursor, so neither a call nor an instruction allocates. Its state is
@@ -463,18 +492,18 @@ let rec cached_loop c cache (b : Bbcache.block) idx vpn =
     let shift = c.page_shift in
     if vpn >= 0 && (idx >= 0 || mask32 eip lsr shift = vpn) then
       if idx >= 0 && not (Bbcache.stale cache b) then begin
-        Tlb.note_hits c.itlb vpn b.Bbcache.sizes.(idx);
+        fold_hits c vpn b.Bbcache.sizes.(idx);
         cached_exec c cache b idx vpn
       end
       else begin
         let pa0 = (b.Bbcache.b_frame lsl shift) lor (eip land ((1 lsl shift) - 1)) in
-        let b = Bbcache.lookup cache pa0 in
+        let b = Bbcache.follow cache b pa0 in
         if b.Bbcache.n = 0 then begin
-          Tlb.note_hits c.itlb vpn 1;
+          fold_hits c vpn 1;
           cached_fallback c cache pa0
         end
         else begin
-          Tlb.note_hits c.itlb vpn b.Bbcache.sizes.(0);
+          fold_hits c vpn b.Bbcache.sizes.(0);
           cached_exec c cache b 0 vpn
         end
       end
@@ -487,7 +516,7 @@ let rec cached_loop c cache (b : Bbcache.block) idx vpn =
       else if
         idx >= 0 && pa0 = b.Bbcache.b_pa0 + b.Bbcache.offs.(idx) && not (Bbcache.stale cache b)
       then cached_translated c cache b idx pa0
-      else cached_translated c cache (Bbcache.lookup cache pa0) 0 pa0
+      else cached_translated c cache (Bbcache.follow cache b pa0) 0 pa0
   end
   else No_trap
 
@@ -501,7 +530,7 @@ and cached_translated c cache b idx pa0 =
     Mmu.touch_icache c.mmu pa0;
     if c.fast_fetch then begin
       let vpn = mask32 eip lsr c.page_shift in
-      Tlb.note_hits c.itlb vpn (sz - 1);
+      fold_hits c vpn (sz - 1);
       cached_exec c cache b idx vpn
     end
     else begin
@@ -523,7 +552,7 @@ and cached_fallback c cache pa0 =
     retire c eip;
     cached_loop c cache Bbcache.none (-1) (-1)
   | Sys ->
-    c.env.retire eip;
+    record c eip;
     Sys
   | (Pf | Ud | Gp | Db) as t -> t
 
@@ -543,7 +572,7 @@ and cached_exec c cache b idx vpn =
     cached_loop c cache b (if next < b.Bbcache.n && r.eip = eip + sz then next else -1) vpn
   | Sys ->
     attempted c;
-    c.env.retire eip;
+    record c eip;
     Sys
   | (Pf | Ud | Gp | Db) as t ->
     attempted c;
@@ -560,11 +589,16 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   let c = cursor env mmu r in
   c.max_insns <- max_insns;
   c.tick_limit <- tick_limit;
+  c.trail <- env.trail;
   c.attempts <- 0;
   c.retired <- 0;
   match env.cache with
   | Some cache
     when not (r.tf || Mmu.has_tlb_guard mmu || Phys.ecc_enabled (Mmu.phys mmu)) ->
     c.fast_fetch <- Option.is_none env.sample && Option.is_none (Mmu.icache mmu);
-    cached_loop c cache Bbcache.none (-1) (-1)
+    let t = cached_loop c cache Bbcache.none (-1) (-1) in
+    (* every exit of the loop comes back here: pay the FIFO-folded hits *)
+    Tlb.note_hits c.itlb 0 c.folded;
+    c.folded <- 0;
+    t
   | Some _ | None -> exact_loop c

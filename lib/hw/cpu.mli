@@ -82,8 +82,8 @@ val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -
 (** The one dispatch loop: execute instructions until one traps,
     [max_insns] have been attempted, or [Cost.cycles] reaches [tick_limit]
     (checked before every instruction, where the scheduler's timer would
-    fire). Retired instructions charge their cycles inline and fire
-    [env.retire]. On return, {!attempts} counts the instructions
+    fire). Retired instructions charge their cycles inline and write their
+    eip into [env.trail]. On return, {!attempts} counts the instructions
     attempted (retired plus the trapping one, if any — the scheduler's
     quantum/fuel currency) and {!retired} the plainly retired ones,
     whose cycles are charged but whose [Cost.insns] and retire-rate
@@ -97,8 +97,10 @@ val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -
     the call's first instruction and after a transfer to another page —
     which is also where a remap takes effect. With no sampling hook and no
     icache, every other instruction (mid-block, or a same-page successor
-    block) folds all its byte fetches into ITLB hit counts; with either,
-    every byte replays its TLB/icache/sampling effects. Otherwise it
+    block) folds all its byte fetches into ITLB hit counts — under a FIFO
+    ITLB summed and paid when the call returns, under LRU pushed at once;
+    with either, every byte replays its TLB/icache/sampling effects. A
+    block end reaches the next block through {!Bbcache.follow}. Otherwise it
     runs the exact loop, byte-at-a-time through the same decoder as
     {!step}. Both paths are bit-identical to iterated {!step}. Under the
     trap flag the run stops after one instruction: a retired one ends the

@@ -3,10 +3,14 @@
    arguments and per-subsystem hook fields that used to accrete on
    [Cpu.step] ([?ctrl]) and [Mmu.t] ([sample_hook]). The record is built
    once (by [Mmu.create]) and mutated in place: the scheduler arms [ctrl]
-   and [retire] per quantum, the profiler installs [sample] on attach, and
+   and [trail] per quantum, the profiler installs [sample] on attach, and
    the machine installs [cache] at creation. Keeping the fields unboxed
-   options (and [retire] a plain closure) preserves the allocation-free
-   discipline: a machine with nothing installed pays one branch per use.
+   options preserves the allocation-free discipline: a machine with
+   nothing installed pays one branch per use.
+
+   [trail] is data, not a hook: the dispatch loop writes each retired
+   instruction's eip into the armed process's forensic ring itself, since
+   a call per retired instruction is a measurable share of dispatch.
 
    [cursor] holds the dispatcher's own per-machine state, built at the
    first [Cpu.run_block] call, so a call allocates no loop closures. One
@@ -24,6 +28,9 @@ type ctrl = kind:ctrl_kind -> site:int -> target:int -> ret:int -> bool
 type cursor = ..
 type cursor += No_cursor
 
+(* A ring of the last retired eips: [ring.(pos)] is the next slot. *)
+type trail = { ring : int array; mutable pos : int }
+
 type t = {
   mutable ctrl : ctrl option;
       (* control-transfer monitor (CFI); consulted before a transfer's new
@@ -31,13 +38,20 @@ type t = {
   mutable sample : (access -> int -> bool -> unit) option;
       (* address-sampling profiler hook: (access, vpn, tlb_hit) on every
          successful translation; decimation is the hook's own business *)
-  mutable retire : int -> unit;
-      (* per-retired-instruction hook with the instruction's eip (the
-         kernel's forensic trace ring); [ignore] when nothing listens *)
+  mutable trail : trail;
+      (* where retired eips go: the running process's forensic ring,
+         armed per quantum by the scheduler; a private one-slot ring
+         until then *)
   mutable cache : Bbcache.t option;
       (* decoded basic-block cache; [None] = exact byte-at-a-time dispatch *)
   mutable cursor : cursor;
 }
 
 let create () =
-  { ctrl = None; sample = None; retire = ignore; cache = None; cursor = No_cursor }
+  {
+    ctrl = None;
+    sample = None;
+    trail = { ring = [| -1 |]; pos = 0 };
+    cache = None;
+    cursor = No_cursor;
+  }

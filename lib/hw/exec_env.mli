@@ -1,7 +1,7 @@
 (** The execution environment: the one hooks record the CPU dispatch loop
     consults, built once per machine (by {!Mmu.create}, reachable via
     {!Mmu.env}) and mutated in place by its owners — the scheduler arms
-    {!t.ctrl}/{!t.retire} per quantum, the profiler installs {!t.sample} on
+    {!t.ctrl}/{!t.trail} per quantum, the profiler installs {!t.sample} on
     attach/detach, the machine installs {!t.cache} at creation. This
     replaces [Cpu.step]'s [?ctrl] optional argument surface and the MMU's
     [sample_hook] field; {!Cpu.step} remains as a thin wrapper for callers
@@ -22,6 +22,12 @@ type cursor = ..
 
 type cursor += No_cursor
 
+type trail = { ring : int array; mutable pos : int }
+(** A forensic ring of retired eips: [ring.(pos)] is the slot the next
+    retired instruction overwrites, and [pos] wraps to 0 at the end.
+    Each kernel process owns one; the snapshot stores [ring] and [pos] as
+    they are. *)
+
 type t = {
   mutable ctrl : ctrl option;
       (** control-transfer monitor (a CFI defense): consulted on every
@@ -34,10 +40,12 @@ type t = {
           arguments unboxed; [None] costs one branch. When installed, the
           block dispatcher replays fetches byte-at-a-time so decimation
           order is preserved exactly. *)
-  mutable retire : int -> unit;
-      (** fired with the instruction's eip for every retired (non-trap)
-          instruction under block dispatch; the kernel points it at the
-          process's forensic trace ring each quantum. [ignore] = off. *)
+  mutable trail : trail;
+      (** the ring {!Cpu.run_block} writes every retired instruction's eip
+          into (a trapping one is not written; a retired [int 0x80] is).
+          The scheduler arms the running process's ring each quantum;
+          until then it is a private one-slot ring nobody reads. Writing
+          it is the loop's own work — two stores, no call. *)
   mutable cache : Bbcache.t option;
       (** decoded basic-block cache; [None] means exact byte-at-a-time
           dispatch — the differential oracle for the cached path. *)
@@ -48,5 +56,5 @@ type t = {
 }
 
 val create : unit -> t
-(** All hooks off: [ctrl = None], [sample = None], [retire = ignore],
-    [cache = None]; no cursor yet. *)
+(** All hooks off: [ctrl = None], [sample = None], a private one-slot
+    [trail], [cache = None]; no cursor yet. *)

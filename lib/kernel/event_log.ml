@@ -72,12 +72,14 @@ let add t e =
 let set_events t events = t.events <- List.rev events
 let note t fmt = Fmt.kstr (fun s -> add t (Note s)) fmt
 let to_list t = List.rev t.events
-let count t pred = List.length (List.filter pred (to_list t))
+(* [events] is newest first: [count] and [shell_spawned] do not depend
+   on order, and the oldest match is the last one in a single walk. *)
+let count t pred = List.fold_left (fun n e -> if pred e then n + 1 else n) 0 t.events
 
-let find_first t pred = List.find_opt pred (to_list t)
+let find_first t pred =
+  List.fold_left (fun found e -> if pred e then Some e else found) None t.events
 
-let shell_spawned t =
-  List.exists (function Exec_shell _ -> true | _ -> false) (to_list t)
+let shell_spawned t = List.exists (function Exec_shell _ -> true | _ -> false) t.events
 
 let detections t =
   List.filter_map

@@ -53,6 +53,8 @@ val to_list : t -> event list
 
 val count : t -> (event -> bool) -> int
 val find_first : t -> (event -> bool) -> event option
+(** The oldest event satisfying the predicate. *)
+
 val shell_spawned : t -> bool
 
 val detections : t -> (int * int * string) list

@@ -47,19 +47,10 @@ type t = {
   mutable parent : int option;
   mutable detections : int;
   mutable recovery_handler : int option;
-  trace : int array;
-  mutable trace_pos : int;
+  trail : Hw.Exec_env.trail;
+      (* forensic ring of retired eips; the dispatch loop writes it *)
   mutable protected_ : bool;
-  mutable on_retire : int -> unit;
-      (* this process's retire hook for the block dispatcher: feeds the
-         forensic trace ring. Built once here so arming it each quantum is
-         a field write, not a closure allocation. *)
 }
-
-let record_trace t eip =
-  t.trace.(t.trace_pos) <- eip;
-  let next = t.trace_pos + 1 in
-  t.trace_pos <- (if next = Array.length t.trace then 0 else next)
 
 let create ~pid ~name ~aspace =
   let console_in = Pipe.create ~name:(Fmt.str "%s.stdin" name) () in
@@ -67,32 +58,26 @@ let create ~pid ~name ~aspace =
   let fds = Hashtbl.create 8 in
   Hashtbl.replace fds 0 (Read_end console_in);
   Hashtbl.replace fds 1 (Write_end console_out);
-  let t =
-    {
-      pid;
-      name;
-      aspace;
-      regs = Hw.Cpu.create_regs ();
-      fds;
-      console_in;
-      console_out;
-      state = Runnable;
-      in_runq = false;
-      p_insns = 0;
-      next_fd = 3;
-      pending_fault_addr = None;
-      sebek_active = false;
-      parent = None;
-      detections = 0;
-      recovery_handler = None;
-      trace = Array.make 32 (-1);
-      trace_pos = 0;
-      protected_ = true;
-      on_retire = ignore;
-    }
-  in
-  t.on_retire <- (fun eip -> record_trace t eip);
-  t
+  {
+    pid;
+    name;
+    aspace;
+    regs = Hw.Cpu.create_regs ();
+    fds;
+    console_in;
+    console_out;
+    state = Runnable;
+    in_runq = false;
+    p_insns = 0;
+    next_fd = 3;
+    pending_fault_addr = None;
+    sebek_active = false;
+    parent = None;
+    detections = 0;
+    recovery_handler = None;
+    trail = { ring = Array.make 32 (-1); pos = 0 };
+    protected_ = true;
+  }
 
 let fd t n = Hashtbl.find_opt t.fds n
 
@@ -133,12 +118,13 @@ let pp_state ppf = function
 
 (* Oldest-first list of the last executed instruction addresses. *)
 let trace_trail t =
-  let n = Array.length t.trace in
+  let { Hw.Exec_env.ring; pos } = t.trail in
+  let n = Array.length ring in
   let rec collect i acc =
     if i = 0 then acc
     else
-      let idx = (t.trace_pos - i + (2 * n)) mod n in
-      let v = t.trace.(idx) in
+      let idx = (pos - i + (2 * n)) mod n in
+      let v = ring.(idx) in
       collect (i - 1) (if v >= 0 then v :: acc else acc)
   in
   List.rev (collect n [])

@@ -45,16 +45,14 @@ type t = {
   mutable recovery_handler : int option;
       (** attack-recovery callback registered via the sigrecover syscall
           (the paper's proposed recovery response mode, §4.5) *)
-  trace : int array;  (** ring buffer of recently executed EIPs *)
-  mutable trace_pos : int;
+  trail : Hw.Exec_env.trail;
+      (** ring of the last 32 retired EIPs. The scheduler arms it as
+          [Exec_env.trail] each quantum, and {!Hw.Cpu.run_block} writes
+          it. *)
   mutable protected_ : bool;
       (** per-process opt-out (paper §3.3.1: a process that needs a plain
           von Neumann view — e.g. self-modifying code — simply gets one
           pagetable view and no splitting) *)
-  mutable on_retire : int -> unit;
-      (** this process's retire hook for the block dispatcher — feeds
-          {!record_trace}. Built once at creation so the scheduler can arm
-          it each quantum with a field write, not a closure allocation. *)
 }
 
 val create : pid:int -> name:string -> aspace:Aspace.t -> t
@@ -66,9 +64,6 @@ val close_all_fds : t -> unit
 val is_runnable : t -> bool
 val is_zombie : t -> bool
 val pp_state : Format.formatter -> state -> unit
-
-val record_trace : t -> int -> unit
-(** Record one executed instruction address (called by the scheduler). *)
 
 val trace_trail : t -> int list
 (** The last executed instruction addresses, oldest first — forensics mode

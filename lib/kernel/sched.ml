@@ -107,7 +107,7 @@ let run_quantum ?table (m : M.t) (p : Proc.t) fuel =
   in
   (* Arm the dispatch environment for this quantum: field writes only. *)
   m.env.Hw.Exec_env.ctrl <- ctrl;
-  m.env.Hw.Exec_env.retire <- p.on_retire;
+  m.env.Hw.Exec_env.trail <- p.trail;
   let insns0 = m.cost.insns in
   let steps = ref m.quantum in
   while Proc.is_runnable p && !steps > 0 && !fuel > 0 do

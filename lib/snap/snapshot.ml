@@ -158,8 +158,8 @@ let export_pipes_and_procs os =
       pr_sebek = p.sebek_active;
       pr_detections = p.detections;
       pr_recovery = p.recovery_handler;
-      pr_trace = Array.copy p.trace;
-      pr_trace_pos = p.trace_pos;
+      pr_trace = Array.copy p.trail.ring;
+      pr_trace_pos = p.trail.pos;
       pr_insns = p.p_insns;
       pr_protected = p.protected_;
       pr_console_in = console_in;
@@ -355,34 +355,28 @@ let restore os snap =
           (if is_write then Kernel.Proc.Write_end (pipe id)
            else Kernel.Proc.Read_end (pipe id)))
       ps.pr_fds;
-    let p =
-      {
-        Kernel.Proc.pid = ps.pr_pid;
-        name = ps.pr_name;
-        aspace;
-        regs;
-        fds;
-        console_in = pipe ps.pr_console_in;
-        console_out = pipe ps.pr_console_out;
-        state = ps.pr_state;
-        (* scheduler-derived, not serialized: [Sched.restore] re-marks the
-           queued pids *)
-        in_runq = false;
-        p_insns = ps.pr_insns;
-        next_fd = ps.pr_next_fd;
-        pending_fault_addr = ps.pr_pending_fault;
-        sebek_active = ps.pr_sebek;
-        parent = ps.pr_parent;
-        detections = ps.pr_detections;
-        recovery_handler = ps.pr_recovery;
-        trace = Array.copy ps.pr_trace;
-        trace_pos = ps.pr_trace_pos;
-        protected_ = ps.pr_protected;
-        on_retire = ignore;
-      }
-    in
-    p.on_retire <- (fun eip -> Kernel.Proc.record_trace p eip);
-    p
+    {
+      Kernel.Proc.pid = ps.pr_pid;
+      name = ps.pr_name;
+      aspace;
+      regs;
+      fds;
+      console_in = pipe ps.pr_console_in;
+      console_out = pipe ps.pr_console_out;
+      state = ps.pr_state;
+      (* scheduler-derived, not serialized: [Sched.restore] re-marks the
+         queued pids *)
+      in_runq = false;
+      p_insns = ps.pr_insns;
+      next_fd = ps.pr_next_fd;
+      pending_fault_addr = ps.pr_pending_fault;
+      sebek_active = ps.pr_sebek;
+      parent = ps.pr_parent;
+      detections = ps.pr_detections;
+      recovery_handler = ps.pr_recovery;
+      trail = { ring = Array.copy ps.pr_trace; pos = ps.pr_trace_pos };
+      protected_ = ps.pr_protected;
+    }
   in
   Kernel.Os.replace_procs os (List.map build_proc snap.sn_procs);
   Kernel.Machine.rebuild_shares (Kernel.Os.machine os);

@@ -18,10 +18,11 @@
 
 (* A bare machine: 8 frames, 16-entry TLBs and a pagetable the test
    edits in place with [map]. *)
-let bare () =
+let bare ?tlb_policy () =
   let phys = Hw.Phys.create ~frames:8 () in
   let mmu =
-    Hw.Mmu.create ~itlb_capacity:16 ~dtlb_capacity:16 ~phys ~cost:(Hw.Cost.create ()) ()
+    Hw.Mmu.create ~itlb_capacity:16 ~dtlb_capacity:16 ?tlb_policy ~phys
+      ~cost:(Hw.Cost.create ()) ()
   in
   let table : (int, Hw.Mmu.hw_pte) Hashtbl.t = Hashtbl.create 4 in
   Hw.Mmu.reload_cr3 mmu (Hashtbl.find_opt table);
@@ -39,8 +40,8 @@ let dispatch_env phys ~cached =
 (* One [run_block] call with its counts, as the scheduler reads them. *)
 type run = { attempts : int; retired : int; trap : Hw.Cpu.trap }
 
-let run_n env mmu regs n =
-  let trap = Hw.Cpu.run_block env mmu regs ~max_insns:n ~tick_limit:max_int in
+let run_n ?(tick_limit = max_int) env mmu regs n =
+  let trap = Hw.Cpu.run_block env mmu regs ~max_insns:n ~tick_limit in
   { attempts = Hw.Cpu.attempts env; retired = Hw.Cpu.retired env; trap }
 
 (* An instruction whose encoding crosses a code-page boundary: 4093 one-
@@ -288,6 +289,106 @@ let test_smc_same_page_successor () =
   Alcotest.(check int) "patched b" 0x2A (Hw.Cpu.get regs Isa.Reg.EAX);
   Alcotest.(check bool) "cached = exact (regs, cycles, TLBs)" true (cached = final ~cached:false)
 
+(* Cached dispatch owes a FIFO ITLB its folded hits until the call ends,
+   so the ITLB must match exact dispatch after every call, whichever way
+   the call ended. The tour: vpn 0 counts, jumps within its page (a
+   same-page successor block) and transfers to vpn 1; vpn 1 makes a
+   syscall, faults on a load from unmapped vpn 7, and jumps to an
+   instruction that straddles its end into vpn 2 (a negative block, run
+   by the byte-at-a-time fallback); vpn 2 jumps back to vpn 0. *)
+let test_itlb_every_call policy () =
+  let page0 =
+    Isa.Asm.(
+      assemble ~origin:0
+        [
+          I (Add_ri (EAX, 1));
+          I (Jmp (Lbl "mid"));
+          L "mid";
+          I (Add_ri (EBX, 1));
+          I (Add_ri (EAX, 2));
+          I (Mov_ri (EDI, 0x1000));
+          I (Jmp_r EDI);
+        ])
+  in
+  let page1 =
+    Isa.Asm.(
+      assemble ~origin:0x1000
+        [
+          I (Add_ri (ECX, 1));
+          I (Int 0x80);
+          I (Mov_ri (EDI, 0x7000));
+          I (Load (EDX, EDI, 0));
+          L "after";
+          I (Mov_ri (EDI, 0x1FFD));
+          I (Jmp_r EDI);
+        ])
+  in
+  let straddler =
+    Isa.Asm.(
+      assemble ~origin:0x1FFD [ I (Mov_ri (ESI, 0x11223344)); I (Mov_ri (EDI, 0)); I (Jmp_r EDI) ])
+  in
+  let after_fault = Isa.Asm.label page1 "after" in
+  let twin ~cached =
+    let phys, mmu, map = bare ~tlb_policy:policy () in
+    let s = straddler.code in
+    Hw.Phys.blit_from_string phys ~frame:1 ~off:0 page0.code;
+    Hw.Phys.blit_from_string phys ~frame:2 ~off:0 page1.code;
+    Hw.Phys.blit_from_string phys ~frame:2 ~off:4093 (String.sub s 0 3);
+    Hw.Phys.blit_from_string phys ~frame:3 ~off:0 (String.sub s 3 (String.length s - 3));
+    map ~vpn:0 ~frame:1;
+    map ~vpn:1 ~frame:2;
+    map ~vpn:2 ~frame:3;
+    (mmu, dispatch_env phys ~cached, Hw.Cpu.create_regs ())
+  in
+  let ((mmu_e, _, regs_e) as exact) = twin ~cached:false in
+  let ((mmu_c, _, regs_c) as cached) = twin ~cached:true in
+  let seen = Hashtbl.create 8 in
+  for i = 0 to 299 do
+    let max_insns = 1 + (i mod 17) in
+    let call (mmu, env, regs) =
+      let cost = Hw.Mmu.cost mmu in
+      let tick_limit =
+        if i mod 4 = 3 then cost.Hw.Cost.cycles + (i mod 5 * cost.params.insn) else max_int
+      in
+      run_n ~tick_limit env mmu regs max_insns
+    in
+    let e = call exact and c = call cached in
+    let ending =
+      match c.trap with
+      | Hw.Cpu.Sys -> "syscall"
+      | Hw.Cpu.Pf -> "page fault"
+      | Hw.Cpu.No_trap when c.attempts < max_insns -> "tick limit"
+      | Hw.Cpu.No_trap when regs_c.eip = 0x1000 -> "budget, after a cross-page transfer"
+      | Hw.Cpu.No_trap when regs_c.eip = 0x2003 -> "budget, after the fallback"
+      | Hw.Cpu.No_trap -> "budget"
+      | Hw.Cpu.Ud | Hw.Cpu.Gp | Hw.Cpu.Db -> "unexpected"
+    in
+    Hashtbl.replace seen ending ();
+    let what = Fmt.str "call %d (%s)" i ending in
+    Alcotest.(check bool) (what ^ ": same counts and trap") true (e = c);
+    Alcotest.(check bool) (what ^ ": same registers") true (regs_e = regs_c);
+    Alcotest.(check bool) (what ^ ": same itlb") true
+      (Hw.Tlb.export (Hw.Mmu.itlb mmu_e) = Hw.Tlb.export (Hw.Mmu.itlb mmu_c));
+    Alcotest.(check int) (what ^ ": same cycles") (Hw.Mmu.cost mmu_e).cycles
+      (Hw.Mmu.cost mmu_c).cycles;
+    if c.trap = Hw.Cpu.Pf then begin
+      regs_e.eip <- after_fault;
+      regs_c.eip <- after_fault
+    end
+  done;
+  List.iter
+    (fun ending ->
+      Alcotest.(check bool) ("some call ended: " ^ ending) true (Hashtbl.mem seen ending))
+    [
+      "syscall";
+      "page fault";
+      "tick limit";
+      "budget";
+      "budget, after a cross-page transfer";
+      "budget, after the fallback";
+    ];
+  Alcotest.(check bool) "no unexpected trap" false (Hashtbl.mem seen "unexpected")
+
 (* The cached loop allocates nothing per instruction: a straight-line
    loop with loads and stores stays under half a minor word per retired
    instruction. *)
@@ -396,6 +497,10 @@ let suite =
       test_remap_between_calls;
     Alcotest.test_case "store into a same-page successor block" `Quick
       test_smc_same_page_successor;
+    Alcotest.test_case "itlb equal after every call (fifo)" `Quick
+      (test_itlb_every_call Hw.Tlb.Fifo);
+    Alcotest.test_case "itlb equal after every call (lru)" `Quick
+      (test_itlb_every_call Hw.Tlb.Lru);
     Alcotest.test_case "cached loop: < 0.5 minor words per insn" `Quick
       test_dispatch_allocation;
     Alcotest.test_case "trap exits allocate nothing" `Quick test_trap_exit_allocation;

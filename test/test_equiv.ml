@@ -28,15 +28,23 @@ let tlb_digest tlb =
   let s = Hw.Tlb.export tlb in
   Digest.to_hex (Digest.string (Marshal.to_string (s.s_entries, s.s_fifo) []))
 
+(* Each process's forensic trail (oldest first) and ring position, as
+   the dispatch loop wrote them. *)
+let pp_trail ppf (p : Kernel.Proc.t) =
+  Fmt.pf ppf "pid %d trail@%d:%a" p.pid p.trail.pos
+    Fmt.(list ~sep:nop (fun ppf -> pf ppf " %x"))
+    (Kernel.Proc.trace_trail p)
+
 (* Everything a run leaves behind that the contract covers: the stop
-   reason, every cost counter, both TLBs' statistics and contents, and
-   the event log. *)
+   reason, every cost counter, both TLBs' statistics and contents, every
+   process's trail, and the event log. *)
 let observe os stop =
   let mmu = Kernel.Os.mmu os in
   let itlb = Hw.Mmu.itlb mmu and dtlb = Hw.Mmu.dtlb mmu in
-  Fmt.str "%s@.%a@.%a %s@.%a %s@.%a" (stop_name stop) Hw.Cost.pp (Kernel.Os.cost os)
+  let trails = List.map (Fmt.str "%a" pp_trail) (Kernel.Os.procs os) in
+  Fmt.str "%s@.%a@.%a %s@.%a %s@.%s@.%a" (stop_name stop) Hw.Cost.pp (Kernel.Os.cost os)
     Hw.Tlb.pp_stats itlb (tlb_digest itlb) Hw.Tlb.pp_stats dtlb (tlb_digest dtlb)
-    Kernel.Event_log.pp (Kernel.Os.log os)
+    (String.concat "\n" trails) Kernel.Event_log.pp (Kernel.Os.log os)
 
 let fuel = 2_000_000
 

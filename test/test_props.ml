@@ -391,6 +391,77 @@ let prop_phys_zero_page =
       && Hw.Phys.materialized t
          <= List.length (List.filter (fun f -> written.(f)) frames))
 
+(* --- block chaining: [Bbcache.follow] is [lookup] ----------------------- *)
+
+type bb_op =
+  | Look of int * int  (* frame, offset *)
+  | Poke of int * int * int  (* frame, offset, byte: a store the watch sees *)
+  | Clear
+
+let bb_ps = 64
+let bb_frames = 4
+
+let gen_bb_op =
+  let open Gen in
+  frequency
+    [
+      (24, map2 (fun f o -> Look (f, o)) (int_range 0 1) (int_range 0 1));
+      (6, map2 (fun f o -> Look (f, o)) (int_range 0 (bb_frames - 1)) (int_range 0 7));
+      (2, map3 (fun f o v -> Poke (f, o, v)) (int_range 0 (bb_frames - 1)) (int_range 0 31) (int_range 0 255));
+      (1, return Clear);
+    ]
+
+let pp_bb_op = function
+  | Look (f, o) -> Fmt.str "lookup %d+%d" f o
+  | Poke (f, o, v) -> Fmt.str "write8 %d+%d %d" f o v
+  | Clear -> "clear"
+
+(* Twin caches over twin memories: one answers every lookup with
+   [lookup], the other with [follow] from the block it returned last.
+   Blocks and statistics must agree after every step, across stores into
+   watched frames (generation bumps), [clear] and the wholesale reset of
+   an 8-block table (both new epochs). Most lookups go to four hot
+   addresses, so successors repeat and some 15% of [follow]s take a
+   link. *)
+let prop_bbcache_follow =
+  Test.make ~name:"bbcache: follow returns and counts what lookup does" ~count:300
+    (make
+       ~print:Print.(pair (list (fun i -> Isa.Insn.to_string i)) (list pp_bb_op))
+       Gen.(pair (list_size (int_range 1 24) gen_instr) (list_size (int_range 1 120) gen_bb_op)))
+    (fun (code, ops) ->
+      let code = String.concat "" (List.map Isa.Encode.to_string code) in
+      let code = String.sub code 0 (min bb_ps (String.length code)) in
+      let twin () =
+        let phys = Hw.Phys.create ~page_size:bb_ps ~frames:bb_frames () in
+        for frame = 0 to bb_frames - 1 do
+          Hw.Phys.blit_from_string phys ~frame ~off:0 code
+        done;
+        (phys, Hw.Bbcache.create ~max_blocks:8 ~phys ())
+      in
+      let pa, a = twin () and pb, b = twin () in
+      let last = ref Hw.Bbcache.none in
+      let view (x : Hw.Bbcache.block) = (x.b_pa0, x.b_gen, x.n) in
+      List.for_all
+        (fun op ->
+          let same_block =
+            match op with
+            | Look (f, o) ->
+              let pa0 = (f * bb_ps) + o in
+              let x = Hw.Bbcache.lookup a pa0 and y = Hw.Bbcache.follow b !last pa0 in
+              last := y;
+              view x = view y
+            | Poke (frame, off, v) ->
+              Hw.Phys.write8 pa ~frame ~off v;
+              Hw.Phys.write8 pb ~frame ~off v;
+              true
+            | Clear ->
+              Hw.Bbcache.clear a;
+              Hw.Bbcache.clear b;
+              true
+          in
+          same_block && Hw.Bbcache.stats a = Hw.Bbcache.stats b)
+        ops)
+
 (* Every property starts from one fixed seed, so the suite's cases (and
    its run time) repeat run to run. *)
 let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) t
@@ -406,6 +477,7 @@ let suite =
       prop_pipe_fifo;
       prop_split_writes_never_touch_code_copy;
       prop_phys_zero_page;
+      prop_bbcache_follow;
     ]
 
 (* Differential test of CPU semantics: a random straight-line register

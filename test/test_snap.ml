@@ -254,8 +254,8 @@ let test_hostile_restore () =
     String.sub blob 0 i ^ by ^ String.sub blob (i + n) (String.length blob - i - n)
   in
   let p = List.hd (Kernel.Os.procs os) in
-  let gpr = p.regs.gpr and trace = p.trace in
-  let trail = int_array trace ^ int_bytes p.trace_pos in
+  let gpr = p.regs.gpr and trace = p.trail.ring in
+  let trail = int_array trace ^ int_bytes p.trail.pos in
   let alloc = Kernel.Frame_alloc.export (Kernel.Os.alloc os) in
   let refcounts = int_array alloc.s_refcount in
   let free = int_bytes (List.length alloc.s_free) ^ ints alloc.s_free in
