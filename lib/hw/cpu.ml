@@ -63,17 +63,17 @@ type trap = No_trap | Sys | Pf | Ud | Gp | Db
    its [Exec_env], so the loops below carry one pointer instead of a
    closure per call, and a call allocates no counters or result record.
    [trail] is [env.trail] as armed when the call began, and [folded] the
-   ITLB hits the cached loop owes a FIFO ITLB, paid when the call ends. *)
+   ITLB hits on [fold_vpn] the cached loop still owes ([pay]). *)
 type cursor = {
   env : Exec_env.t;
   mmu : Mmu.t;
   cost : Cost.t;
   itlb : Tlb.t;
-  itlb_lru : bool;  (* folded hits must push LRU recency one by one *)
   page_shift : int;
   fetch : int -> int;  (* the byte-at-a-time decoder's fetch callback *)
   mutable regs : regs;
   mutable trail : Exec_env.trail;
+  mutable fold_vpn : int;
   mutable folded : int;
   mutable max_insns : int;
   mutable tick_limit : int;
@@ -99,11 +99,11 @@ let cursor (env : Exec_env.t) mmu r =
         mmu;
         cost = Mmu.cost mmu;
         itlb = Mmu.itlb mmu;
-        itlb_lru = Tlb.policy (Mmu.itlb mmu) = Tlb.Lru;
         page_shift = Phys.page_shift (Mmu.phys mmu);
         fetch = (fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a);
         regs = r;
         trail = env.trail;
+        fold_vpn = 0;
         folded = 0;
         max_insns = 0;
         tick_limit = 0;
@@ -431,10 +431,20 @@ let rec exact_loop c =
   end
   else No_trap
 
-(* [n] certain ITLB hits on [vpn]: owed under FIFO (paid at the end of
-   the call), pushed now under LRU. *)
+(* [n] certain ITLB hits on [vpn], owed until the next [pay]. Between two
+   real ITLB translations every fold is on one page, so one pending
+   (vpn, count) pair covers them. *)
 let[@inline] fold_hits c vpn n =
-  if c.itlb_lru then Tlb.note_hits c.itlb vpn n else c.folded <- c.folded + n
+  c.fold_vpn <- vpn;
+  c.folded <- c.folded + n
+
+(* Pay the owed hits: before every real ITLB translation, whose miss
+   would pick a victim by the recency they set, and when the call ends. *)
+let pay c =
+  if c.folded > 0 then begin
+    Tlb.note_hits c.itlb c.fold_vpn c.folded;
+    c.folded <- 0
+  end
 
 (* Cached dispatch: run decoded basic blocks until an instruction traps,
    the attempt budget [max_insns] is exhausted, or the cycle counter
@@ -457,13 +467,13 @@ let[@inline] fold_hits c vpn n =
      hit count (and LRU recency), so a mid-block or same-page instruction
      folds all its bytes into hit counts ([fold_hits]), and a same-page
      successor's paddr is the previous block's frame plus the page offset.
-     Nothing reads the ITLB's hit count within a call, so under FIFO the
-     folded hits are summed in the cursor and paid with one
-     [Tlb.note_hits] when the call ends; under LRU each folded hit still
-     pushes its recency at once, because a later miss's victim depends on
-     it. Blocks are page-bounded, so a block never leaves its first byte's
-     page. A pagetable remap or [invlpg] takes effect at the next call's
-     first translation, with no cache invalidation at all;
+     Between two real translations the folded hits are all on one page,
+     so the cursor sums them and pays them with one [Tlb.note_hits] (an
+     O(1) recency move under LRU) before the next real translation — a
+     miss there picks its victim by that recency — and when the call
+     ends. Blocks are page-bounded, so a block never leaves its first
+     byte's page. A pagetable remap or [invlpg] takes effect at the next
+     call's first translation, with no cache invalidation at all;
    - with a sampling hook or an icache model, every byte of every
      instruction replays a real translation + icache touch, so decimation
      order and cache-line traffic are preserved exactly;
@@ -507,7 +517,8 @@ let rec cached_loop c cache (b : Bbcache.block) idx vpn =
           cached_exec c cache b 0 vpn
         end
       end
-    else
+    else begin
+      pay c;
       let pa0 = Mmu.translate_result c.mmu ~from_user:true Mmu.Fetch eip in
       if pa0 < 0 then begin
         attempted c;
@@ -517,6 +528,7 @@ let rec cached_loop c cache (b : Bbcache.block) idx vpn =
         idx >= 0 && pa0 = b.Bbcache.b_pa0 + b.Bbcache.offs.(idx) && not (Bbcache.stale cache b)
       then cached_translated c cache b idx pa0
       else cached_translated c cache (Bbcache.follow cache b pa0) 0 pa0
+    end
   end
   else No_trap
 
@@ -542,8 +554,10 @@ and cached_translated c cache b idx pa0 =
     end
   end
 
-(* negative block: byte-at-a-time fallback for the one pc [regs.eip] *)
+(* negative block: byte-at-a-time fallback for the one pc [regs.eip],
+   whose later bytes are real translations *)
 and cached_fallback c cache pa0 =
+  pay c;
   let eip = c.regs.eip in
   let t = step_env_at_pa0 c pa0 in
   attempted c;
@@ -597,8 +611,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
     when not (r.tf || Mmu.has_tlb_guard mmu || Phys.ecc_enabled (Mmu.phys mmu)) ->
     c.fast_fetch <- Option.is_none env.sample && Option.is_none (Mmu.icache mmu);
     let t = cached_loop c cache Bbcache.none (-1) (-1) in
-    (* every exit of the loop comes back here: pay the FIFO-folded hits *)
-    Tlb.note_hits c.itlb 0 c.folded;
-    c.folded <- 0;
+    (* every exit of the loop comes back here: pay the folded hits *)
+    pay c;
     t
   | Some _ | None -> exact_loop c

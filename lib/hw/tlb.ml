@@ -12,171 +12,245 @@ type stats = {
   mutable evictions : int;
 }
 
+(* One structure, sized once by [capacity]:
+   - [slots] holds the resident entries, one per slot;
+   - [index] maps a vpn to its slot: open addressing with linear probing
+     over a power-of-two table at most half full, -1 marking an empty
+     cell, and backward-shift deletion, so no tombstones ever build up;
+   - the replacement list threads the resident slots oldest first through
+     [next]/[prev]. It is circular, with index [capacity] as its sentinel:
+     [next.(capacity)] is the victim and [prev.(capacity)] the youngest.
+     An insert appends, an LRU hit moves its slot to the tail, invalidate
+     and evict unlink — each O(1);
+   - a slot off the list is either unused since the last flush (slots
+     [fresh] and up) or freed since, on a stack linked through [next]
+     from [freed] (-1 ends it). *)
 type t = {
   name : string;
   capacity : int;
   policy : policy;
-  table : entry Int_table.t;
-  fifo : int Queue.t;
-  (* occurrence count of each vpn currently in the queue. Under [Lru] the
-     same vpn is re-pushed on every hit; only its *last* occurrence carries
-     recency, so [evict_one] must skip a popped vpn whose count says a
-     fresher occurrence is still queued. Under [Fifo] counts are 0/1 and the
-     logic degenerates to the classic stale-skip. *)
-  occ : int Int_table.t;
+  slots : entry array;
+  next : int array;
+  prev : int array;
+  mutable size : int;
+  mutable fresh : int;
+  mutable freed : int;
+  index : int array;
+  mask : int;
+  shift : int;
   stats : stats;
 }
 
+let vacant = { vpn = -1; frame = 0; user = false; writable = false; nx = false }
+
 let create ?(policy = Fifo) ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * capacity do
+    incr bits
+  done;
   {
     name;
     capacity;
     policy;
-    table = Int_table.create capacity;
-    fifo = Queue.create ();
-    occ = Int_table.create capacity;
+    slots = Array.make capacity vacant;
+    next = Array.make (capacity + 1) capacity;
+    prev = Array.make (capacity + 1) capacity;
+    size = 0;
+    fresh = 0;
+    freed = -1;
+    index = Array.make (1 lsl !bits) (-1);
+    mask = (1 lsl !bits) - 1;
+    shift = Sys.int_size - !bits;
     stats = { hits = 0; misses = 0; flushes = 0; invalidations = 0; evictions = 0 };
   }
 
 let name t = t.name
 let capacity t = t.capacity
 let policy t = t.policy
-let size t = Int_table.length t.table
+let size t = t.size
 let stats t = t.stats
 
-let push t vpn =
-  Queue.add vpn t.fifo;
-  match Int_table.find_opt t.occ vpn with
-  | None -> Int_table.add t.occ vpn 1
-  | Some n -> Int_table.replace t.occ vpn (n + 1)
+(* Multiplicative (Fibonacci) hashing: the top bits of the product, so
+   consecutive vpns land far apart instead of in one probe run. *)
+let[@inline] home t vpn = (vpn * 0x4F1B_BCDC_BFA5_3E0B) lsr t.shift
 
-(* Under LRU every hit pushes, so the queue would grow without bound;
-   compact it deterministically once it exceeds a fixed multiple of
-   capacity. Keeping only the *last* occurrence of each live vpn (in
-   relative order) preserves the replacement order exactly, so compaction
-   is semantically invisible — and because it triggers at a deterministic
-   queue length, snapshots taken before/after replay identically. *)
-let compact t =
-  let raw = Array.of_seq (Queue.to_seq t.fifo) in
-  Queue.clear t.fifo;
-  Int_table.reset t.occ;
-  let kept = ref [] in
-  let seen = Int_table.create t.capacity in
-  for i = Array.length raw - 1 downto 0 do
-    let vpn = raw.(i) in
-    if Int_table.mem t.table vpn && not (Int_table.mem seen vpn) then begin
-      Int_table.add seen vpn ();
-      kept := vpn :: !kept
-    end
-  done;
-  List.iter (fun vpn -> push t vpn) !kept
+(* The probe loops below are top-level functions with every variable an
+   argument: a local closure would be allocated on each call. *)
 
-(* LRU recency update on a hit. Allocates a queue cell — so [Lru] trades
-   the allocation-free hit path for better retention; the alloc-gated
-   default stays [Fifo]. *)
-let touch t vpn =
-  push t vpn;
-  if Queue.length t.fifo > 8 * t.capacity then compact t
+let rec probe t vpn i =
+  let s = Array.unsafe_get t.index i in
+  if s < 0 then -1
+  else if (Array.unsafe_get t.slots s).vpn = vpn then i
+  else probe t vpn ((i + 1) land t.mask)
 
-let lookup t vpn =
-  match Int_table.find_opt t.table vpn with
-  | Some e ->
-    t.stats.hits <- t.stats.hits + 1;
-    if t.policy = Lru then touch t vpn;
-    Some e
-  | None ->
-    t.stats.misses <- t.stats.misses + 1;
-    None
+(* The index cell holding [vpn]'s slot, or -1 if it is not resident. The
+   first cell is tested inline: at most half full, the index usually
+   answers there. *)
+let locate t vpn =
+  let i = home t vpn in
+  let s = Array.unsafe_get t.index i in
+  if s < 0 then -1
+  else if (Array.unsafe_get t.slots s).vpn = vpn then i
+  else probe t vpn ((i + 1) land t.mask)
+
+(* Cell [hole] is being emptied: pull back every later entry of its probe
+   run that may legally sit there, one whose home is not cyclically in
+   (hole, j]. *)
+let rec shift_back t hole j =
+  let s = t.index.(j) in
+  if s < 0 then t.index.(hole) <- -1
+  else if (j - home t t.slots.(s).vpn) land t.mask >= (j - hole) land t.mask then begin
+    t.index.(hole) <- s;
+    shift_back t j ((j + 1) land t.mask)
+  end
+  else shift_back t hole ((j + 1) land t.mask)
+
+let rec place_at t s i =
+  if t.index.(i) < 0 then t.index.(i) <- s else place_at t s ((i + 1) land t.mask)
+
+let place t s = place_at t s (home t t.slots.(s).vpn)
+
+let unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p
+
+let append t s =
+  let last = t.prev.(t.capacity) in
+  t.next.(last) <- s;
+  t.prev.(s) <- last;
+  t.next.(s) <- t.capacity;
+  t.prev.(t.capacity) <- s
+
+(* LRU recency: the slot becomes the youngest. *)
+let touch t s =
+  if t.prev.(t.capacity) <> s then begin
+    unlink t s;
+    append t s
+  end
+
+(* Drop the entry in index cell [i]. *)
+let remove t i =
+  let s = t.index.(i) in
+  shift_back t i ((i + 1) land t.mask);
+  unlink t s;
+  t.next.(s) <- t.freed;
+  t.freed <- s;
+  t.size <- t.size - 1
 
 (* Allocation-free hit path for the MMU fast path: no [Some] box per hit,
-   and [Not_found] is a constant exception. (Under [Lru] the recency push
-   allocates; see [touch].) *)
+   and [Not_found] is a constant exception. *)
 let find t vpn =
-  match Int_table.find t.table vpn with
-  | e ->
+  let i = locate t vpn in
+  if i >= 0 then begin
+    let s = Array.unsafe_get t.index i in
     t.stats.hits <- t.stats.hits + 1;
-    if t.policy = Lru then touch t vpn;
-    e
-  | exception Not_found ->
+    if t.policy = Lru then touch t s;
+    Array.unsafe_get t.slots s
+  end
+  else begin
     t.stats.misses <- t.stats.misses + 1;
     raise Not_found
+  end
+
+let lookup t vpn = match find t vpn with e -> Some e | exception Not_found -> None
 
 (* Bulk hit accounting for the block-dispatch fast path: the caller has
-   already proven the next [n] lookups of [vpn] would all hit (the entry is
-   resident and nothing can evict it in between), so fold them into one
-   call. Must stay observably identical to [n] consecutive [find]s: the hit
-   counter advances by [n], and under LRU each folded hit still pushes a
-   recency occurrence — including the deterministic compaction trigger. *)
+   already proven the next [n] lookups of [vpn] would all hit, so fold
+   them into one call. [n] consecutive hits on one entry leave the same
+   recency as one, so this stays observably identical to [n] [find]s. *)
 let note_hits t vpn n =
   if n > 0 then begin
     t.stats.hits <- t.stats.hits + n;
-    if t.policy = Lru then
-      for _ = 1 to n do
-        touch t vpn
-      done
+    if t.policy = Lru then begin
+      let i = locate t vpn in
+      if i >= 0 then touch t t.index.(i)
+    end
   end
 
-let peek t vpn = Int_table.find_opt t.table vpn
-
-(* Replacement: pop until a victim qualifies. A popped vpn is skipped when
-   it was already invalidated, or (LRU) when a fresher occurrence remains
-   queued — only the last occurrence of a vpn carries its recency. *)
-let rec evict_one t =
-  match Queue.take_opt t.fifo with
-  | None -> ()
-  | Some victim ->
-    let remaining =
-      match Int_table.find_opt t.occ victim with Some n -> n - 1 | None -> 0
-    in
-    if remaining <= 0 then Int_table.remove t.occ victim
-    else Int_table.replace t.occ victim remaining;
-    if remaining > 0 then evict_one t
-    else if Int_table.mem t.table victim then begin
-      Int_table.remove t.table victim;
-      t.stats.evictions <- t.stats.evictions + 1
-    end
-    else evict_one t
+let peek t vpn =
+  let i = locate t vpn in
+  if i >= 0 then Some t.slots.(t.index.(i)) else None
 
 let insert t (e : entry) =
-  let fresh = not (Int_table.mem t.table e.vpn) in
-  if fresh && Int_table.length t.table >= t.capacity then evict_one t;
-  Int_table.replace t.table e.vpn e;
-  if fresh then push t e.vpn
+  let i = locate t e.vpn in
+  if i >= 0 then t.slots.(t.index.(i)) <- e
+  else begin
+    if t.size = t.capacity then begin
+      remove t (locate t t.slots.(t.next.(t.capacity)).vpn);
+      t.stats.evictions <- t.stats.evictions + 1
+    end;
+    let s =
+      if t.freed >= 0 then begin
+        let s = t.freed in
+        t.freed <- t.next.(s);
+        s
+      end
+      else begin
+        t.fresh <- t.fresh + 1;
+        t.fresh - 1
+      end
+    in
+    t.size <- t.size + 1;
+    t.slots.(s) <- e;
+    place t s;
+    append t s
+  end
+
+(* Resident slots, oldest first. *)
+let fold_list f t acc =
+  let rec go s acc = if s = t.capacity then acc else go t.prev.(s) (f t.slots.(s) acc) in
+  go t.prev.(t.capacity) acc
 
 (* Fault-injection surface (lib/inject): enumerate and mutate live entries
-   without touching statistics or the FIFO replacement queue — a tampered
-   entry must age exactly like the original would have. *)
-let entries t =
-  Int_table.fold (fun _ e acc -> e :: acc) t.table []
-  |> List.sort (fun a b -> compare a.vpn b.vpn)
+   without touching statistics or the replacement list — a tampered entry
+   must age exactly like the original would have. *)
+let entries t = fold_list List.cons t [] |> List.sort (fun a b -> compare a.vpn b.vpn)
 
 let tamper t vpn f =
-  match Int_table.find_opt t.table vpn with
-  | None -> false
-  | Some e ->
-    let e' = f e in
-    Int_table.replace t.table vpn { e' with vpn };
+  let i = locate t vpn in
+  if i < 0 then false
+  else begin
+    let s = t.index.(i) in
+    t.slots.(s) <- { (f t.slots.(s)) with vpn };
     true
+  end
 
 let invalidate t vpn =
-  if Int_table.mem t.table vpn then begin
-    Int_table.remove t.table vpn;
+  let i = locate t vpn in
+  if i >= 0 then begin
+    remove t i;
     t.stats.invalidations <- t.stats.invalidations + 1
   end
 
+(* O(resident): clear each resident entry's probe run, from its home cell
+   to the first empty one. A run cleared earlier was cleared to its end,
+   so every entry still in the index is reached from its own home. *)
+let rec wipe t i =
+  if t.index.(i) >= 0 then begin
+    t.index.(i) <- -1;
+    wipe t ((i + 1) land t.mask)
+  end
+
+let rec clear_from t s =
+  if s <> t.capacity then begin
+    wipe t (home t t.slots.(s).vpn);
+    clear_from t t.next.(s)
+  end
+
+let clear t =
+  clear_from t t.next.(t.capacity);
+  t.size <- 0;
+  t.fresh <- 0;
+  t.freed <- -1;
+  t.next.(t.capacity) <- t.capacity;
+  t.prev.(t.capacity) <- t.capacity
+
 let flush t =
-  Int_table.reset t.table;
-  Queue.clear t.fifo;
-  Int_table.reset t.occ;
+  clear t;
   t.stats.flushes <- t.stats.flushes + 1
 
-(* Raw state export for snapshots. The FIFO queue is exported verbatim
-   (front first) rather than reconstructed from the live table: it may hold
-   stale or duplicate vpns, and replaying eviction order bit-for-bit after a
-   restore requires preserving exactly that raw sequence. Entries are listed
-   sorted by vpn so that logically identical TLBs export identically
-   regardless of hashtable history. *)
 type state = {
   s_entries : entry list;
   s_fifo : int list;
@@ -188,13 +262,9 @@ type state = {
 }
 
 let export t =
-  let entries =
-    Int_table.fold (fun _ e acc -> e :: acc) t.table []
-    |> List.sort (fun a b -> compare a.vpn b.vpn)
-  in
   {
-    s_entries = entries;
-    s_fifo = List.of_seq (Queue.to_seq t.fifo);
+    s_entries = entries t;
+    s_fifo = fold_list (fun e acc -> e.vpn :: acc) t [];
     s_hits = t.stats.hits;
     s_misses = t.stats.misses;
     s_flushes = t.stats.flushes;
@@ -202,12 +272,23 @@ let export t =
     s_evictions = t.stats.evictions;
   }
 
+(* The entries go in first, in vpn order, so one the queue never names
+   ages as the oldest; then each queue occurrence of a resident vpn makes
+   it the youngest, so its last occurrence sets its age and stale vpns
+   drop out. *)
 let import t (s : state) =
-  Int_table.reset t.table;
-  Queue.clear t.fifo;
-  Int_table.reset t.occ;
-  List.iter (fun e -> Int_table.replace t.table e.vpn e) s.s_entries;
-  List.iter (fun vpn -> push t vpn) s.s_fifo;
+  clear t;
+  List.iter
+    (fun (e : entry) ->
+      if t.size = t.capacity then invalid_arg "Tlb.import: more entries than capacity";
+      if locate t e.vpn >= 0 then invalid_arg "Tlb.import: repeated vpn";
+      insert t e)
+    s.s_entries;
+  List.iter
+    (fun vpn ->
+      let i = locate t vpn in
+      if i >= 0 then touch t t.index.(i))
+    s.s_fifo;
   t.stats.hits <- s.s_hits;
   t.stats.misses <- s.s_misses;
   t.stats.flushes <- s.s_flushes;

@@ -9,11 +9,10 @@
 
 type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
 
-(** Replacement policy. [Fifo] (the default) keeps the allocation-free hit
-    path: entries age in insertion order. [Lru] re-queues a vpn on every
-    hit so the least-recently-used live entry is the victim — it retains
-    hot pages better but allocates a queue cell per hit, so the
-    alloc-gated configurations stay on [Fifo]. *)
+(** Replacement policy. Under [Fifo] (the default) entries age in
+    insertion order; under [Lru] every hit makes its entry the youngest,
+    so the least-recently-used entry is the victim. Either way a hit, an
+    insert and an eviction are O(1) and allocate nothing. *)
 type policy = Fifo | Lru
 
 val policy_name : policy -> string
@@ -46,12 +45,11 @@ val find : t -> int -> entry
 
 val note_hits : t -> int -> int -> unit
 (** [note_hits t vpn n] accounts for [n] guaranteed hits on [vpn] without
-    performing the lookups: hits advance by [n] and, under {!Lru}, each
-    folded hit pushes its recency occurrence exactly as [n] consecutive
-    {!find}s would (including compaction timing). The caller must know the
-    entry is resident and cannot be evicted across the folded window — the
-    block-dispatch contract for the trailing bytes of a page-bounded
-    instruction. *)
+    performing the lookups: hits advance by [n] and, under {!Lru}, [vpn]
+    becomes the youngest entry, exactly as after [n] consecutive {!find}s.
+    O(1) under both policies. The caller must know the entry is resident
+    and cannot be evicted across the folded window — the block-dispatch
+    contract for the bytes of instructions fetched from one page. *)
 
 val peek : t -> int -> entry option
 (** Lookup without touching statistics (for tests and assertions). *)
@@ -66,10 +64,10 @@ val entries : t -> entry list
 
 val tamper : t -> int -> (entry -> entry) -> bool
 (** [tamper t vpn f] replaces the entry for [vpn] with [f entry] in place
-    (the vpn itself cannot be changed), bypassing statistics and the FIFO
-    queue. Returns [false] if no entry is cached for [vpn]. This is the
-    fault-injection surface: it models a bit flip inside a TLB cell, not an
-    architectural insert. *)
+    (the vpn itself cannot be changed), bypassing statistics and the
+    replacement order: the entry keeps its age. Returns [false] if no
+    entry is cached for [vpn]. This is the fault-injection surface: it
+    models a bit flip inside a TLB cell, not an architectural insert. *)
 
 val invalidate : t -> int -> unit
 (** [invlpg]: drop the entry for one vpn, if present. *)
@@ -79,20 +77,27 @@ val flush : t -> unit
 
 type state = {
   s_entries : entry list;  (** live entries, sorted by vpn *)
-  s_fifo : int list;  (** raw FIFO replacement queue, front first *)
+  s_fifo : int list;  (** resident vpns in replacement order, victim first *)
   s_hits : int;
   s_misses : int;
   s_flushes : int;
   s_invalidations : int;
   s_evictions : int;
 }
-(** Complete serializable TLB state. The raw FIFO queue (which may contain
-    stale or duplicate vpns) is preserved so a restored TLB reproduces the
-    original's future eviction order exactly. *)
+(** Complete serializable TLB state: the replacement order is kept, so a
+    restored TLB reproduces the original's future eviction order exactly. *)
 
 val export : t -> state
+(** [s_fifo] lists every resident vpn once, oldest (the next victim)
+    first. *)
+
 val import : t -> state -> unit
-(** Replace the TLB's contents and statistics with [state]. *)
+(** Replace the TLB's contents and statistics with [state]. [s_fifo] may
+    also be a raw replacement queue as older snapshots stored it: a vpn
+    that is not resident is ignored, a vpn's last occurrence sets its age,
+    and a resident vpn the queue never names ages as older than every
+    named one. Raises [Invalid_argument] if [s_entries] holds more entries
+    than {!capacity} or repeats a vpn. *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)

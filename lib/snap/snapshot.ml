@@ -261,11 +261,12 @@ let rng_state_bytes = 32  (* OCaml 5: four int64 words, marshalled last *)
 
 let corrupt fmt = Fmt.kstr (fun m -> raise (Codec.Corrupt m)) fmt
 
-(* Check the decoded values restore indexes with or sizes by, and decode
-   the kernel PRNG, before the machine is touched: a hostile blob that
-   decodes fails here with [Codec.Corrupt] rather than with
+(* Check the decoded values restore indexes with or sizes by, that each
+   TLB state fits its TLB (no more entries than slots, no vpn twice), and
+   decode the kernel PRNG, before the machine is touched: a hostile blob
+   that decodes fails here with [Codec.Corrupt] rather than with
    [Invalid_argument] halfway through a restore. *)
-let validate snap =
+let validate mmu snap =
   let frames what ~first l =
     ignore
       (List.fold_left
@@ -296,6 +297,15 @@ let validate snap =
       if n = 0 || ps.pr_trace_pos < 0 || ps.pr_trace_pos >= n then
         corrupt "pid %d: trace position %d of %d" ps.pr_pid ps.pr_trace_pos n)
     snap.sn_procs;
+  let tlb (s : Hw.Tlb.state) t =
+    let n = List.length s.s_entries and cap = Hw.Tlb.capacity t in
+    if n > cap then corrupt "%s: %d entries for %d slots" (Hw.Tlb.name t) n cap;
+    let vpns = List.map (fun (e : Hw.Tlb.entry) -> e.vpn) s.s_entries in
+    if List.length (List.sort_uniq compare vpns) <> n then
+      corrupt "%s: a vpn is cached twice" (Hw.Tlb.name t)
+  in
+  tlb snap.sn_itlb (Hw.Mmu.itlb mmu);
+  tlb snap.sn_dtlb (Hw.Mmu.dtlb mmu);
   let rng = snap.sn_rng and fixed = String.length rng_template - rng_state_bytes in
   if
     String.length rng <> String.length rng_template
@@ -310,7 +320,7 @@ let restore os snap =
   let cost = Kernel.Os.cost os in
   let mmu = Kernel.Os.mmu os in
   Result.iter_error (fun m -> invalid_arg ("Snapshot.restore: " ^ m)) (compatible os snap);
-  let rng = validate snap in
+  let rng = validate mmu snap in
   (* physical memory: zero everything, then lay down the sparse frames.
      Zeroing a frame that was never written costs nothing. *)
   for frame = 0 to snap.sn_frame_count - 1 do

@@ -1,8 +1,8 @@
 (** Whole-machine snapshots: checkpoint/restore of a live simulation.
 
     A snapshot is a deep, immutable copy of everything that determines the
-    simulation's future: CPU registers, both TLBs (including their raw FIFO
-    replacement queues), physical frames (sparse — all-zero frames are
+    simulation's future: CPU registers, both TLBs (including their
+    replacement order), physical frames (sparse — all-zero frames are
     skipped), the frame allocator, every process (pagetables with
     code/data-copy split mappings, regions, descriptors, pipes), registered
     libraries, scheduler state, the kernel PRNG, cost counters and the

@@ -289,9 +289,10 @@ let test_smc_same_page_successor () =
   Alcotest.(check int) "patched b" 0x2A (Hw.Cpu.get regs Isa.Reg.EAX);
   Alcotest.(check bool) "cached = exact (regs, cycles, TLBs)" true (cached = final ~cached:false)
 
-(* Cached dispatch owes a FIFO ITLB its folded hits until the call ends,
-   so the ITLB must match exact dispatch after every call, whichever way
-   the call ended. The tour: vpn 0 counts, jumps within its page (a
+(* Cached dispatch owes the ITLB its folded hits until the next real
+   translation or the end of the call, so the ITLB (statistics and
+   replacement order) must match exact dispatch after every call,
+   whichever way the call ended. The tour: vpn 0 counts, jumps within its page (a
    same-page successor block) and transfers to vpn 1; vpn 1 makes a
    syscall, faults on a load from unmapped vpn 7, and jumps to an
    instruction that straddles its end into vpn 2 (a negative block, run
@@ -391,20 +392,22 @@ let test_itlb_every_call policy () =
 
 (* The cached loop allocates nothing per instruction: a straight-line
    loop with loads and stores stays under half a minor word per retired
-   instruction. *)
-let test_dispatch_allocation () =
+   instruction. The store and the load go to two pages, so under LRU
+   every data access moves its DTLB entry to the young end. *)
+let test_dispatch_allocation tlb_policy () =
   let code =
     (Isa.Asm.assemble
        Isa.Asm.(
          [ L "top"; I (Mov_ri (EDI, 0x1000)) ]
          @ List.init 8 (fun i -> I (Add_ri (EAX, i)))
-         @ [ I (Store (EDI, 0, EAX)); I (Load (EBX, EDI, 4)); I (Jmp (Lbl "top")) ]))
+         @ [ I (Store (EDI, 0, EAX)); I (Load (EBX, EDI, 0x1004)); I (Jmp (Lbl "top")) ]))
       .code
   in
-  let phys, mmu, map = bare () in
+  let phys, mmu, map = bare ~tlb_policy () in
   Hw.Phys.blit_from_string phys ~frame:1 ~off:0 code;
   map ~vpn:0 ~frame:1;
   map ~vpn:1 ~frame:2;
+  map ~vpn:2 ~frame:3;
   let env = dispatch_env phys ~cached:true and regs = Hw.Cpu.create_regs () in
   ignore (run_n env mmu regs 1_000 : run);
   let before = Gc.minor_words () in
@@ -502,6 +505,8 @@ let suite =
     Alcotest.test_case "itlb equal after every call (lru)" `Quick
       (test_itlb_every_call Hw.Tlb.Lru);
     Alcotest.test_case "cached loop: < 0.5 minor words per insn" `Quick
-      test_dispatch_allocation;
+      (test_dispatch_allocation Hw.Tlb.Fifo);
+    Alcotest.test_case "cached loop (lru): < 0.5 minor words per insn" `Quick
+      (test_dispatch_allocation Hw.Tlb.Lru);
     Alcotest.test_case "trap exits allocate nothing" `Quick test_trap_exit_allocation;
   ]

@@ -21,9 +21,9 @@ let stop_name : Kernel.Os.stop_reason -> string = function
   | All_blocked -> "all-blocked"
   | Fuel_exhausted -> "fuel-exhausted"
 
-(* A digest of a TLB's resident entries and its replacement queue (FIFO
-   order, or LRU recency with every re-pushed occurrence): two TLBs with
-   the same digest evict the same victims from here on. *)
+(* A digest of a TLB's resident entries and their replacement order
+   (insertion order under FIFO, recency under LRU): two TLBs with the
+   same digest evict the same victims from here on. *)
 let tlb_digest tlb =
   let s = Hw.Tlb.export tlb in
   Digest.to_hex (Digest.string (Marshal.to_string (s.s_entries, s.s_fifo) []))
@@ -286,10 +286,10 @@ let golden_specs =
          (Workload.Guests.nbench ~iters:2 ()));
   ]
 
-(* LRU TLBs small enough to evict constantly. Under LRU every hit pushes
-   a recency occurrence, so these are the scenarios where cached dispatch's
-   folded fetch hits must reproduce the exact loop's queue entry for entry
-   (no other scenario runs LRU without a sampler, which forces per-byte
+(* LRU TLBs small enough to evict constantly. Under LRU every hit moves
+   its entry to the young end, so these are the scenarios where cached
+   dispatch's folded fetch hits must reproduce the exact loop's
+   replacement order entry for entry (no other scenario runs LRU without a sampler, which forces per-byte
    fetches). Run on the exact-dispatch axis only. *)
 let lru_scenarios =
   let module G = Workload.Guests in

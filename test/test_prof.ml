@@ -94,8 +94,8 @@ let test_lru_keeps_touched () =
   Alcotest.(check bool) "fifo evicts 1" true (Hw.Tlb.peek fifo 1 = None);
   Alcotest.(check bool) "fifo keeps 2" true (Hw.Tlb.peek fifo 2 <> None)
 
-(* Re-touching one vpn many times must not let the occurrence queue starve
-   eviction of the others (the compaction path). *)
+(* Re-touching one vpn many times keeps it the youngest: the other entry
+   is the victim. *)
 let test_lru_hot_loop () =
   let t = Hw.Tlb.create ~policy:Hw.Tlb.Lru ~name:"t" ~capacity:2 () in
   Hw.Tlb.insert t (entry 1 10);

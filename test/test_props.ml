@@ -462,6 +462,239 @@ let prop_bbcache_follow =
           same_block && Hw.Bbcache.stats a = Hw.Bbcache.stats b)
         ops)
 
+(* The TLB as it was before the slot arrays: an entry table, a raw queue
+   of vpns and an occurrence count per queued vpn, with stale-skip
+   eviction and LRU compaction at 8x capacity. Kept here as the
+   reference the flat TLB must match step for step. *)
+module Queue_tlb = struct
+  type t = {
+    capacity : int;
+    lru : bool;
+    table : (int, Hw.Tlb.entry) Hashtbl.t;
+    fifo : int Queue.t;
+    occ : (int, int) Hashtbl.t;
+    stats : Hw.Tlb.stats;
+  }
+
+  let create ~lru ~capacity =
+    {
+      capacity;
+      lru;
+      table = Hashtbl.create capacity;
+      fifo = Queue.create ();
+      occ = Hashtbl.create capacity;
+      stats = { hits = 0; misses = 0; flushes = 0; invalidations = 0; evictions = 0 };
+    }
+
+  let push t vpn =
+    Queue.add vpn t.fifo;
+    Hashtbl.replace t.occ vpn (1 + Option.value ~default:0 (Hashtbl.find_opt t.occ vpn))
+
+  let compact t =
+    let raw = Array.of_seq (Queue.to_seq t.fifo) in
+    Queue.clear t.fifo;
+    Hashtbl.reset t.occ;
+    let kept = ref [] and seen = Hashtbl.create t.capacity in
+    for i = Array.length raw - 1 downto 0 do
+      let vpn = raw.(i) in
+      if Hashtbl.mem t.table vpn && not (Hashtbl.mem seen vpn) then begin
+        Hashtbl.add seen vpn ();
+        kept := vpn :: !kept
+      end
+    done;
+    List.iter (push t) !kept
+
+  let touch t vpn =
+    push t vpn;
+    if Queue.length t.fifo > 8 * t.capacity then compact t
+
+  let lookup t vpn =
+    match Hashtbl.find_opt t.table vpn with
+    | Some e ->
+      t.stats.hits <- t.stats.hits + 1;
+      if t.lru then touch t vpn;
+      Some e
+    | None ->
+      t.stats.misses <- t.stats.misses + 1;
+      None
+
+  let note_hits t vpn n =
+    if n > 0 then begin
+      t.stats.hits <- t.stats.hits + n;
+      if t.lru then
+        for _ = 1 to n do
+          touch t vpn
+        done
+    end
+
+  let rec evict_one t =
+    match Queue.take_opt t.fifo with
+    | None -> ()
+    | Some victim ->
+      let remaining = Option.value ~default:0 (Hashtbl.find_opt t.occ victim) - 1 in
+      if remaining <= 0 then Hashtbl.remove t.occ victim
+      else Hashtbl.replace t.occ victim remaining;
+      if remaining > 0 then evict_one t
+      else if Hashtbl.mem t.table victim then begin
+        Hashtbl.remove t.table victim;
+        t.stats.evictions <- t.stats.evictions + 1
+      end
+      else evict_one t
+
+  let insert t (e : Hw.Tlb.entry) =
+    let fresh = not (Hashtbl.mem t.table e.vpn) in
+    if fresh && Hashtbl.length t.table >= t.capacity then evict_one t;
+    Hashtbl.replace t.table e.vpn e;
+    if fresh then push t e.vpn
+
+  let entries t =
+    Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
+    |> List.sort (fun (a : Hw.Tlb.entry) b -> compare a.vpn b.vpn)
+
+  let tamper t vpn f =
+    match Hashtbl.find_opt t.table vpn with
+    | None -> ()
+    | Some e -> Hashtbl.replace t.table vpn { (f e) with Hw.Tlb.vpn }
+
+  let invalidate t vpn =
+    if Hashtbl.mem t.table vpn then begin
+      Hashtbl.remove t.table vpn;
+      t.stats.invalidations <- t.stats.invalidations + 1
+    end
+
+  let flush t =
+    Hashtbl.reset t.table;
+    Queue.clear t.fifo;
+    Hashtbl.reset t.occ;
+    t.stats.flushes <- t.stats.flushes + 1
+
+  (* the raw queue, stale and repeated vpns included *)
+  let export t : Hw.Tlb.state =
+    {
+      s_entries = entries t;
+      s_fifo = List.of_seq (Queue.to_seq t.fifo);
+      s_hits = t.stats.hits;
+      s_misses = t.stats.misses;
+      s_flushes = t.stats.flushes;
+      s_invalidations = t.stats.invalidations;
+      s_evictions = t.stats.evictions;
+    }
+
+  (* the queue reduced to each resident vpn's last occurrence: its
+     replacement order *)
+  let order t =
+    List.fold_right
+      (fun vpn kept ->
+        if Hashtbl.mem t.table vpn && not (List.mem vpn kept) then vpn :: kept else kept)
+      (List.of_seq (Queue.to_seq t.fifo))
+      []
+end
+
+type tlb_twin_op =
+  | T_find of int
+  | T_lookup of int
+  | T_insert of int * int
+  | T_invalidate of int
+  | T_flush
+  | T_note_hits of int * int
+  | T_tamper of int
+  | T_restore
+
+let gen_tlb_twin_op =
+  let open Gen in
+  let vpn = int_range 0 11 in
+  frequency
+    [
+      (6, map (fun v -> T_find v) vpn);
+      (2, map (fun v -> T_lookup v) vpn);
+      (8, map2 (fun v f -> T_insert (v, f)) vpn (int_range 0 99));
+      (2, map (fun v -> T_invalidate v) vpn);
+      (1, return T_flush);
+      (4, map2 (fun v n -> T_note_hits (v, n)) vpn (int_range 1 40));
+      (1, map (fun v -> T_tamper v) vpn);
+      (1, return T_restore);
+    ]
+
+let pp_tlb_twin_op = function
+  | T_find v -> Fmt.str "find %d" v
+  | T_lookup v -> Fmt.str "lookup %d" v
+  | T_insert (v, f) -> Fmt.str "insert %d->%d" v f
+  | T_invalidate v -> Fmt.str "invalidate %d" v
+  | T_flush -> "flush"
+  | T_note_hits (v, n) -> Fmt.str "note_hits %d %d" v n
+  | T_tamper v -> Fmt.str "tamper %d" v
+  | T_restore -> "restore from the raw queue"
+
+(* Twin TLBs, the flat one and the queue reference, through one random
+   sequence: entries, statistics, every eviction victim and the
+   replacement order must agree after every step. [restore] replaces the
+   flat TLB with a fresh one imported from the reference's raw queue —
+   stale vpns (invalidated under FIFO) and repeated ones (LRU hits)
+   included — so the victims after it check that [import] ages each vpn
+   by its last occurrence. *)
+let prop_tlb_twin =
+  Test.make ~name:"tlb: flat slots evict as the queue reference does" ~count:500
+    (make
+       ~print:Print.(triple int bool (list pp_tlb_twin_op))
+       Gen.(triple (int_range 1 8) bool (list_size (int_range 1 150) gen_tlb_twin_op)))
+    (fun (capacity, lru, ops) ->
+      let policy = if lru then Hw.Tlb.Lru else Hw.Tlb.Fifo in
+      let fresh () = Hw.Tlb.create ~policy ~name:"flat" ~capacity () in
+      let flat = ref (fresh ()) and rf = Queue_tlb.create ~lru ~capacity in
+      let entry vpn frame : Hw.Tlb.entry =
+        { vpn; frame; user = vpn land 1 = 0; writable = true; nx = false }
+      in
+      let flip (e : Hw.Tlb.entry) = { e with frame = e.frame + 1000; nx = not e.nx } in
+      let vpns l = List.map (fun (e : Hw.Tlb.entry) -> e.vpn) l in
+      List.for_all
+        (fun op ->
+          let t = !flat in
+          let before_flat = vpns (Hw.Tlb.entries t) and before_ref = vpns (Queue_tlb.entries rf) in
+          let same_answer =
+            match op with
+            | T_find v ->
+              let a = match Hw.Tlb.find t v with e -> Some e | exception Not_found -> None in
+              a = Queue_tlb.lookup rf v
+            | T_lookup v -> Hw.Tlb.lookup t v = Queue_tlb.lookup rf v
+            | T_insert (v, f) ->
+              Hw.Tlb.insert t (entry v f);
+              Queue_tlb.insert rf (entry v f);
+              true
+            | T_invalidate v ->
+              Hw.Tlb.invalidate t v;
+              Queue_tlb.invalidate rf v;
+              true
+            | T_flush ->
+              Hw.Tlb.flush t;
+              Queue_tlb.flush rf;
+              true
+            | T_note_hits (v, n) ->
+              Hw.Tlb.note_hits t v n;
+              Queue_tlb.note_hits rf v n;
+              true
+            | T_tamper v ->
+              let found = Hw.Tlb.tamper t v flip in
+              Queue_tlb.tamper rf v flip;
+              found = Hashtbl.mem rf.table v
+            | T_restore ->
+              let t' = fresh () in
+              Hw.Tlb.import t' (Queue_tlb.export rf);
+              flat := t';
+              true
+          in
+          let t = !flat in
+          let gone before after = List.filter (fun v -> not (List.mem v after)) before in
+          let victims_flat = gone before_flat (vpns (Hw.Tlb.entries t)) in
+          let victims_ref = gone before_ref (vpns (Queue_tlb.entries rf)) in
+          let s = Hw.Tlb.export t in
+          same_answer
+          && Hw.Tlb.entries t = Queue_tlb.entries rf
+          && Hw.Tlb.stats t = rf.stats
+          && victims_flat = victims_ref
+          && s.s_fifo = Queue_tlb.order rf
+          && Hw.Tlb.size t <= capacity)
+        ops)
+
 (* Every property starts from one fixed seed, so the suite's cases (and
    its run time) repeat run to run. *)
 let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) t
@@ -478,6 +711,7 @@ let suite =
       prop_split_writes_never_touch_code_copy;
       prop_phys_zero_page;
       prop_bbcache_follow;
+      prop_tlb_twin;
     ]
 
 (* Differential test of CPU semantics: a random straight-line register

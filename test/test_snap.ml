@@ -236,7 +236,8 @@ let test_decode_fuzz () =
   Alcotest.(check bool) (Fmt.str "blobs restored (%d)" !restored) true (!restored > 0)
 
 (* A blob that decodes but carries a value [restore] would index or size
-   by raises [Codec.Corrupt] before the machine is touched. Each case
+   by, or a TLB state that does not fit its TLB, raises [Codec.Corrupt]
+   before the machine is touched. Each case
    splices one well-formed but out-of-range field into the fuzz subject's
    blob, located by its encoding (taken from the live machine). *)
 let test_hostile_restore () =
@@ -271,6 +272,20 @@ let test_hostile_restore () =
     | _ -> Alcotest.fail "fewer than two written frames"
   in
   let frame f = int_bytes f ^ int_bytes page ^ Hw.Phys.to_string phys ~frame:f in
+  let dtlb = Hw.Tlb.export (Hw.Mmu.dtlb (Kernel.Os.mmu os)) in
+  let entries l =
+    let bool b = Snap.Codec.(encode ~magic:"" bool b) in
+    int_bytes (List.length l)
+    ^ String.concat ""
+        (List.map
+           (fun (e : Hw.Tlb.entry) ->
+             int_bytes e.vpn ^ int_bytes e.frame ^ bool e.user ^ bool e.writable ^ bool e.nx)
+           l)
+  in
+  let tlb_entries = entries dtlb.s_entries in
+  let first =
+    match dtlb.s_entries with e :: _ -> e | [] -> Alcotest.fail "the dtlb holds no entry"
+  in
   let cases =
     [
       ( "7 registers",
@@ -294,6 +309,10 @@ let test_hostile_restore () =
         splice (frame f0)
           (int_bytes f0 ^ int_bytes (page - 1)
           ^ String.sub (Hw.Phys.to_string phys ~frame:f0) 1 (page - 1)) );
+      ("dtlb vpn cached twice", splice tlb_entries (entries (first :: dtlb.s_entries)));
+      ( "65 dtlb entries for 64 slots",
+        splice tlb_entries
+          (entries (List.init 65 (fun i -> { first with vpn = 0x10_0000 + i }))) );
     ]
   in
   List.iter
