@@ -139,7 +139,7 @@ let finish_obs obs ~metrics ~trace ~chrome =
       chrome
   end
 
-(* --strace: per-syscall tracing via the kernel's syscall_tracer hook *)
+(* --strace: per-syscall tracing via the machine probe's syscall slot *)
 
 let strace_arg =
   Arg.(
@@ -178,7 +178,7 @@ let make_strace enabled =
       row.st_calls <- row.st_calls + 1;
       row.st_cycles <- row.st_cycles + tr.sys_cycles
     in
-    let tune k = Kernel.Os.set_syscall_tracer k (Some trace) in
+    let tune k = (Kernel.Os.probe k).syscall <- Some trace in
     let summary () =
       let rows = Hashtbl.fold (fun name row acc -> (name, row) :: acc) tally [] in
       if rows <> [] then begin

@@ -19,7 +19,7 @@ type session = { k : Kernel.Os.t; victim : Kernel.Proc.t }
 (** [start image] spawns [image] under [defense]; [obs] (default
     [Obs.null]) threads a live trace/metrics sink into the kernel. [tune]
     runs on the freshly built kernel before the exploit drives it — e.g.
-    installing a syscall tracer ([Kernel.Os.set_syscall_tracer]). *)
+    attaching a syscall tracer ([(Kernel.Os.probe k).syscall]). *)
 val start :
   ?defense:Defense.t ->
   ?stack_jitter_pages:int ->

@@ -16,8 +16,6 @@ let copy_regs r = { r with gpr = Array.copy r.gpr }
 let get r reg = r.gpr.(Isa.Reg.to_int reg)
 let set r reg v = r.gpr.(Isa.Reg.to_int reg) <- mask32 v
 
-type event = Retired | Syscall of int
-
 (* The four control-transfer shapes a CFI monitor distinguishes. *)
 type ctrl_kind = Exec_env.ctrl_kind =
   | Call_direct
@@ -40,14 +38,6 @@ let pp_fault ppf = function
   | Page f -> Mmu.pp_fault ppf f
   | Invalid_opcode { eip; opcode } -> Fmt.pf ppf "#UD eip=0x%08x opcode=0x%02x" eip opcode
   | General_protection s -> Fmt.pf ppf "#GP %s" s
-
-type step = { outcome : (event, fault) result; debug_trap : bool }
-
-(* Preallocated results for the overwhelmingly common case: a retired
-   instruction produces no fresh step record at all. *)
-let ok_retired : (event, fault) result = Ok Retired
-let retired_step = { outcome = ok_retired; debug_trap = false }
-let retired_step_db = { outcome = ok_retired; debug_trap = true }
 
 (* How an instruction, or a [run_block] call, ended. The constructors are
    constant, so reporting a trap allocates nothing: its payload stays in
@@ -134,8 +124,8 @@ let gp c reason =
   c.gp_reason <- reason;
   Gp
 
-(* The allocated form of a faulting trap, for [step] and the trace
-   stream; dispatch itself never builds it. *)
+(* The allocated form of a faulting trap, for the trace stream;
+   dispatch itself never builds it. *)
 let fault_of c = function
   | Pf -> Page (Mmu.pending_fault c.mmu)
   | Ud -> Invalid_opcode { eip = c.ud_eip; opcode = c.ud_opcode }
@@ -349,28 +339,14 @@ let step_with c ~fetch =
     t
   | (No_trap | Sys | Pf | Db) as t -> t
 
-(* One instruction, byte-at-a-time: the classic interpreter, kept as a thin
-   reference wrapper over [step_with] for tests and tools that single-step
-   the CPU themselves. It allocates its own environment (for [ctrl]),
-   cursor and result. *)
-let step ?ctrl mmu (r : regs) =
-  let env = Exec_env.create () in
-  env.ctrl <- ctrl;
-  let c = cursor env mmu r in
-  let tf = r.tf in
-  match step_with c ~fetch:c.fetch with
-  | No_trap -> if tf then retired_step_db else retired_step
-  | Sys -> { outcome = Ok (Syscall (get r EAX)); debug_trap = tf }
-  | (Pf | Ud | Gp | Db) as t -> { outcome = Error (fault_of c t); debug_trap = false }
-
 (* The block dispatcher's exact fallback for one instruction whose first
    byte has already been translated to packed paddr [pa0] (a negative block:
    undecodable first byte, or operands straddling the page edge). The byte-0
    fetch must not retranslate — that would double the TLB traffic relative
    to the per-instruction interpreter — so it replays only the icache touch
    and the physical read; every later byte goes through the full fast-path
-   fetch, faulting across the page boundary exactly as [step] would. The
-   one dispatch path that still builds a fetch closure. *)
+   fetch, faulting across the page boundary exactly as the exact loop's
+   would. The one dispatch path that still builds a fetch closure. *)
 let step_env_at_pa0 c pa0 =
   let mmu = c.mmu in
   let eip = c.regs.eip in
@@ -608,7 +584,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   c.retired <- 0;
   match env.cache with
   | Some cache
-    when not (r.tf || Mmu.has_tlb_guard mmu || Phys.ecc_enabled (Mmu.phys mmu)) ->
+    when not (r.tf || Option.is_some env.tlb_guard || Phys.ecc_enabled (Mmu.phys mmu)) ->
     c.fast_fetch <- Option.is_none env.sample && Option.is_none (Mmu.icache mmu);
     let t = cached_loop c cache Bbcache.none (-1) (-1) in
     (* every exit of the loop comes back here: pay the folded hits *)

@@ -1,9 +1,9 @@
 (** User-mode CPU interpreter.
 
     The kernel is not guest code: it runs as host (OCaml) functions invoked
-    when [step] reports a fault or a syscall, mirroring the paper's setup
-    where the protection mechanism lives entirely in the OS's page-fault and
-    debug-interrupt handlers. *)
+    when {!run_block} reports a fault or a syscall, mirroring the paper's
+    setup where the protection mechanism lives entirely in the OS's
+    page-fault and debug-interrupt handlers. *)
 
 type regs = {
   gpr : int array;  (** eight GPRs, indexed per {!Isa.Reg.to_int} *)
@@ -17,10 +17,6 @@ val create_regs : unit -> regs
 val copy_regs : regs -> regs
 val get : regs -> Isa.Reg.t -> int
 val set : regs -> Isa.Reg.t -> int -> unit
-
-type event =
-  | Retired  (** instruction completed normally *)
-  | Syscall of int  (** [int 0x80] retired; argument is EAX *)
 
 type ctrl_kind = Exec_env.ctrl_kind =
   | Call_direct  (** [call rel] *)
@@ -36,32 +32,8 @@ type fault =
   | General_protection of string
 
 val pp_fault : Format.formatter -> fault -> unit
-
-type step = {
-  outcome : (event, fault) result;
-  debug_trap : bool;
-      (** true when the trap flag was set when the instruction started and
-          the instruction retired: a debug interrupt (#DB) must be delivered
-          — the hook Algorithm 2 uses to re-restrict the PTE after an
-          ITLB load. A faulting instruction raises no debug trap. *)
-}
-
-val step :
-  ?ctrl:(kind:ctrl_kind -> site:int -> target:int -> ret:int -> bool) ->
-  Mmu.t ->
-  regs ->
-  step
-(** Execute one instruction at [regs.eip]. Register state is committed only
-    if every memory access succeeds, so faulting instructions can be
-    restarted.
-
-    [ctrl] is the control-transfer monitor hook (a CFI defense): it is
-    consulted on every [call]/[call reg]/[ret]/[jmp reg] with the site
-    (address of the transfer instruction), the proposed target, and the
-    fall-through address [ret] (the return address a call pushes). It runs
-    after the instruction's memory accesses and before the new eip commits;
-    returning [false] turns the transfer into a #GP. When [ctrl] is absent
-    the step loop is unchanged and allocation-free. *)
+(** The allocated form of a faulting trap, built only for the trace
+    stream's #UD/#GP text; dispatch itself reports a {!trap}. *)
 
 type trap =
   | No_trap
@@ -90,21 +62,23 @@ val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -
     counts the caller must flush.
 
     The path is chosen once, at entry. With [env.cache] installed, the trap
-    flag clear, no TLB integrity guard and ECC off, it replays decoded
-    basic blocks from the {!Bbcache}. Within one call the ITLB is
-    immutable apart from fetch accounting (flushes, [invlpg], CR3 reloads
-    and ticks happen between calls), so a real translation runs only for
-    the call's first instruction and after a transfer to another page —
-    which is also where a remap takes effect. With no sampling hook and no
-    icache, every other instruction (mid-block, or a same-page successor
-    block) folds all its byte fetches into ITLB hit counts — under a FIFO
-    ITLB summed and paid when the call returns, under LRU pushed at once;
-    with either, every byte replays its TLB/icache/sampling effects. A
-    block end reaches the next block through {!Bbcache.follow}. Otherwise it
-    runs the exact loop, byte-at-a-time through the same decoder as
-    {!step}. Both paths are bit-identical to iterated {!step}. Under the
-    trap flag the run stops after one instruction: a retired one ends the
-    call as [Db].
+    flag clear, no TLB integrity guard ([env.tlb_guard]) and ECC off, it
+    replays decoded basic blocks from the {!Bbcache}. Within one call the
+    ITLB is immutable apart from fetch accounting (flushes, [invlpg], CR3
+    reloads and ticks happen between calls), so a real translation runs
+    only for the call's first instruction and after a transfer to another
+    page — which is also where a remap takes effect. With no sampling hook
+    and no icache, every other instruction (mid-block, or a same-page
+    successor block) folds all its byte fetches into ITLB hit counts,
+    summed as one pending (vpn, count) and paid with one {!Tlb.note_hits}
+    before the next real translation and when the call returns, under FIFO
+    and LRU alike. With a sampling hook or an icache, every byte replays
+    its TLB/icache/sampling effects. A block end reaches the next block
+    through {!Bbcache.follow}. Otherwise it runs the exact loop: one
+    instruction per iteration, decoded byte-at-a-time. Both paths are
+    bit-identical to iterated [run_block ~max_insns:1] on an environment
+    with no cache. Under the trap flag the run stops after one
+    instruction: a retired one ends the call as [Db].
 
     Neither path allocates per call or per retired instruction, except
     that the first call on an MMU builds the dispatch state it keeps in

@@ -1,12 +1,12 @@
-(* The execution environment: one mutable record per machine collecting
-   every hook the CPU dispatch loop consults, replacing the optional
-   arguments and per-subsystem hook fields that used to accrete on
-   [Cpu.step] ([?ctrl]) and [Mmu.t] ([sample_hook]). The record is built
-   once (by [Mmu.create]) and mutated in place: the scheduler arms [ctrl]
-   and [trail] per quantum, the profiler installs [sample] on attach, and
-   the machine installs [cache] at creation. Keeping the fields unboxed
-   options preserves the allocation-free discipline: a machine with
-   nothing installed pays one branch per use.
+(* The execution environment: the hardware half of a machine's hooks, one
+   mutable record collecting every hook the CPU dispatch loop and the MMU
+   consult (the kernel half is [Kernel.Machine.probe]). The record is
+   built once (by [Mmu.create]) and mutated in place: the scheduler arms
+   [ctrl] and [trail] per quantum, the profiler installs [sample] on
+   attach, the fault injector installs [tlb_guard] and [invlpg] on arm,
+   and the machine installs [cache] at creation. Keeping the fields
+   unboxed options preserves the allocation-free discipline: a machine
+   with nothing installed pays one branch per use.
 
    [trail] is data, not a hook: the dispatch loop writes each retired
    instruction's eip into the armed process's forensic ring itself, since
@@ -38,6 +38,13 @@ type t = {
   mutable sample : (access -> int -> bool -> unit) option;
       (* address-sampling profiler hook: (access, vpn, tlb_hit) on every
          successful translation; decimation is the hook's own business *)
+  mutable tlb_guard : (access -> Tlb.entry -> bool) option;
+      (* fault injection's TLB integrity guard: consulted on every TLB
+         hit; [false] rejects the cached entry as corrupted, and the MMU
+         drops it and retranslates from the live pagetable *)
+  mutable invlpg : (int -> bool) option;
+      (* fault injection's lost-[invlpg] hook: [true] swallows the
+         invalidation of that vpn *)
   mutable trail : trail;
       (* where retired eips go: the running process's forensic ring,
          armed per quantum by the scheduler; a private one-slot ring
@@ -51,6 +58,8 @@ let create () =
   {
     ctrl = None;
     sample = None;
+    tlb_guard = None;
+    invlpg = None;
     trail = { ring = [| -1 |]; pos = 0 };
     cache = None;
     cursor = No_cursor;

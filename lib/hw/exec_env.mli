@@ -1,11 +1,12 @@
-(** The execution environment: the one hooks record the CPU dispatch loop
-    consults, built once per machine (by {!Mmu.create}, reachable via
-    {!Mmu.env}) and mutated in place by its owners — the scheduler arms
-    {!t.ctrl}/{!t.trail} per quantum, the profiler installs {!t.sample} on
-    attach/detach, the machine installs {!t.cache} at creation. This
-    replaces [Cpu.step]'s [?ctrl] optional argument surface and the MMU's
-    [sample_hook] field; {!Cpu.step} remains as a thin wrapper for callers
-    that pass their own monitor. *)
+(** The execution environment: the hardware half of a machine's hooks
+    (the kernel half is [Kernel.Machine.probe]), the one record the CPU
+    dispatch loop and the MMU consult. Built once per machine (by
+    {!Mmu.create}, reachable via {!Mmu.env}) and mutated in place by its
+    owners — the scheduler arms {!t.ctrl}/{!t.trail} per quantum, the
+    profiler installs {!t.sample} on attach/detach, the fault injector
+    installs {!t.tlb_guard}/{!t.invlpg} on arm/disarm, the machine installs
+    {!t.cache} at creation. Each slot holds one hook: writing it replaces
+    the previous one. *)
 
 type access = Fetch | Read | Write
 (** Re-exported as {!Mmu.access}; lives here so the sampling hook type can
@@ -40,6 +41,20 @@ type t = {
           arguments unboxed; [None] costs one branch. When installed, the
           block dispatcher replays fetches byte-at-a-time so decimation
           order is preserved exactly. *)
+  mutable tlb_guard : (access -> Tlb.entry -> bool) option;
+      (** TLB integrity guard (lib/inject's detection hook): sees every TLB
+          {e hit} before permission checks and returns [false] to reject
+          the cached entry as corrupted. A rejected entry is invalidated
+          and the access retranslated, so the retry misses and refills (or
+          faults) from the live pagetable — the resync path. The guard
+          must not touch the MMU's TLBs itself. While one is installed,
+          {!Cpu.run_block} dispatches exactly, so the guard sees every hit
+          individually. *)
+  mutable invlpg : (int -> bool) option;
+      (** missed-[invlpg] fault hook (lib/inject): called with the vpn of
+          every {!Mmu.invlpg}; [true] swallows the invalidation, leaving
+          any cached entries stale. [Mmu.flush_tlbs] is never
+          suppressed. *)
   mutable trail : trail;
       (** the ring {!Cpu.run_block} writes every retired instruction's eip
           into (a trapping one is not written; a retired [int 0x80] is).
@@ -56,5 +71,5 @@ type t = {
 }
 
 val create : unit -> t
-(** All hooks off: [ctrl = None], [sample = None], a private one-slot
-    [trail], [cache = None]; no cursor yet. *)
+(** All hooks off: [ctrl], [sample], [tlb_guard], [invlpg] and [cache]
+    [None], a private one-slot [trail]; no cursor yet. *)

@@ -55,16 +55,10 @@ type t = {
   mutable icache : Cache.t option;
   mutable dcache : Cache.t option;
   mutable obs : Obs.t;
-  (* fault-injection hooks (lib/inject): [tlb_guard] is consulted on every
-     TLB hit — returning [false] rejects the cached entry as corrupted, the
-     MMU drops it and retranslates from the live pagetable (the kernel-side
-     desync detector). [invlpg_hook] returning [true] swallows an [invlpg]
-     — the "missed invalidation" fault the phantom-entry class models. *)
-  mutable tlb_guard : (access -> Tlb.entry -> bool) option;
-  mutable invlpg_hook : (int -> bool) option;
   (* the execution environment: the per-machine hooks record shared with
      the CPU dispatch loop. The MMU reads [env.sample] (the lib/prof
-     address-sampling hook) on every successful translation — unboxed
+     address-sampling hook) on every successful translation, [env.tlb_guard]
+     on every TLB hit and [env.invlpg] on every [invlpg] — unboxed
      arguments, so with nothing installed the fast path pays one branch
      and zero allocation. *)
   env : Exec_env.t;
@@ -94,8 +88,6 @@ let create ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?(tlb_policy = Tlb.Fifo)
     icache = None;
     dcache = None;
     obs = Obs.null;
-    tlb_guard = None;
-    invlpg_hook = None;
     env = Exec_env.create ();
     pend_addr = 0;
     pend_access = Read;
@@ -175,12 +167,8 @@ let reload_cr3_dual t ~code ~data =
   t.walk_code <- Some code;
   flush_tlbs t
 
-let set_tlb_guard t g = t.tlb_guard <- g
-let has_tlb_guard t = t.tlb_guard <> None
-let set_invlpg_hook t h = t.invlpg_hook <- h
-
 let invlpg t vpn =
-  match t.invlpg_hook with
+  match t.env.invlpg with
   | Some h when h vpn -> () (* injected: the invalidation is lost *)
   | _ ->
     Tlb.invalidate t.itlb vpn;
@@ -230,7 +218,7 @@ let rec translate_result t ~from_user access vaddr =
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
   match Tlb.find tlb vpn with
   | (e : Tlb.entry) ->
-    if match t.tlb_guard with None -> false | Some g -> not (g access e) then begin
+    if match t.env.tlb_guard with None -> false | Some g -> not (g access e) then begin
       (* the guard rejected the cached entry as corrupted: drop it and
          retranslate — the retry misses and refills (or faults) from the
          live pagetable. No closure, no box: the fast path stays

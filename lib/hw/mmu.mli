@@ -105,28 +105,9 @@ val reload_cr3_dual : t -> code:(int -> hw_pte option) -> data:(int -> hw_pte op
 
 val flush_tlbs : t -> unit
 val invlpg : t -> int -> unit
-(** Invalidate one vpn in both TLBs (unless an installed {!set_invlpg_hook}
-    swallows it). [flush_tlbs] is never suppressed. *)
-
-val set_tlb_guard : t -> (access -> Tlb.entry -> bool) option -> unit
-(** Install a TLB integrity guard (fault injection's detection hook): the
-    guard sees every TLB {e hit} before permission checks and returns
-    [false] to reject the cached entry as corrupted. A rejected entry is
-    invalidated and the access retranslated, so the retry misses and
-    refills (or faults) from the live pagetable — the resync path. The
-    guard must not touch this MMU's TLBs itself. With no guard installed
-    the hit path is unchanged and allocation-free. *)
-
-val set_invlpg_hook : t -> (int -> bool) option -> unit
-(** Install the missed-[invlpg] fault hook: called with the vpn of every
-    {!invlpg}; returning [true] swallows the invalidation, leaving any
-    cached entries stale. *)
-
-val has_tlb_guard : t -> bool
-(** A TLB integrity guard is currently installed. The scheduler consults
-    this to force per-instruction dispatch: the guard must see every TLB
-    hit individually, which the block dispatcher's batched fetch accounting
-    would elide. *)
+(** Invalidate one vpn in both TLBs (unless an installed
+    {!Exec_env.t.invlpg} hook swallows it). [flush_tlbs] is never
+    suppressed. *)
 
 val translate_result : t -> from_user:bool -> access -> int -> int
 (** The non-raising, non-allocating fast path. The result is an unboxed

@@ -318,19 +318,19 @@ let arm os plan =
   in
   Hw.Phys.enable_ecc m.phys;
   Hw.Phys.set_ecc_hook m.phys (Some (on_ecc e));
-  Hw.Mmu.set_tlb_guard m.mmu (Some (guard e));
-  Hw.Mmu.set_invlpg_hook m.mmu (Some (on_invlpg e));
-  m.inject_hook <- Some (fun () -> fire e);
-  m.syscall_squeeze <- Some (on_syscall e);
+  m.env.tlb_guard <- Some (guard e);
+  m.env.invlpg <- Some (on_invlpg e);
+  m.probe.inject <- Some (fun () -> fire e);
+  m.probe.squeeze <- Some (on_syscall e);
   e
 
 let disarm e =
-  Hw.Mmu.set_tlb_guard e.m.mmu None;
-  Hw.Mmu.set_invlpg_hook e.m.mmu None;
+  e.m.env.tlb_guard <- None;
+  e.m.env.invlpg <- None;
   Hw.Phys.set_ecc_hook e.m.phys None;
   Hw.Phys.disable_ecc e.m.phys;
-  e.m.inject_hook <- None;
-  e.m.syscall_squeeze <- None
+  e.m.probe.inject <- None;
+  e.m.probe.squeeze <- None
 
 (* ------------------------------------------------------------------ *)
 (* Serialization (snapshot metadata)                                   *)

@@ -49,16 +49,11 @@ let tag = function
   | Fault_detected _ -> "fault_detected"
   | Note _ -> "note"
 
-type t = {
-  mutable events : event list;
-  mutable obs : Obs.t;
-  mutable subscribers : (event -> unit) list;
-}
+type t = { mutable events : event list; mutable obs : Obs.t; notify : event -> unit }
 
-let create () = { events = []; obs = Obs.null; subscribers = [] }
+let create ?(notify = ignore) () = { events = []; obs = Obs.null; notify }
 
 let attach_obs t obs = t.obs <- obs
-let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
 let add t e =
   t.events <- e :: t.events;
@@ -67,7 +62,7 @@ let add t e =
   if Obs.enabled t.obs then
     Obs.event t.obs ~cat:"log" (tag e)
       ~args:[ ("text", Obs.Json.Str (Fmt.str "%a" pp_event e)) ];
-  List.iter (fun f -> f e) t.subscribers
+  t.notify e
 
 let set_events t events = t.events <- List.rev events
 let note t fmt = Fmt.kstr (fun s -> add t (Note s)) fmt

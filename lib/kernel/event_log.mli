@@ -28,25 +28,24 @@ val tag : event -> string
 
 type t
 
-val create : unit -> t
+val create : ?notify:(event -> unit) -> unit -> t
+(** [notify] (default: nothing) runs synchronously on every {!add}, after
+    the event is appended. A machine's log notifies the machine's probe
+    ([Machine.probe]'s [event] slot), so external machinery (e.g. forensic
+    snapshotting) reacts at the exact detection instant without the kernel
+    depending on it. *)
 
 val attach_obs : t -> Obs.t -> unit
 (** Mirror every logged event into the trace stream (category ["log"])
     when the sink is enabled. The in-memory list and {!pp} output are
     unchanged. *)
 
-val subscribe : t -> (event -> unit) -> unit
-(** Register a callback invoked synchronously on every {!add}, after the
-    event is appended. Lets external machinery (e.g. forensic snapshotting)
-    react at the exact detection instant without the kernel depending on it.
-    Subscribers run in registration order and are never removed. *)
-
 val add : t -> event -> unit
 val note : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 val set_events : t -> event list -> unit
-(** Replace the whole log, oldest first (snapshot restore). Subscribers and
-    the obs sink are untouched. *)
+(** Replace the whole log, oldest first (snapshot restore). Nothing is
+    notified, and the obs sink is untouched. *)
 
 val to_list : t -> event list
 (** Oldest first. *)

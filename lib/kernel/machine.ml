@@ -24,6 +24,20 @@ type syscall_trace = {
   sys_cycles : int;  (* service cycles, entry to return *)
 }
 
+(* The kernel half of a machine's hooks (the hardware half is
+   [Hw.Exec_env.t]): one optional slot per probe point, written directly
+   by whoever attaches. Writing a slot replaces its previous hook. At a
+   scheduler boundary [boundary] runs before [inject], so a checkpoint
+   there samples the pre-fault state. *)
+type probe = {
+  mutable boundary : (unit -> unit) option;
+  mutable inject : (unit -> unit) option;
+  mutable switch : (Proc.t -> unit) option;
+  mutable syscall : (syscall_trace -> unit) option;
+  mutable squeeze : (Proc.t -> int -> bool) option;
+  mutable event : (Event_log.event -> unit) option;
+}
+
 (* Pre-resolved metric instruments for the hot paths of the scheduler loop
    ([None] when observability is disabled, so the common case pays one
    match per event at most). *)
@@ -92,21 +106,7 @@ type t = {
   obs : Obs.t;
   hot : hot option;
   scratch : Bytes.t;  (* page-sized staging buffer for demand paging *)
-  mutable sched_hook : (unit -> unit) option;
-  mutable syscall_tracer : (syscall_trace -> unit) option;
-  (* fault-injection hooks (lib/inject): [inject_hook] fires at every
-     scheduler-loop boundary right after [sched_hook] — the quiescent
-     points where injecting is race-free. [syscall_squeeze] is consulted
-     before each syscall dispatches; returning [true] makes the kernel
-     restart the syscall instead (a transient internal error, ERESTART
-     style). Per-machine fields, so fleets of machines inject
-     independently. *)
-  mutable inject_hook : (unit -> unit) option;
-  mutable syscall_squeeze : (Proc.t -> int -> bool) option;
-  (* profiling hook (lib/prof): fires in [Sched.switch_to] whenever the
-     running process actually changes, with the incoming process — the
-     scheduler boundary where address samples change owners. *)
-  mutable switch_hook : (Proc.t -> unit) option;
+  probe : probe;
 }
 
 (* Import the point-in-time hardware statistics as gauges, so a metrics
@@ -166,7 +166,12 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
      exact dispatch, see DESIGN.md §13); [env.cache] is the one per-machine
      switch *)
   env.Hw.Exec_env.cache <- Some (Hw.Bbcache.create ~phys ());
-  let log = Event_log.create () in
+  let probe =
+    { boundary = None; inject = None; switch = None; syscall = None; squeeze = None; event = None }
+  in
+  let log =
+    Event_log.create ~notify:(fun e -> match probe.event with Some f -> f e | None -> ()) ()
+  in
   let alloc = Frame_alloc.create phys in
   let hot =
     if not (Obs.enabled obs) then None
@@ -222,11 +227,7 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
     obs;
     hot;
     scratch = Bytes.create page_size;
-      sched_hook = None;
-      syscall_tracer = None;
-      inject_hook = None;
-      syscall_squeeze = None;
-      switch_hook = None;
+      probe;
     }
   in
   t.wakeup_sink <- (fun pid -> t.pending_wakeups <- pid :: t.pending_wakeups);

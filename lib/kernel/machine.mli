@@ -27,8 +27,39 @@ type syscall_trace = {
   sys_outcome : syscall_outcome;
   sys_cycles : int;  (** service cycles, entry to return *)
 }
-(** One record per dispatched syscall, delivered to the installed tracer
-    (see {!Syscalls.dispatch} and simctl's [--strace]). *)
+(** One record per dispatched syscall, delivered to the probe's [syscall]
+    slot (see {!Syscalls.dispatch} and simctl's [--strace]). *)
+
+type probe = {
+  mutable boundary : (unit -> unit) option;
+      (** fired at every scheduler-loop boundary, after [Sched.wake] and
+          before dispatch — the points where the machine is quiescent and a
+          checkpoint is replay-exact (lib/snap's ring, the determinism
+          harness's wake check) *)
+  mutable inject : (unit -> unit) option;
+      (** fired at the same boundaries, right after [boundary], so a
+          checkpoint samples the pre-fault state (lib/inject) *)
+  mutable switch : (Proc.t -> unit) option;
+      (** fired in [Sched.switch_to] when the running process {e changes},
+          with the incoming process — pid attribution for address sampling
+          (lib/prof) *)
+  mutable syscall : (syscall_trace -> unit) option;
+      (** fired once per dispatched syscall, after its handler ran (simctl
+          [--strace], lib/serve's latency clock) *)
+  mutable squeeze : (Proc.t -> int -> bool) option;
+      (** consulted with (process, syscall number) before each dispatch;
+          [true] rewinds the guest so the syscall restarts instead (a
+          transient kernel failure, ERESTART style; lib/inject). A squeezed
+          syscall is not dispatched, so [syscall] does not see it *)
+  mutable event : (Event_log.event -> unit) option;
+      (** fired on every event appended to the machine's log, after it is
+          appended (lib/snap's forensic capture) *)
+}
+(** The kernel half of a machine's hooks — the hardware half is
+    {!Hw.Exec_env.t}. One optional slot per probe point, written directly
+    by whoever attaches (e.g. [m.probe.boundary <- Some f]); writing a slot
+    replaces its previous hook, and [None] detaches it. The probe is not
+    part of a snapshot. *)
 
 type hot = {
   h_retired : Obs.Metrics.counter;
@@ -101,18 +132,7 @@ type t = {
   obs : Obs.t;
   hot : hot option;
   scratch : Bytes.t;
-  mutable sched_hook : (unit -> unit) option;
-  mutable syscall_tracer : (syscall_trace -> unit) option;
-  mutable inject_hook : (unit -> unit) option;
-      (** fault-injection callback fired at every scheduler-loop boundary,
-          right after [sched_hook] (lib/inject) *)
-  mutable syscall_squeeze : (Proc.t -> int -> bool) option;
-      (** consulted before each syscall dispatch; [true] = fail this
-          dispatch transiently and restart the syscall (lib/inject) *)
-  mutable switch_hook : (Proc.t -> unit) option;
-      (** fired in [Sched.switch_to] when the running process changes,
-          with the incoming process — pid attribution for address
-          sampling (lib/prof) *)
+  probe : probe;  (** every slot empty at {!create} *)
 }
 
 val create :

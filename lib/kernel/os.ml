@@ -22,6 +22,7 @@ type t = Machine.t
 
 let create = Machine.create
 let machine t = t
+let probe (t : t) = t.Machine.probe
 let ctx = Machine.ctx
 let log (t : t) = t.Machine.log
 let obs (t : t) = t.Machine.obs
@@ -64,7 +65,7 @@ let cow_service = Machine.cow_service
 (* ------------------------------------------------------------------ *)
 
 let quantum (t : t) = t.Machine.quantum
-let set_sched_hook (t : t) hook = t.Machine.sched_hook <- hook
+let set_sched_hook (t : t) hook = t.Machine.probe.boundary <- hook
 
 type sched_state = Sched.state = {
   s_runq : int list;
@@ -83,23 +84,7 @@ let libraries = Machine.libraries
 let restore_libraries = Machine.restore_libraries
 let replace_procs = Machine.replace_procs
 
-(* ------------------------------------------------------------------ *)
-(* Tracing                                                             *)
-(* ------------------------------------------------------------------ *)
+let set_syscall_tracer (t : t) tracer = t.Machine.probe.syscall <- tracer
 
-let set_syscall_tracer (t : t) tracer = t.Machine.syscall_tracer <- tracer
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let set_inject_hook (t : t) hook = t.Machine.inject_hook <- hook
-let set_syscall_squeeze (t : t) squeeze = t.Machine.syscall_squeeze <- squeeze
-
-(* ------------------------------------------------------------------ *)
-(* Profiling (lib/prof)                                                *)
-(* ------------------------------------------------------------------ *)
-
-let set_switch_hook (t : t) hook = t.Machine.switch_hook <- hook
 let last_running (t : t) =
   if t.Machine.last_running < 0 then None else Some t.Machine.last_running

@@ -64,8 +64,9 @@ val cost : t -> Hw.Cost.t
 val mmu : t -> Hw.Mmu.t
 
 val env : t -> Hw.Exec_env.t
-(** The CPU dispatch hooks record (see {!Hw.Exec_env}) — where the
-    profiler installs its sampling hook. *)
+(** The hardware half of the machine's hooks (see {!Hw.Exec_env}) — where
+    the profiler installs its sampling hook and the injector its TLB
+    guard. *)
 
 val bbcache : t -> Hw.Bbcache.t option
 (** The installed block cache, [= (env t).cache]. *)
@@ -133,9 +134,7 @@ val cow_service : t -> Pte.t -> unit
 val quantum : t -> int
 
 val set_sched_hook : t -> (unit -> unit) option -> unit
-(** Install a callback invoked at every scheduler-loop boundary (after
-    {!wake}, before dispatch) — the only points where the machine state is
-    quiescent and a periodic checkpoint can be taken safely. *)
+(** [(probe t).boundary <- hook]. *)
 
 type sched_state = Sched.state = {
   s_runq : int list;  (** run queue, front first *)
@@ -170,27 +169,12 @@ val machine : t -> Machine.t
     Hands the kernel's internal layers ({!Sched}, {!Trap}, {!Syscalls})
     and tools direct access to the state layer. *)
 
+val probe : t -> Machine.probe
+(** The kernel half of the machine's hooks (see {!Machine.probe}): attach
+    by writing a slot, e.g. [(probe t).boundary <- Some f]. *)
+
 val set_syscall_tracer : t -> (Machine.syscall_trace -> unit) option -> unit
-(** Install (or clear) the per-syscall tracer consulted by
-    {!Syscalls.dispatch} — one {!Machine.syscall_trace} record per
-    dispatched syscall. simctl's [--strace] is built on this. *)
-
-val set_inject_hook : t -> (unit -> unit) option -> unit
-(** Install the fault-injection callback fired at every scheduler-loop
-    boundary, right after the sched hook (so a periodic checkpoint samples
-    the pre-fault state). lib/inject's engine hangs off this. *)
-
-val set_syscall_squeeze : t -> (Proc.t -> int -> bool) option -> unit
-(** Install the transient-syscall-fault predicate: consulted with (process,
-    syscall number) before each dispatch; returning [true] suppresses the
-    dispatch and rewinds the guest so the syscall restarts (ERESTART
-    discipline). *)
-
-val set_switch_hook : t -> (Proc.t -> unit) option -> unit
-(** Install the context-switch callback: fired from the scheduler whenever
-    the running process {e changes} (not on every dispatch of the same
-    process), with the incoming process. lib/prof attributes address
-    samples to pids through this. *)
+(** [(probe t).syscall <- tracer]. *)
 
 val last_running : t -> int option
 (** Pid of the last process the scheduler switched to, if any — what a

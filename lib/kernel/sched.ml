@@ -71,7 +71,7 @@ let switch_to (m : M.t) (p : Proc.t) =
     Hw.Cost.charge_ctx_switch m.cost;
     M.load_pagetables m p;
     m.last_running <- p.pid;
-    (match m.switch_hook with Some f -> f p | None -> ());
+    (match m.probe.switch with Some f -> f p | None -> ());
     if Obs.enabled m.obs then
       Obs.event m.obs ~cat:"os" "os.ctx_switch" ~args:[ ("pid", Obs.Json.Int p.pid) ]
   end
@@ -133,13 +133,12 @@ let run ?(fuel = 50_000_000) ?table (m : M.t) =
   let rec loop () =
     M.expire_sleepers m;
     wake m;
-    (* quantum-boundary hook: the machine is in a consistent, resumable
-       state here (no quantum in flight), which is exactly where periodic
-       checkpointing must sample it *)
-    (match m.sched_hook with Some f -> f () | None -> ());
-    (* fault injection fires at the same quiescent points, after any
-       checkpointing hook has sampled the pre-fault state *)
-    (match m.inject_hook with Some f -> f () | None -> ());
+    (* the probe's boundary slots: the machine is in a consistent,
+       resumable state here (no quantum in flight), which is exactly where
+       periodic checkpointing must sample it; fault injection fires at the
+       same point, after the checkpoint has sampled the pre-fault state *)
+    (match m.probe.boundary with Some f -> f () | None -> ());
+    (match m.probe.inject with Some f -> f () | None -> ());
     if !fuel <= 0 then Fuel_exhausted
     else
       match dequeue_runnable m with

@@ -2,7 +2,7 @@
    replacing the monolithic dispatch match the kernel grew up with.
    Handlers are registered data — adding a syscall touches nothing but the
    table — and every dispatch is traceable per-entry through the machine's
-   [syscall_tracer] (simctl --strace).
+   probe ([probe.syscall], simctl --strace).
 
    The round trip allocates nothing a process does not ask for: the Sebek
    line of observe mode is only formatted once the process is under
@@ -307,7 +307,7 @@ let run_handler t m p n =
   | Frame_alloc.Out_of_frames -> M.oom_kill m p
 
 let dispatch t (m : M.t) (p : Proc.t) n =
-  match m.syscall_tracer with
+  match m.probe.syscall with
   | None -> run_handler t m p n
   | Some tracer ->
     let args = (arg p Isa.Reg.EBX, arg p Isa.Reg.ECX, arg p Isa.Reg.EDX) in

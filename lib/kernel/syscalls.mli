@@ -5,8 +5,8 @@
     the dispatcher never changes. {!dispatch} routes a number through the
     table, maps the kernel-internal escapes ([Efault] -> [-EFAULT],
     out-of-frames -> OOM-kill) and reports to the machine's
-    [syscall_tracer] when one is installed — the mechanism behind simctl's
-    [--strace]. *)
+    probe ([probe.syscall]) when a hook is attached — the mechanism behind
+    simctl's [--strace]. *)
 
 type handler = Machine.t -> Proc.t -> unit
 (** A syscall body: reads its arguments from the process registers
@@ -43,6 +43,6 @@ val default : unit -> table
 val dispatch : table -> Machine.t -> Proc.t -> int -> unit
 (** Route one syscall: runs the handler (or sets EAX to [-ENOSYS] for an
     unknown number), converting [Machine.Efault] to [-EFAULT] and
-    [Frame_alloc.Out_of_frames] to an OOM SIGKILL. When the machine has a
-    [syscall_tracer], captures args/outcome/service-cycles around the call
-    and reports a {!Machine.syscall_trace}. *)
+    [Frame_alloc.Out_of_frames] to an OOM SIGKILL. When the machine's
+    [probe.syscall] is attached, captures args/outcome/service-cycles
+    around the call and reports a {!Machine.syscall_trace}. *)

@@ -92,7 +92,7 @@ let serve_syscall ?table (m : M.t) (p : Proc.t) n =
   let since = m.cost.cycles in
   Hw.Cost.charge_insn m.cost;
   Hw.Cost.charge_syscall m.cost;
-  (match m.syscall_squeeze with
+  (match m.probe.squeeze with
   | Some squeeze when squeeze p n ->
     (* injected transient kernel failure: restart the syscall
        transparently (the ERESTARTNOINTR discipline) by rewinding the

@@ -45,7 +45,7 @@ let install t =
     | Some p -> t.cur_aspace <- Some p.aspace
     | None -> ())
   | None -> ());
-  Kernel.Os.set_switch_hook os (Some (fun p -> set_current t p));
+  (Kernel.Os.probe os).switch <- Some (fun p -> set_current t p);
   let cost = Kernel.Os.cost os in
   (Kernel.Os.env os).Hw.Exec_env.sample <-
     Some
@@ -76,7 +76,7 @@ let attach ?(rate = 64) ?capacity os =
 
 let detach t =
   (Kernel.Os.env t.os).Hw.Exec_env.sample <- None;
-  Kernel.Os.set_switch_hook t.os None
+  (Kernel.Os.probe t.os).switch <- None
 
 (* --- snapshot integration ------------------------------------------------ *)
 

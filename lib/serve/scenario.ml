@@ -76,29 +76,29 @@ let run ?(obs = Obs.null) (c : config) =
         if p.name = "serve-client" then
           Hashtbl.replace clients p.pid { started = 0; remaining = 0 })
       (Kernel.Machine.procs (Kernel.Os.machine k));
-    Kernel.Os.set_syscall_tracer k
-      (Some
-         (fun (tr : Kernel.Machine.syscall_trace) ->
-           match Hashtbl.find_opt clients tr.sys_pid with
-           | None -> ()
-           | Some st -> (
-             match (tr.sys_number, tr.sys_outcome) with
-             | 4, Kernel.Machine.Returned n when n > 0 ->
-               (* request released: the clock starts as the write returns *)
-               if st.remaining <= 0 then begin
-                 st.started <- cost.Hw.Cost.cycles;
-                 st.remaining <- c.resp_size
-               end
-             | 3, Kernel.Machine.Returned n when n > 0 && st.remaining > 0 ->
-               st.remaining <- st.remaining - n;
-               if st.remaining <= 0 then begin
-                 let d = cost.Hw.Cost.cycles - st.started in
-                 Latency.record lat d;
-                 Obs.Metrics.incr c_req;
-                 Obs.Metrics.observe h_lat d;
-                 st.remaining <- 0
-               end
-             | _ -> ())))
+    (Kernel.Os.probe k).syscall <-
+      Some
+        (fun (tr : Kernel.Machine.syscall_trace) ->
+          match Hashtbl.find_opt clients tr.sys_pid with
+          | None -> ()
+          | Some st -> (
+            match (tr.sys_number, tr.sys_outcome) with
+            | 4, Kernel.Machine.Returned n when n > 0 ->
+              (* request released: the clock starts as the write returns *)
+              if st.remaining <= 0 then begin
+                st.started <- cost.Hw.Cost.cycles;
+                st.remaining <- c.resp_size
+              end
+            | 3, Kernel.Machine.Returned n when n > 0 && st.remaining > 0 ->
+              st.remaining <- st.remaining - n;
+              if st.remaining <= 0 then begin
+                let d = cost.Hw.Cost.cycles - st.started in
+                Latency.record lat d;
+                Obs.Metrics.incr c_req;
+                Obs.Metrics.observe h_lat d;
+                st.remaining <- 0
+              end
+            | _ -> ()))
   in
   let result, _k = H.run_k ~obs ~tune s in
   let completed = Latency.count lat in

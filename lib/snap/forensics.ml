@@ -133,38 +133,39 @@ let write_artifacts dir k c =
 
 let arm ?dir ?(all = false) os =
   let captures = ref [] in
-  Kernel.Event_log.subscribe (Kernel.Os.log os) (fun event ->
-      match event with
-      | Kernel.Event_log.Injection_detected { pid; eip; mode }
-        when all || !captures = [] ->
-        let trigger = { Snapshot.t_pid = pid; t_eip = eip; t_mode = mode } in
-        let diff = page_diff os ~pid ~addr:eip in
-        let eip_off = eip mod Kernel.Os.page_size os in
-        let payload_off, payload =
-          match diff with
-          | None -> (eip_off, "")
-          | Some d -> (
-            match extract_payload d ~eip_off with
-            | Some (off, bytes) -> (off, bytes)
-            | None -> (eip_off, ""))
-        in
-        let snapshot =
-          Snapshot.checkpoint ~meta:[ ("source", "forensic-capture") ] ~trigger os
-        in
-        let k = List.length !captures in
-        let c =
-          {
-            c_trigger = trigger;
-            c_snapshot = snapshot;
-            c_diff = diff;
-            c_payload_off = payload_off;
-            c_payload = payload;
-            c_dir = dir;
-          }
-        in
-        (match dir with Some d -> write_artifacts d k c | None -> ());
-        let obs = Kernel.Os.obs os in
-        if Obs.enabled obs then Obs.count obs "snap.captures";
-        captures := !captures @ [ c ]
-      | _ -> ());
+  let on_event = function
+    | Kernel.Event_log.Injection_detected { pid; eip; mode }
+      when all || !captures = [] ->
+      let trigger = { Snapshot.t_pid = pid; t_eip = eip; t_mode = mode } in
+      let diff = page_diff os ~pid ~addr:eip in
+      let eip_off = eip mod Kernel.Os.page_size os in
+      let payload_off, payload =
+        match diff with
+        | None -> (eip_off, "")
+        | Some d -> (
+          match extract_payload d ~eip_off with
+          | Some (off, bytes) -> (off, bytes)
+          | None -> (eip_off, ""))
+      in
+      let snapshot =
+        Snapshot.checkpoint ~meta:[ ("source", "forensic-capture") ] ~trigger os
+      in
+      let k = List.length !captures in
+      let c =
+        {
+          c_trigger = trigger;
+          c_snapshot = snapshot;
+          c_diff = diff;
+          c_payload_off = payload_off;
+          c_payload = payload;
+          c_dir = dir;
+        }
+      in
+      (match dir with Some d -> write_artifacts d k c | None -> ());
+      let obs = Kernel.Os.obs os in
+      if Obs.enabled obs then Obs.count obs "snap.captures";
+      captures := !captures @ [ c ]
+    | _ -> ()
+  in
+  (Kernel.Os.probe os).event <- Some on_event;
   captures

@@ -1,11 +1,12 @@
 (** Forensic capture at the detection instant.
 
-    {!arm} subscribes to the kernel event log; the moment the split-memory
-    defense reports [Injection_detected] (paper §4.5, Algorithm 3 — "the
-    exact moment the first injected instruction is about to execute"), it
-    freezes the whole machine into a snapshot, diffs the faulting page's
-    pristine code copy against its data copy, and extracts the injected
-    payload bytes from the diff. The capture happens synchronously inside
+    {!arm} attaches to the machine probe's [event] slot, which sees every
+    kernel event-log entry; the moment the split-memory defense reports
+    [Injection_detected] (paper §4.5, Algorithm 3 — "the exact moment the
+    first injected instruction is about to execute"), it freezes the whole
+    machine into a snapshot, diffs the faulting page's pristine code copy
+    against its data copy, and extracts the injected payload bytes from
+    the diff. The capture happens synchronously inside
     the detection path, before any response mode (Break teardown, Forensics
     payload substitution) mutates the machine. *)
 
@@ -51,6 +52,8 @@ val arm : ?dir:string -> ?all:bool -> Kernel.Os.t -> capture list ref
     to on each detection — by default only the first detection is captured
     ([all:true] captures every one). When [dir] is given, each capture [k]
     writes [capture-k.snap] (+ manifest), [capture-k.payload.bin] and
-    [capture-k.diff.json] beneath it (the directory is created). *)
+    [capture-k.diff.json] beneath it (the directory is created). A second
+    [arm] on the same machine replaces the first in the slot: the first
+    list stops growing. *)
 
 val diff_json : capture -> Obs.Json.t

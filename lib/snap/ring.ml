@@ -37,10 +37,10 @@ let install ~every_cycles ~keep os =
       evicted = 0;
     }
   in
-  Kernel.Os.set_sched_hook os (Some (tick r));
+  (Kernel.Os.probe os).boundary <- Some (tick r);
   r
 
-let uninstall r = Kernel.Os.set_sched_hook r.os None
+let uninstall r = (Kernel.Os.probe r.os).boundary <- None
 let snapshots r = List.rev r.snaps
 let latest r = match r.snaps with [] -> None | s :: _ -> Some s
 let taken r = r.taken

@@ -1,19 +1,19 @@
 (** Periodic auto-checkpointing with a bounded snapshot ring.
 
-    Installs a {!Kernel.Os.set_sched_hook} callback that checkpoints the
-    machine every [every_cycles] simulated cycles (sampled at scheduler-loop
-    boundaries, so each snapshot is replay-exact). At most [keep] snapshots
+    Attaches to the machine probe's [boundary] slot a callback that
+    checkpoints the machine every [every_cycles] simulated cycles (sampled
+    at scheduler-loop boundaries, so each snapshot is replay-exact). At most [keep] snapshots
     are retained; the oldest is evicted when the ring is full — graceful
     degradation rather than unbounded memory growth. *)
 
 type t
 
 val install : every_cycles:int -> keep:int -> Kernel.Os.t -> t
-(** Replaces any previously installed scheduler hook.
+(** Replaces any hook already in the [boundary] slot.
     @raise Invalid_argument if [every_cycles <= 0] or [keep <= 0]. *)
 
 val uninstall : t -> unit
-(** Remove the hook; retained snapshots stay readable. *)
+(** Empty the [boundary] slot; retained snapshots stay readable. *)
 
 val snapshots : t -> Snapshot.t list
 (** Retained snapshots, oldest first. *)

@@ -71,16 +71,17 @@ let test_page_straddle () =
   (match Isa.Decode.of_string (String.sub a.code 0 4096) 4093 with
   | Error Isa.Decode.Truncated -> ()
   | _ -> Alcotest.fail "straddling insn must decode as Truncated at the page edge");
-  (* reference: the per-instruction interpreter *)
-  let _, mmu_ref, regs_ref, _ = straddle_fixture () in
+  (* reference: one instruction per call on the exact path *)
+  let phys_ref, mmu_ref, regs_ref, _ = straddle_fixture () in
+  let env_ref = dispatch_env phys_ref ~cached:false in
   let retired_ref = ref 0 in
   let rec step_all () =
-    match (Hw.Cpu.step mmu_ref regs_ref).outcome with
-    | Ok Hw.Cpu.Retired ->
+    match (run_n env_ref mmu_ref regs_ref 1).trap with
+    | Hw.Cpu.No_trap ->
       incr retired_ref;
       step_all ()
-    | Error (Hw.Cpu.General_protection _) -> () (* hlt *)
-    | _ -> Alcotest.fail "reference run: unexpected outcome"
+    | Hw.Cpu.Gp -> () (* hlt *)
+    | _ -> Alcotest.fail "reference run: unexpected trap"
   in
   step_all ();
   Alcotest.(check int) "ecx" 0x11223344 (Hw.Cpu.get regs_ref Isa.Reg.ECX);
@@ -118,22 +119,23 @@ let test_page_straddle () =
 
 (* Algorithm 2's single-step window: with [tf] set, run_block must take
    exactly one attempt — even with a cache installed — and end the call
-   as [Db], the retired instruction uncharged, as [Cpu.step] reports it
-   with [debug_trap] set. *)
+   as [Db], the retired instruction uncharged, as a one-instruction call
+   on the exact path does. *)
 let test_trap_flag_single_step () =
-  let _, mmu_ref, regs_ref, _ = straddle_fixture () in
+  let phys_ref, mmu_ref, regs_ref, _ = straddle_fixture () in
   regs_ref.Hw.Cpu.tf <- true;
-  ignore (Hw.Cpu.step mmu_ref regs_ref : Hw.Cpu.step);
+  let ref_run = run_n (dispatch_env phys_ref ~cached:false) mmu_ref regs_ref 1 in
+  if ref_run.trap <> Hw.Cpu.Db then Alcotest.fail "reference: expected #DB pending";
   let phys, mmu, regs, _ = straddle_fixture () in
   let env = dispatch_env phys ~cached:true in
   regs.Hw.Cpu.tf <- true;
   let br = run_n env mmu regs 100 in
   Alcotest.(check int) "one attempt" 1 br.attempts;
   Alcotest.(check int) "nothing retired in-loop" 0 br.retired;
-  Alcotest.(check bool) "same registers as Cpu.step" true (regs = regs_ref);
+  Alcotest.(check bool) "same registers as the exact path" true (regs = regs_ref);
   (* the fetch's walk is charged; the instruction itself is left to the
-     kernel, exactly as after [Cpu.step] *)
-  Alcotest.(check int) "same cycles as Cpu.step" (Hw.Mmu.cost mmu_ref).Hw.Cost.cycles
+     kernel, exactly as on the exact path *)
+  Alcotest.(check int) "same cycles as the exact path" (Hw.Mmu.cost mmu_ref).Hw.Cost.cycles
     (Hw.Mmu.cost mmu).cycles;
   if br.trap <> Hw.Cpu.Db then Alcotest.fail "expected a retired step with #DB pending"
 

@@ -50,9 +50,9 @@ let fuel = 2_000_000
 
 (* --- Scenarios and axes -------------------------------------------------- *)
 
-type axis = Exact | Obs_live | Prof_attached | Inject_armed | Checkpoint
+type axis = Exact | Obs_live | Prof_attached | Inject_armed | Checkpoint | Traced
 
-let axes = [ Exact; Obs_live; Prof_attached; Inject_armed; Checkpoint ]
+let axes = [ Exact; Obs_live; Prof_attached; Inject_armed; Checkpoint; Traced ]
 
 let axis_name = function
   | Exact -> "exact dispatch"
@@ -60,6 +60,7 @@ let axis_name = function
   | Prof_attached -> "profiler"
   | Inject_armed -> "never-firing engine"
   | Checkpoint -> "checkpoint/restore"
+  | Traced -> "syscall and event probes"
 
 (* A scenario drives its machines to the end and renders them. [tune] runs
    on every machine it builds, before that machine runs, and [obs] goes
@@ -107,23 +108,33 @@ let driver name ?(declines = []) drive =
 
 let exact os = (Kernel.Os.env os).Hw.Exec_env.cache <- None
 
-(* The wake check rides the scheduler-boundary hook, which fires right
+(* The wake check rides the probe's [boundary] slot, which fires right
    after [Sched.wake]: no [Blocked] process may satisfy [Sched.ready] there.
    As [wake] only requeues ready processes, that says it requeued exactly
-   what a scan of every blocked process would. No scenario here installs a
-   sched hook of its own. *)
+   what a scan of every blocked process would. No scenario here fills the
+   slot itself. *)
 let install_wake_check ~boundaries ~violations os =
   let m = Kernel.Os.machine os in
-  Kernel.Os.set_sched_hook os
-    (Some
-       (fun () ->
-         incr boundaries;
-         Hashtbl.iter
-           (fun _ (p : Kernel.Proc.t) ->
-             match p.state with
-             | Blocked cond when Kernel.Sched.ready m p cond -> incr violations
-             | _ -> ())
-           m.Kernel.Machine.procs))
+  m.probe.boundary <-
+    Some
+      (fun () ->
+        incr boundaries;
+        Hashtbl.iter
+          (fun _ (p : Kernel.Proc.t) ->
+            match p.state with
+            | Blocked cond when Kernel.Sched.ready m p cond -> incr violations
+            | _ -> ())
+          m.procs)
+
+(* The traced axis's observers: count every dispatched syscall and every
+   logged event, and keep the log length at attach time. *)
+type traced = { syscalls : int ref; events : int ref; logged_before : int }
+
+let attach_counters os =
+  let probe = Kernel.Os.probe os and syscalls = ref 0 and events = ref 0 in
+  probe.syscall <- Some (fun _ -> incr syscalls);
+  probe.event <- Some (fun _ -> incr events);
+  { syscalls; events; logged_before = List.length (Kernel.Event_log.to_list (Kernel.Os.log os)) }
 
 (* Checkpoint at the first scheduler boundary at or past [insns / 2] and
    run on to the end; then restore the round-tripped snapshot into a fresh
@@ -131,11 +142,11 @@ let install_wake_check ~boundaries ~violations os =
 let checkpoint_runs (start : ?obs:Obs.t -> unit -> Kernel.Os.t) ~insns =
   let snap = ref None in
   let os = start () in
-  Kernel.Os.set_sched_hook os
-    (Some
-       (fun () ->
-         if !snap = None && (Kernel.Os.cost os).insns >= insns / 2 then
-           snap := Some (Snap.Snapshot.checkpoint os)));
+  (Kernel.Os.probe os).boundary <-
+    Some
+      (fun () ->
+        if !snap = None && (Kernel.Os.cost os).insns >= insns / 2 then
+          snap := Some (Snap.Snapshot.checkpoint os));
   let through = observe os (Kernel.Os.run ~fuel os) in
   Option.map
     (fun s ->
@@ -231,6 +242,16 @@ let run_axis sc axis =
                && Inject.Engine.detections e = 0)
              engines)
         "engine not armed, or its plan fired"
+  | Traced ->
+    let fs, counters = drive_collect attach_counters in
+    let logged os = List.length (Kernel.Event_log.to_list (Kernel.Os.log os)) in
+    fs
+    @ live name
+        (List.exists (fun (_, c) -> !(c.syscalls) > 0) counters)
+        "the syscall slot saw no syscall"
+    @ live name
+        (List.for_all (fun (os, c) -> !(c.events) = logged os - c.logged_before) counters)
+        "the event slot missed a logged event"
   | Checkpoint -> (
     match Option.map (fun start -> checkpoint_runs start ~insns) sc.start with
     | None -> [ (name, "no starter and no stated reason to decline") ]

@@ -172,11 +172,17 @@ let cpu_fixture program =
   Hw.Cpu.set regs Isa.Reg.ESP 8000;
   (mmu, regs)
 
+(* One instruction on the exact path: a one-instruction [run_block] on
+   the MMU's own environment, which has no block cache. *)
+let step mmu regs =
+  Hw.Cpu.run_block (Hw.Mmu.env mmu) mmu regs ~max_insns:1 ~tick_limit:max_int
+
 let step_n mmu regs n =
   for _ = 1 to n do
-    match (Hw.Cpu.step mmu regs).outcome with
-    | Ok _ -> ()
-    | Error f -> Alcotest.failf "unexpected fault: %a" Hw.Cpu.pp_fault f
+    match step mmu regs with
+    | Hw.Cpu.No_trap | Hw.Cpu.Sys -> ()
+    | Hw.Cpu.Pf -> Alcotest.failf "unexpected fault: %a" Hw.Mmu.pp_fault (Hw.Mmu.pending_fault mmu)
+    | _ -> Alcotest.fail "unexpected trap"
   done
 
 let test_cpu_arith_flags () =
@@ -231,9 +237,9 @@ let test_cpu_fault_restart () =
   Hw.Cpu.set regs Isa.Reg.EBX 4096;
   step_n mmu regs 1;
   let eip_before = regs.eip in
-  (match (Hw.Cpu.step mmu regs).outcome with
-  | Error (Hw.Cpu.Page (f : Hw.Mmu.fault)) ->
-    Alcotest.(check int) "fault addr" 4096 f.addr;
+  (match step mmu regs with
+  | Hw.Cpu.Pf ->
+    Alcotest.(check int) "fault addr" 4096 (Hw.Mmu.pending_fault mmu).addr;
     Alcotest.(check int) "eip unchanged" eip_before regs.eip
   | _ -> Alcotest.fail "expected page fault");
   Hashtbl.replace table 1 { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = false };
@@ -244,18 +250,15 @@ let test_cpu_debug_trap () =
   let open Isa.Asm in
   let mmu, regs = cpu_fixture [ I Nop; I Nop ] in
   regs.tf <- true;
-  let s = Hw.Cpu.step mmu regs in
-  Alcotest.(check bool) "trap after retire" true s.debug_trap;
+  Alcotest.(check bool) "#DB after retire" true (step mmu regs = Hw.Cpu.Db);
+  Alcotest.(check int) "retired" 1 regs.eip;
   regs.tf <- false;
-  let s = Hw.Cpu.step mmu regs in
-  Alcotest.(check bool) "no trap" false s.debug_trap
+  Alcotest.(check bool) "no trap" true (step mmu regs = Hw.Cpu.No_trap)
 
 let test_cpu_hlt_faults () =
   let open Isa.Asm in
   let mmu, regs = cpu_fixture [ I Hlt ] in
-  match (Hw.Cpu.step mmu regs).outcome with
-  | Error (Hw.Cpu.General_protection _) -> ()
-  | _ -> Alcotest.fail "hlt in user mode must #GP"
+  if step mmu regs <> Hw.Cpu.Gp then Alcotest.fail "hlt in user mode must #GP"
 
 let suite =
   [

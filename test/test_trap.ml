@@ -199,7 +199,7 @@ let test_table_tracer () =
   let m = mk_machine () in
   let p = mk_proc m in
   let traces = ref [] in
-  m.syscall_tracer <- Some (fun tr -> traces := tr :: !traces);
+  m.probe.syscall <- Some (fun tr -> traces := tr :: !traces);
   set_reg p Isa.Reg.EAX 20;
   set_reg p Isa.Reg.EBX 111;
   set_reg p Isa.Reg.ECX 222;
@@ -331,6 +331,82 @@ let test_unified_fault_format () =
   Alcotest.(check string) "#UD shape" "#UD eip=0x00001000 opcode=0xcd"
     (Fmt.str "%a" Hw.Cpu.pp_fault (Hw.Cpu.Invalid_opcode { eip = 0x1000; opcode = 0xCD }))
 
+(* ------------------------------------------------------------------ *)
+(* The probe contract                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let ping_pong () =
+  Workload.Harness.build
+    (Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:5)
+
+let syscall_loop () =
+  Workload.Harness.build
+    (Workload.Harness.single ~defense:Defense.unprotected
+       (Workload.Guests.syscall_bench ~iters:20 ()))
+
+let run os = ignore (Kernel.Os.run ~fuel:2_000_000 os : Kernel.Os.stop_reason)
+
+(* At every scheduler boundary [boundary] runs, then [inject]. *)
+let test_probe_boundary_order () =
+  let os = ping_pong () in
+  let calls = Buffer.create 256 in
+  let probe = Kernel.Os.probe os in
+  probe.boundary <- Some (fun () -> Buffer.add_char calls 'b');
+  probe.inject <- Some (fun () -> Buffer.add_char calls 'i');
+  run os;
+  let n = Buffer.length calls / 2 in
+  Alcotest.(check bool) "several boundaries" true (n > 2);
+  Alcotest.(check string) "boundary, then inject, at each boundary"
+    (String.concat "" (List.init n (fun _ -> "bi")))
+    (Buffer.contents calls)
+
+(* [switch] fires once per change of the running pid: never twice for one
+   pid in a row, and once for every context switch the cost model charged
+   except the timer daemon's. *)
+let test_probe_switch_on_change () =
+  let os = ping_pong () in
+  let pids = ref [] in
+  (Kernel.Os.probe os).switch <- Some (fun p -> pids := p.pid :: !pids);
+  run os;
+  let rec distinct_neighbours = function
+    | a :: (b :: _ as rest) -> a <> b && distinct_neighbours rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "no repeated pid" true (distinct_neighbours !pids);
+  let m = Kernel.Os.machine os and cost = Kernel.Os.cost os in
+  let daemon = cost.params.daemon_period in
+  let daemon_switches = if daemon > 0 then m.ticks / daemon else 0 in
+  Alcotest.(check bool) "the pair switched" true (List.length !pids > 2);
+  Alcotest.(check int) "one per pid change" (cost.ctx_switches - daemon_switches)
+    (List.length !pids)
+
+(* [syscall] fires once per dispatched syscall; a squeezed one is not
+   dispatched (the guest restarts it), so it is not seen. *)
+let test_probe_syscall_once () =
+  let traced ~squeeze_every =
+    let os = syscall_loop () in
+    let probe = Kernel.Os.probe os in
+    let seen = ref 0 and asked = ref 0 and squeezed = ref 0 in
+    probe.syscall <- Some (fun _ -> incr seen);
+    if squeeze_every > 0 then
+      probe.squeeze <-
+        Some
+          (fun _ _ ->
+            incr asked;
+            let sq = !asked mod squeeze_every = 0 in
+            if sq then incr squeezed;
+            sq);
+    run os;
+    (!seen, !squeezed, (Kernel.Os.cost os).syscalls)
+  in
+  let seen, _, charged = traced ~squeeze_every:0 in
+  Alcotest.(check bool) "syscalls ran" true (seen > 20);
+  Alcotest.(check int) "once per dispatched syscall" charged seen;
+  let seen', squeezed, charged' = traced ~squeeze_every:3 in
+  Alcotest.(check bool) "some squeezed" true (squeezed > 0);
+  Alcotest.(check int) "squeezed ones unseen" (charged' - squeezed) seen';
+  Alcotest.(check int) "each restarted one seen once" seen seen'
+
 let unit_tests =
   [
     Alcotest.test_case "syscall table: registration" `Quick test_table_registration;
@@ -345,6 +421,10 @@ let unit_tests =
       test_debug_trap_skipped_when_killed;
     Alcotest.test_case "trap pipeline: #UD verdicts" `Quick test_invalid_opcode_verdicts;
     Alcotest.test_case "unified fault formatter" `Quick test_unified_fault_format;
+    Alcotest.test_case "probe: boundary before inject" `Quick test_probe_boundary_order;
+    Alcotest.test_case "probe: switch only on a pid change" `Quick test_probe_switch_on_change;
+    Alcotest.test_case "probe: syscall once per dispatch, never squeezed" `Quick
+      test_probe_syscall_once;
   ]
 
 let suite = scenario_tests @ unit_tests
