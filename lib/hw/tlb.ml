@@ -253,7 +253,6 @@ let flush t =
 
 type state = {
   s_entries : entry list;
-  s_fifo : int list;
   s_hits : int;
   s_misses : int;
   s_flushes : int;
@@ -263,8 +262,7 @@ type state = {
 
 let export t =
   {
-    s_entries = entries t;
-    s_fifo = fold_list (fun e acc -> e.vpn :: acc) t [];
+    s_entries = fold_list List.cons t [];
     s_hits = t.stats.hits;
     s_misses = t.stats.misses;
     s_flushes = t.stats.flushes;
@@ -272,10 +270,7 @@ let export t =
     s_evictions = t.stats.evictions;
   }
 
-(* The entries go in first, in vpn order, so one the queue never names
-   ages as the oldest; then each queue occurrence of a resident vpn makes
-   it the youngest, so its last occurrence sets its age and stale vpns
-   drop out. *)
+(* Inserting the entries oldest first leaves each at its exported age. *)
 let import t (s : state) =
   clear t;
   List.iter
@@ -284,11 +279,6 @@ let import t (s : state) =
       if locate t e.vpn >= 0 then invalid_arg "Tlb.import: repeated vpn";
       insert t e)
     s.s_entries;
-  List.iter
-    (fun vpn ->
-      let i = locate t vpn in
-      if i >= 0 then touch t t.index.(i))
-    s.s_fifo;
   t.stats.hits <- s.s_hits;
   t.stats.misses <- s.s_misses;
   t.stats.flushes <- s.s_flushes;

@@ -76,8 +76,8 @@ val flush : t -> unit
 (** Drop everything — what a CR3 reload (context switch) does. *)
 
 type state = {
-  s_entries : entry list;  (** live entries, sorted by vpn *)
-  s_fifo : int list;  (** resident vpns in replacement order, victim first *)
+  s_entries : entry list;
+      (** live entries in replacement order, oldest (the next victim) first *)
   s_hits : int;
   s_misses : int;
   s_flushes : int;
@@ -88,16 +88,11 @@ type state = {
     restored TLB reproduces the original's future eviction order exactly. *)
 
 val export : t -> state
-(** [s_fifo] lists every resident vpn once, oldest (the next victim)
-    first. *)
 
 val import : t -> state -> unit
-(** Replace the TLB's contents and statistics with [state]. [s_fifo] may
-    also be a raw replacement queue as older snapshots stored it: a vpn
-    that is not resident is ignored, a vpn's last occurrence sets its age,
-    and a resident vpn the queue never names ages as older than every
-    named one. Raises [Invalid_argument] if [s_entries] holds more entries
-    than {!capacity} or repeats a vpn. *)
+(** Replace the TLB's contents and statistics with [state]. Raises
+    [Invalid_argument] if [s_entries] holds more entries than {!capacity}
+    or repeats a vpn. *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)

@@ -23,6 +23,7 @@
    inject.* metrics when the machine is observed. *)
 
 module K = Kernel
+module Prng = K.Prng
 
 type injected = {
   i_class : Plan.fault_class;
@@ -350,7 +351,7 @@ let export e =
   in
   String.concat "\n"
     [
-      "prng=" ^ Prng.state e.prng;
+      "prng=" ^ Int64.to_string (Prng.state e.prng);
       "count=" ^ string_of_int e.count;
       "next_fire=" ^ string_of_int e.next_fire;
       "squeeze=" ^ string_of_int e.squeeze_left;
@@ -382,7 +383,9 @@ let import e s =
     | Some v -> v
     | None -> corrupt ("bad integer for " ^ k)
   in
-  Prng.set_state e.prng (get "prng");
+  (match Int64.of_string_opt (get "prng") with
+  | Some v -> Prng.set_state e.prng v
+  | None -> corrupt "bad integer for prng");
   e.count <- int "count";
   e.next_fire <- int "next_fire";
   e.squeeze_left <- int "squeeze";

@@ -20,7 +20,7 @@
      injection machinery itself perturbed the machine, which would
      invalidate every other verdict. *)
 
-module Prng = Prng
+module Prng = Kernel.Prng
 module Plan = Plan
 module Engine = Engine
 

@@ -13,7 +13,7 @@
     [Escaped] (divergence with no detection — what campaigns exist to
     prove impossible), [Clean] (nothing injected, bit-identical run). *)
 
-module Prng = Prng
+module Prng = Kernel.Prng
 module Plan = Plan
 module Engine = Engine
 

@@ -48,6 +48,21 @@ let set_bit t f = t.bits.(f / bits_per_word) <- t.bits.(f / bits_per_word) lor (
 let clear_bit t f =
   t.bits.(f / bits_per_word) <- t.bits.(f / bits_per_word) land lnot (1 lsl (f mod bits_per_word))
 
+(* Every frame free: bits 1 .. nframes-1 set, a word at a time (62 set
+   bits are [(1 lsl 62) - 1 = max_int]). Frame 0 is reserved as a
+   never-allocated null frame. Refcounts are the caller's. *)
+let free_all t =
+  Array.iteri
+    (fun w _ ->
+      let n = max 0 (min bits_per_word (t.nframes - (w * bits_per_word))) in
+      t.bits.(w) <- (1 lsl n) - 1)
+    t.bits;
+  clear_bit t 0;
+  t.free_count <- max 0 (t.nframes - 1);
+  t.hint_word <- 0;
+  t.pair_hint_word <- 0;
+  t.in_use <- 0
+
 let create phys =
   let n = Hw.Phys.frame_count phys in
   let nwords = ((n + bits_per_word - 1) / bits_per_word) + 1 in
@@ -67,11 +82,7 @@ let create phys =
       shared = Hashtbl.create 64;
     }
   in
-  (* Frame 0 is reserved as a never-allocated null frame. *)
-  for frame = 1 to n - 1 do
-    set_bit t frame
-  done;
-  t.free_count <- max 0 (n - 1);
+  free_all t;
   t
 
 let in_use t = t.in_use
@@ -175,41 +186,33 @@ let unshare t frame =
       frame
     end
 
-type state = {
-  s_free : int list;  (* free frames, ascending *)
-  s_refcount : int array;
-  s_in_use : int;
-  s_peak_in_use : int;
-}
+type state = { s_refcounts : (int * int) list; s_peak_in_use : int }
 
 let export t =
-  let free = ref [] in
+  let pairs = ref [] in
   for f = t.nframes - 1 downto 1 do
-    if t.bits.(f / bits_per_word) land (1 lsl (f mod bits_per_word)) <> 0 then
-      free := f :: !free
+    if t.refcount.(f) > 0 then pairs := (f, t.refcount.(f)) :: !pairs
   done;
-  {
-    s_free = !free;
-    s_refcount = Array.copy t.refcount;
-    s_in_use = t.in_use;
-    s_peak_in_use = t.peak_in_use;
-  }
+  { s_refcounts = !pairs; s_peak_in_use = t.peak_in_use }
 
+(* A frame is free exactly when its refcount is zero, so the pairs
+   rebuild the bitmap, the free count and [in_use]. Selection is
+   lowest-first, so the rebuilt bitmap resumes the exact allocation
+   sequence. *)
 let import t (s : state) =
-  if Array.length s.s_refcount <> Array.length t.refcount then
-    invalid_arg "Frame_alloc.import: frame count mismatch";
-  (* The free set is order-insensitive here: selection is lowest-first, so
-     the bitmap re-derived from any permutation of [s_free] resumes the
-     exact allocation sequence. *)
   Hashtbl.reset t.shares;
   Hashtbl.reset t.shared;
-  Array.fill t.bits 0 (Array.length t.bits) 0;
-  List.iter (fun f -> set_bit t f) s.s_free;
-  t.free_count <- List.length s.s_free;
-  t.hint_word <- 0;
-  t.pair_hint_word <- 0;
-  Array.blit s.s_refcount 0 t.refcount 0 (Array.length t.refcount);
-  t.in_use <- s.s_in_use;
+  free_all t;
+  Array.fill t.refcount 0 t.nframes 0;
+  List.iter
+    (fun (frame, count) ->
+      if frame < 1 || frame >= t.nframes || count <= 0 || t.refcount.(frame) <> 0 then
+        invalid_arg "Frame_alloc.import: bad refcount pair";
+      clear_bit t frame;
+      t.refcount.(frame) <- count;
+      t.free_count <- t.free_count - 1;
+      t.in_use <- t.in_use + 1)
+    s.s_refcounts;
   t.peak_in_use <- s.s_peak_in_use
 
 (* Adjacent-pair allocation: the paper's prototype creates the two copies

@@ -55,21 +55,23 @@ val unshare : t -> int -> int
     fork-COW sharing — are returned untouched. @raise Out_of_frames. *)
 
 type state = {
-  s_free : int list;  (** free frames, ascending *)
-  s_refcount : int array;
-  s_in_use : int;
+  s_refcounts : (int * int) list;
+      (** [(frame, refcount)] for every allocated frame, ascending; a
+          frame not listed is free *)
   s_peak_in_use : int;
 }
-(** Serializable allocator state. Selection is deterministic lowest-
-    address-first, so the free {e set} alone (any order accepted on
-    import) makes a restored machine hand out the same frame numbers as
-    the original. *)
+(** Serializable allocator state. A frame is free exactly when its
+    refcount is zero, so the pairs are the whole free set; selection is
+    deterministic lowest-address-first, so a restored machine hands out
+    the same frame numbers as the original. *)
 
 val export : t -> state
 (** Deep copy — later allocator activity does not mutate the export. *)
 
 val import : t -> state -> unit
-(** Replace the allocator's state in place (same physical memory). *)
+(** Replace the allocator's state in place (same physical memory).
+    @raise Invalid_argument on frame 0, a frame out of range, a repeated
+    frame or a refcount [<= 0]. *)
 
 val alloc_pair : t -> int * int
 (** Allocate two side-by-side frames [(even, even+1)] — how the paper's

@@ -94,7 +94,7 @@ type t = {
   libraries : (string, library) Hashtbl.t;
   mutable lib_cursor : int;
   runq : int Queue.t;
-  mutable rng : Random.State.t;
+  rng : Prng.t;
   page_size : int;
   quantum : int;
   stack_jitter_pages : int;
@@ -215,7 +215,7 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
       libraries = Hashtbl.create 4;
     lib_cursor = Layout.lib_base + 0x100000;
     runq = Queue.create ();
-    rng = Random.State.make [| seed |];
+    rng = Prng.make seed;
     page_size;
     quantum;
     stack_jitter_pages;
@@ -660,7 +660,7 @@ let spawn t ?(eager = false) ?(protected = true) ?name (image : Image.t) =
   p.regs.eip <- image.entry;
   let jitter =
     if t.stack_jitter_pages > 0 then
-      Random.State.int t.rng t.stack_jitter_pages * t.page_size
+      Prng.int t.rng t.stack_jitter_pages * t.page_size
     else 0
   in
   Hw.Cpu.set p.regs Isa.Reg.ESP (Layout.initial_esp - jitter);

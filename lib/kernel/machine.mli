@@ -118,7 +118,7 @@ type t = {
   libraries : (string, library) Hashtbl.t;
   mutable lib_cursor : int;
   runq : int Queue.t;
-  mutable rng : Random.State.t;
+  rng : Prng.t;
   page_size : int;
   quantum : int;
   stack_jitter_pages : int;

@@ -67,19 +67,6 @@ let cow_service = Machine.cow_service
 let quantum (t : t) = t.Machine.quantum
 let set_sched_hook (t : t) hook = t.Machine.probe.boundary <- hook
 
-type sched_state = Sched.state = {
-  s_runq : int list;
-  s_rng : Random.State.t;
-  s_last_running : int option;
-  s_next_pid : int;
-  s_next_tick : int;
-  s_ticks : int;
-  s_lib_cursor : int;
-}
-
-let sched_state = Sched.state
-let restore_sched_state = Sched.restore
-
 let libraries = Machine.libraries
 let restore_libraries = Machine.restore_libraries
 let replace_procs = Machine.replace_procs

@@ -136,21 +136,6 @@ val quantum : t -> int
 val set_sched_hook : t -> (unit -> unit) option -> unit
 (** [(probe t).boundary <- hook]. *)
 
-type sched_state = Sched.state = {
-  s_runq : int list;  (** run queue, front first *)
-  s_rng : Random.State.t;  (** deep copy of the kernel PRNG *)
-  s_last_running : int option;
-  s_next_pid : int;
-  s_next_tick : int;
-  s_ticks : int;
-  s_lib_cursor : int;
-}
-
-val sched_state : t -> sched_state
-(** Deep copy of scheduler/loader bookkeeping. *)
-
-val restore_sched_state : t -> sched_state -> unit
-
 type library = Machine.library = { lib_base : int; code : string; lib_signature : int }
 
 val libraries : t -> (string * library) list
@@ -160,7 +145,7 @@ val restore_libraries : t -> (string * library) list -> unit
 
 val replace_procs : t -> Proc.t list -> unit
 (** Replace the whole process table (snapshot restore). Does not touch the
-    run queue — pair with {!restore_sched_state}. *)
+    run queue — pair with {!Sched.restore}. *)
 
 (** {2 Layer access} *)
 

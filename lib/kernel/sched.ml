@@ -169,7 +169,7 @@ let run ?(fuel = 50_000_000) ?table (m : M.t) =
 
 type state = {
   s_runq : int list;  (* front of the queue first *)
-  s_rng : Random.State.t;
+  s_rng : int64;
   s_last_running : int option;
   s_next_pid : int;
   s_next_tick : int;
@@ -180,7 +180,7 @@ type state = {
 let state (m : M.t) =
   {
     s_runq = List.of_seq (Queue.to_seq m.runq);
-    s_rng = Random.State.copy m.rng;
+    s_rng = Prng.state m.rng;
     s_last_running = (if m.last_running < 0 then None else Some m.last_running);
     s_next_pid = m.next_pid;
     s_next_tick = m.next_tick;
@@ -195,7 +195,7 @@ let restore (m : M.t) (s : state) =
       (match M.proc m pid with Some p -> p.in_runq <- true | None -> ());
       Queue.add pid m.runq)
     s.s_runq;
-  m.rng <- Random.State.copy s.s_rng;
+  Prng.set_state m.rng s.s_rng;
   m.last_running <- Option.value s.s_last_running ~default:(-1);
   m.next_pid <- s.s_next_pid;
   m.next_tick <- s.s_next_tick;

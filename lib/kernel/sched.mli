@@ -46,7 +46,7 @@ val run : ?fuel:int -> ?table:Syscalls.table -> Machine.t -> stop_reason
 
 type state = {
   s_runq : int list;  (** run queue, front first *)
-  s_rng : Random.State.t;  (** deep copy of the kernel PRNG *)
+  s_rng : int64;  (** the kernel PRNG's cursor *)
   s_last_running : int option;
   s_next_pid : int;
   s_next_tick : int;

@@ -11,7 +11,7 @@ type t = {
   mutable sum : int;
   mutable max : int;
   buckets : int array;  (* pow2: bucket 0 = <=0, bucket k = [2^(k-1), 2^k) *)
-  rng : Loadgen.Prng.t;
+  rng : Kernel.Prng.t;
 }
 
 let create ?(capacity = 4096) ?(seed = 7) () =
@@ -23,7 +23,7 @@ let create ?(capacity = 4096) ?(seed = 7) () =
     sum = 0;
     max = 0;
     buckets = Array.make 63 0;
-    rng = Loadgen.Prng.make seed;
+    rng = Kernel.Prng.make seed;
   }
 
 let bucket_of v =
@@ -40,7 +40,7 @@ let record t v =
   if t.count < t.capacity then t.reservoir.(t.count) <- v
   else begin
     (* algorithm R: keep each of the n samples with probability cap/n *)
-    let j = Loadgen.Prng.int t.rng (t.count + 1) in
+    let j = Kernel.Prng.int t.rng (t.count + 1) in
     if j < t.capacity then t.reservoir.(j) <- v
   end;
   t.count <- t.count + 1

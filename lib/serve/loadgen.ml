@@ -1,34 +1,10 @@
-(* Deterministic synthetic traffic: a private splitmix64 stream drives a
+(* Deterministic synthetic traffic: a private [Kernel.Prng] stream drives a
    Zipf page-popularity sampler and per-client request schedules. Every
    schedule is a pure function of (seed, client index, parameters), so a
    sweep renders bit-identically at any fleet width and any repetition —
    the property the serving gate byte-diffs. *)
 
-(* splitmix64, same construction as the injector's private PRNG:
-   one int64 of state, stable across OCaml versions, and incapable of
-   colliding with the kernel's [Random.State]. *)
-module Prng = struct
-  type t = { mutable s : int64 }
-
-  let gamma = 0x9E3779B97F4A7C15L
-
-  let make seed = { s = Int64.mul (Int64.of_int (seed + 1)) gamma }
-
-  let next t =
-    t.s <- Int64.add t.s gamma;
-    let z = t.s in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
-  let int t bound =
-    if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-    Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
-end
+module Prng = Kernel.Prng
 
 (* Zipf(theta) over ranks 0..n-1 via an integer cumulative-weight table:
    floats touch only the table build (truncated, floored at 1), so

@@ -40,6 +40,17 @@ let get_len r ~width what =
 let u8 = { w = put_u8; r = get_u8 }
 let int = { w = put_int; r = get_int }
 
+let int64 =
+  {
+    w = Buffer.add_int64_le;
+    r =
+      (fun r ->
+        if String.length r.s - r.pos < 8 then corrupt "truncated at byte %d" r.pos;
+        let v = String.get_int64_le r.s r.pos in
+        r.pos <- r.pos + 8;
+        v);
+  }
+
 let conv to_wire of_wire c =
   { w = (fun b v -> c.w b (to_wire v)); r = (fun r -> of_wire (c.r r)) }
 

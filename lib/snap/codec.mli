@@ -22,6 +22,10 @@ type 'a t
 
 val u8 : int t
 val int : int t
+
+val int64 : int64 t
+(** Eight little-endian bytes, like {!int}, without the zigzag. *)
+
 val bool : bool t
 val str : string t
 val int_array : int array t

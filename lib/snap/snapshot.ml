@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 let magic = "SMEMSNP1"
 
 type trigger = { t_pid : int; t_eip : int; t_mode : string }
@@ -69,7 +69,7 @@ type t = {
   sn_procs : proc_state list;  (* sorted by pid *)
   sn_libs : (string * Kernel.Os.library) list;
   sn_runq : int list;
-  sn_rng : string;  (* Marshal blob of the kernel PRNG *)
+  sn_rng : int64;  (* the kernel PRNG's cursor *)
   sn_last_running : int option;
   sn_next_pid : int;
   sn_next_tick : int;
@@ -106,7 +106,7 @@ let require_no_caches what os =
   match Hw.Mmu.icache (Kernel.Os.mmu os) with
   | Some _ ->
     invalid_arg
-      (what ^ ": the cache timing model is not serialized in format v1; \
+      (what ^ ": the cache timing model is not serialized; \
        disable ~caches to snapshot this machine")
   | None -> ()
 
@@ -214,7 +214,7 @@ let checkpoint ?(meta = []) ?trigger os =
       sn_procs = procs;
       sn_libs = Kernel.Os.libraries os;
       sn_runq = sched.s_runq;
-      sn_rng = Marshal.to_string sched.s_rng [];
+      sn_rng = sched.s_rng;
       sn_last_running = sched.s_last_running;
       sn_next_pid = sched.s_next_pid;
       sn_next_tick = sched.s_next_tick;
@@ -252,20 +252,13 @@ let compatible os snap =
     Error "cost parameter mismatch"
   else Ok ()
 
-(* The kernel PRNG travels as a [Marshal] blob, and unmarshalling hostile
-   bytes can crash the process. So a blob is accepted only in the exact
-   shape a [Random.State.t] marshals to in this build: every byte but the
-   trailing state words equals a fresh state's. *)
-let rng_template = Marshal.to_string (Random.State.make [| 0 |]) []
-let rng_state_bytes = 32  (* OCaml 5: four int64 words, marshalled last *)
-
 let corrupt fmt = Fmt.kstr (fun m -> raise (Codec.Corrupt m)) fmt
 
-(* Check the decoded values restore indexes with or sizes by, that each
-   TLB state fits its TLB (no more entries than slots, no vpn twice), and
-   decode the kernel PRNG, before the machine is touched: a hostile blob
-   that decodes fails here with [Codec.Corrupt] rather than with
-   [Invalid_argument] halfway through a restore. *)
+(* Check the decoded values restore indexes with or sizes by, and that
+   each TLB state fits its TLB (no more entries than slots, no vpn
+   twice), before the machine is touched: a hostile blob that decodes
+   fails here with [Codec.Corrupt] rather than with [Invalid_argument]
+   halfway through a restore. *)
 let validate mmu snap =
   let frames what ~first l =
     ignore
@@ -284,10 +277,10 @@ let validate mmu snap =
         corrupt "frame %d holds %d bytes" frame (String.length bytes))
     snap.sn_frames;
   (* frame 0 is the allocator's reserved null frame *)
-  frames "free list" ~first:1 snap.sn_alloc.s_free;
-  if Array.length snap.sn_alloc.s_refcount <> snap.sn_frame_count then
-    corrupt "%d refcounts for %d frames" (Array.length snap.sn_alloc.s_refcount)
-      snap.sn_frame_count;
+  frames "refcounts" ~first:1 (List.map fst snap.sn_alloc.s_refcounts);
+  List.iter
+    (fun (frame, n) -> if n <= 0 then corrupt "frame %d: refcount %d" frame n)
+    snap.sn_alloc.s_refcounts;
   let gprs = Array.length (Hw.Cpu.create_regs ()).gpr in
   List.iter
     (fun ps ->
@@ -305,13 +298,7 @@ let validate mmu snap =
       corrupt "%s: a vpn is cached twice" (Hw.Tlb.name t)
   in
   tlb snap.sn_itlb (Hw.Mmu.itlb mmu);
-  tlb snap.sn_dtlb (Hw.Mmu.dtlb mmu);
-  let rng = snap.sn_rng and fixed = String.length rng_template - rng_state_bytes in
-  if
-    String.length rng <> String.length rng_template
-    || String.sub rng 0 fixed <> String.sub rng_template 0 fixed
-  then corrupt "kernel PRNG state";
-  (Marshal.from_string rng 0 : Random.State.t)
+  tlb snap.sn_dtlb (Hw.Mmu.dtlb mmu)
 
 let restore os snap =
   require_no_caches "Snapshot.restore" os;
@@ -320,7 +307,7 @@ let restore os snap =
   let cost = Kernel.Os.cost os in
   let mmu = Kernel.Os.mmu os in
   Result.iter_error (fun m -> invalid_arg ("Snapshot.restore: " ^ m)) (compatible os snap);
-  let rng = validate mmu snap in
+  validate mmu snap;
   (* physical memory: zero everything, then lay down the sparse frames.
      Zeroing a frame that was never written costs nothing. *)
   for frame = 0 to snap.sn_frame_count - 1 do
@@ -394,7 +381,7 @@ let restore os snap =
   Kernel.Sched.restore (Kernel.Os.machine os)
     {
       s_runq = snap.sn_runq;
-      s_rng = rng;
+      s_rng = snap.sn_rng;
       s_last_running = snap.sn_last_running;
       s_next_pid = snap.sn_next_pid;
       s_next_tick = snap.sn_next_tick;
@@ -485,14 +472,13 @@ let tlb : Hw.Tlb.state Codec.t =
   in
   record ()
   |+ (list entry, fun (s : Hw.Tlb.state) -> s.s_entries)
-  |+ (list int, fun s -> s.s_fifo)
   |+ (int, fun s -> s.s_hits)
   |+ (int, fun s -> s.s_misses)
   |+ (int, fun s -> s.s_flushes)
   |+ (int, fun s -> s.s_invalidations)
   |+ (int, fun s -> s.s_evictions)
-  |> seal (fun s_entries s_fifo s_hits s_misses s_flushes s_invalidations s_evictions ->
-         { Hw.Tlb.s_entries; s_fifo; s_hits; s_misses; s_flushes; s_invalidations; s_evictions })
+  |> seal (fun s_entries s_hits s_misses s_flushes s_invalidations s_evictions ->
+         { Hw.Tlb.s_entries; s_hits; s_misses; s_flushes; s_invalidations; s_evictions })
 
 let kind : Kernel.Pte.kind Codec.t =
   Codec.enum "pte kind" Kernel.Pte.[ Code; Rodata; Data; Bss; Heap; Stack; Mixed; Lib; Mmap ]
@@ -629,12 +615,9 @@ let cost =
 let alloc : Kernel.Frame_alloc.state Codec.t =
   let open Codec in
   record ()
-  |+ (list int, fun (a : Kernel.Frame_alloc.state) -> a.s_free)
-  |+ (int_array, fun a -> a.s_refcount)
-  |+ (int, fun a -> a.s_in_use)
+  |+ (list (pair int int), fun (a : Kernel.Frame_alloc.state) -> a.s_refcounts)
   |+ (int, fun a -> a.s_peak_in_use)
-  |> seal (fun s_free s_refcount s_in_use s_peak_in_use ->
-         { Kernel.Frame_alloc.s_free; s_refcount; s_in_use; s_peak_in_use })
+  |> seal (fun s_refcounts s_peak_in_use -> { Kernel.Frame_alloc.s_refcounts; s_peak_in_use })
 
 let pipe : Kernel.Pipe.state Codec.t =
   let open Codec in
@@ -693,7 +676,7 @@ let snapshot =
   |+ (list proc, fun t -> t.sn_procs)
   |+ (list (pair str library), fun t -> t.sn_libs)
   |+ (list int, fun t -> t.sn_runq)
-  |+ (str, fun t -> t.sn_rng)
+  |+ (int64, fun t -> t.sn_rng)
   |+ (opt int, fun t -> t.sn_last_running)
   |+ (int, fun t -> t.sn_next_pid)
   |+ (int, fun t -> t.sn_next_tick)

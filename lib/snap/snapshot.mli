@@ -12,11 +12,12 @@
     renders a human-readable JSON summary written next to the binary by
     {!save}.
 
-    Limitations (v1): the optional I/D cache timing model is not
-    serialized — {!checkpoint} and {!restore} reject machines with caches
-    enabled. The kernel PRNG is stored as an opaque [Marshal] blob, so
-    snapshot files are portable only across builds with the same OCaml
-    [Random] representation. *)
+    Every stored field is a plain {!Codec} value that no other field
+    derives: the allocator is its nonzero refcounts, each TLB its entries
+    in replacement order, and the kernel PRNG its one int64 cursor.
+
+    Limitation: the optional I/D cache timing model is not serialized —
+    {!checkpoint} and {!restore} reject machines with caches enabled. *)
 
 val version : int
 val magic : string
@@ -62,10 +63,10 @@ val restore : Kernel.Os.t -> t -> unit
     word-sized (one check per frame, the allocator's bitmap and refcounts).
     @raise Invalid_argument on configuration mismatch.
     @raise Codec.Corrupt when a decoded value is out of range (frame
-    indices, order and lengths, the free list, the refcount array's
-    length, a register or trace array, the PRNG blob's shape), before the
-    machine is touched; no other exception escapes for a compatible
-    machine. *)
+    indices, order and lengths; refcount frames, order and counts; a
+    register or trace array; a TLB state that does not fit its TLB),
+    before the machine is touched; no other exception escapes for a
+    compatible machine. *)
 
 val encode : t -> string
 val decode : string -> t

@@ -21,12 +21,11 @@ let stop_name : Kernel.Os.stop_reason -> string = function
   | All_blocked -> "all-blocked"
   | Fuel_exhausted -> "fuel-exhausted"
 
-(* A digest of a TLB's resident entries and their replacement order
-   (insertion order under FIFO, recency under LRU): two TLBs with the
-   same digest evict the same victims from here on. *)
+(* A digest of a TLB's resident entries in replacement order (insertion
+   order under FIFO, recency under LRU): two TLBs with the same digest
+   evict the same victims from here on. *)
 let tlb_digest tlb =
-  let s = Hw.Tlb.export tlb in
-  Digest.to_hex (Digest.string (Marshal.to_string (s.s_entries, s.s_fifo) []))
+  Digest.to_hex (Digest.string (Marshal.to_string (Hw.Tlb.export tlb).s_entries []))
 
 (* Each process's forensic trail (oldest first) and ring position, as
    the dispatch loop wrote them. *)

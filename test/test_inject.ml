@@ -9,8 +9,7 @@
    is caught at translation time, a data-copy flip never reaches the fetch
    path, the kernel contains allocator exhaustion and restarts squeezed
    syscalls), the seed-7 campaign must have zero escaped verdicts, and the
-   rendered summary is pinned by a golden file (regenerate with
-   REGEN_GOLDEN=test/golden dune exec test/test_main.exe -- test inject).
+   rendered summary is pinned by a golden file (see [Golden]).
    Both read the harness's memoized campaign runs. *)
 
 let run_to_end os = Kernel.Os.run ~fuel:2_000_000 os
@@ -233,40 +232,8 @@ let test_campaign_zero_escaped () =
 
 (* --- Golden summary (the `simctl inject --seed 7` output) ------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let test_golden_summary () =
-  let got = Inject.summary_string (Test_equiv.inject_seed7 ~jobs:1) in
-  match Sys.getenv_opt "REGEN_GOLDEN" with
-  | Some dir ->
-    let path = Filename.concat dir "inject-seed7.golden" in
-    let oc = open_out_bin path in
-    output_string oc got;
-    close_out oc;
-    Fmt.epr "regenerated %s@." path
-  | None ->
-    let path = Filename.concat "golden" "inject-seed7.golden" in
-    if not (Sys.file_exists path) then
-      Alcotest.failf "missing golden file %s (run with REGEN_GOLDEN)" path;
-    let want = read_file path in
-    if got <> want then begin
-      let split s = String.split_on_char '\n' s in
-      let rec first_diff i = function
-        | [], [] -> None
-        | a :: _, [] -> Some (i, a, "<missing>")
-        | [], b :: _ -> Some (i, "<missing>", b)
-        | a :: ta, b :: tb -> if a <> b then Some (i, a, b) else first_diff (i + 1) (ta, tb)
-      in
-      match first_diff 1 (split want, split got) with
-      | Some (ln, w, g) ->
-        Alcotest.failf "summary mismatch at line %d:@.  golden: %s@.  got:    %s" ln w g
-      | None -> Alcotest.fail "summary mismatch (whitespace only?)"
-    end
+  Golden.check "inject-seed7" (Inject.summary_string (Test_equiv.inject_seed7 ~jobs:1))
 
 let suite =
   [

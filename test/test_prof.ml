@@ -111,16 +111,8 @@ let test_lru_hot_loop () =
 (* --- Golden report ---------------------------------------------------------- *)
 
 (* The rendered profile of the pinned ctxsw workload, pinned byte-for-byte
-   (regenerate with REGEN_GOLDEN=test/golden dune exec test/test_main.exe
-   -- test prof). Any change to the sampler's decimation, the cost model's
+   (see [Golden]). Any change to the sampler's decimation, the cost model's
    cycle stamps or the report renderers shows up here. *)
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let test_golden_profile () =
   let spec =
     Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40
@@ -129,19 +121,7 @@ let test_golden_profile () =
   let _result, _os =
     Workload.Harness.run_k ~tune:(fun k -> prof := Some (Prof.attach ~rate:64 k)) spec
   in
-  let got = profile_report (Option.get !prof) in
-  match Sys.getenv_opt "REGEN_GOLDEN" with
-  | Some dir ->
-    let path = Filename.concat dir "profile-ctxsw.golden" in
-    let oc = open_out_bin path in
-    output_string oc got;
-    close_out oc;
-    Fmt.epr "regenerated %s@." path
-  | None ->
-    let path = Filename.concat "golden" "profile-ctxsw.golden" in
-    if not (Sys.file_exists path) then
-      Alcotest.failf "missing golden file %s (run with REGEN_GOLDEN)" path;
-    Alcotest.(check string) "profile report" (read_file path) got
+  Golden.check "profile-ctxsw" (profile_report (Option.get !prof))
 
 (* --- Zero-access guards ---------------------------------------------------- *)
 

@@ -568,18 +568,6 @@ module Queue_tlb = struct
     Hashtbl.reset t.occ;
     t.stats.flushes <- t.stats.flushes + 1
 
-  (* the raw queue, stale and repeated vpns included *)
-  let export t : Hw.Tlb.state =
-    {
-      s_entries = entries t;
-      s_fifo = List.of_seq (Queue.to_seq t.fifo);
-      s_hits = t.stats.hits;
-      s_misses = t.stats.misses;
-      s_flushes = t.stats.flushes;
-      s_invalidations = t.stats.invalidations;
-      s_evictions = t.stats.evictions;
-    }
-
   (* the queue reduced to each resident vpn's last occurrence: its
      replacement order *)
   let order t =
@@ -588,6 +576,16 @@ module Queue_tlb = struct
         if Hashtbl.mem t.table vpn && not (List.mem vpn kept) then vpn :: kept else kept)
       (List.of_seq (Queue.to_seq t.fifo))
       []
+
+  let export t : Hw.Tlb.state =
+    {
+      s_entries = List.map (Hashtbl.find t.table) (order t);
+      s_hits = t.stats.hits;
+      s_misses = t.stats.misses;
+      s_flushes = t.stats.flushes;
+      s_invalidations = t.stats.invalidations;
+      s_evictions = t.stats.evictions;
+    }
 end
 
 type tlb_twin_op =
@@ -623,15 +621,14 @@ let pp_tlb_twin_op = function
   | T_flush -> "flush"
   | T_note_hits (v, n) -> Fmt.str "note_hits %d %d" v n
   | T_tamper v -> Fmt.str "tamper %d" v
-  | T_restore -> "restore from the raw queue"
+  | T_restore -> "restore from the reference's export"
 
 (* Twin TLBs, the flat one and the queue reference, through one random
    sequence: entries, statistics, every eviction victim and the
    replacement order must agree after every step. [restore] replaces the
-   flat TLB with a fresh one imported from the reference's raw queue —
-   stale vpns (invalidated under FIFO) and repeated ones (LRU hits)
-   included — so the victims after it check that [import] ages each vpn
-   by its last occurrence. *)
+   flat TLB with a fresh one imported from the reference's export (its
+   queue reduced to the replacement order), so the victims after it check
+   that [import] keeps each entry's age. *)
 let prop_tlb_twin =
   Test.make ~name:"tlb: flat slots evict as the queue reference does" ~count:500
     (make
@@ -691,7 +688,7 @@ let prop_tlb_twin =
           && Hw.Tlb.entries t = Queue_tlb.entries rf
           && Hw.Tlb.stats t = rf.stats
           && victims_flat = victims_ref
-          && s.s_fifo = Queue_tlb.order rf
+          && vpns s.s_entries = Queue_tlb.order rf
           && Hw.Tlb.size t <= capacity)
         ops)
 

@@ -28,7 +28,7 @@ let test_samba_brute_force () =
   let r = R.run_samba ~defense:Defense.unprotected () in
   Alcotest.(check bool) "samba eventually succeeds" true
     (Attack.Runner.is_attack_success r.outcome);
-  Alcotest.(check bool) "takes at least one attempt" true (r.attempts >= 1)
+  Alcotest.(check bool) "takes more than one attempt" true (r.attempts > 1)
 
 let test_wuftpd_two_stage () =
   let outcome, s = R.run_wuftpd ~defense:Defense.unprotected () in

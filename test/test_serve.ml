@@ -1,10 +1,8 @@
 (* lib/serve: loadgen determinism and Zipf shape (qcheck), knee-finder
    and percentile-estimator units, the zero-request guard, the sweep's
    -j invariance, and the end-to-end serving golden with a mid-serve
-   replay gate (a Sleep-blocked client crosses the snapshot).
-
-   Regenerate the golden (only for an intentional behaviour change) with:
-     REGEN_GOLDEN=test/golden dune exec test/test_main.exe -- test serve *)
+   replay gate (a Sleep-blocked client crosses the snapshot). The golden
+   is regenerated only for an intentional behaviour change (see [Golden]). *)
 
 module L = Serve.Loadgen
 
@@ -165,33 +163,13 @@ let test_zero_request_guard () =
 
 (* --- golden: the fixed split-memory knee table ----------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let golden_sweep () =
   Serve.Sweep.run ~jobs:2
     ~defenses:[ Defense.split_standalone ]
     ~concurrencies:[ 1; 2; 4 ] ~reps:2 ~requests:6
     ~model:(L.Closed { think = 30_000 }) ~resp_size:1024 ()
 
-let test_golden_knee () =
-  let got = Serve.Sweep.render (golden_sweep ()) in
-  match Sys.getenv_opt "REGEN_GOLDEN" with
-  | Some dir ->
-    let path = Filename.concat dir "serve-knee.golden" in
-    let oc = open_out_bin path in
-    output_string oc got;
-    close_out oc;
-    Fmt.epr "regenerated %s@." path
-  | None ->
-    let path = Filename.concat "golden" "serve-knee.golden" in
-    if not (Sys.file_exists path) then
-      Alcotest.failf "missing golden file %s (run with REGEN_GOLDEN)" path;
-    check Alcotest.string "serving knee table" (read_file path) got
+let test_golden_knee () = Golden.check "serve-knee" (Serve.Sweep.render (golden_sweep ()))
 
 (* --- replay gate: snapshot/restore mid-serve is bit-exact ------------------ *)
 

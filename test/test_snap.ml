@@ -35,9 +35,14 @@ let test_codec_roundtrip () =
     "list" [ "a"; "bb"; "" ]
     (roundtrip (list str) [ "a"; "bb"; "" ]);
   Alcotest.(check (array int)) "array" [| 3; -4; 5 |] (roundtrip int_array [| 3; -4; 5 |]);
+  List.iter
+    (fun v -> Alcotest.(check int64) "int64" v (roundtrip int64 v))
+    [ 0L; -1L; Int64.min_int; Int64.max_int ];
   (* the primitives' bytes: zigzag ints, 8 bytes little-endian *)
   Alcotest.(check string) "wire" "HDR\003\000\000\000\000\000\000\000\001"
-    (encode ~magic:"HDR" (pair int bool) (-2, true))
+    (encode ~magic:"HDR" (pair int bool) (-2, true));
+  Alcotest.(check string) "int64 wire" "\254\255\255\255\255\255\255\255"
+    (encode ~magic:"" int64 (-2L))
 
 (* Records read their fields in the order they are written, variants and
    enums by their tag; [conv] may reject what it decodes. *)
@@ -137,15 +142,15 @@ let pinned_blob ?events name =
    bumps [Snapshot.version]). *)
 let pinned_digests =
   [
-    ("benign", "6bcf3ac53a2a370cc7883f581581ab5c");
-    ("attack-break", "00b3734ff5143c0a4df6783459ad13ec");
-    ("attack-forensics", "215105e38dca0496ecde5c4dbbd06cde");
-    ("attack-observe", "33ab9e51bf9d9be258cac804ab6bce1f");
-    ("reuse-rop", "8e2d5e707c7f8bf9e4de033dcbeef254");
-    ("reuse-rop-cfi", "f66f0c23707f7a440c914ea22e7cc0b6");
-    ("reuse-fptr-cfi", "51d6bf07d04b7a04ca6cdec42f107379");
-    ("scale", "910cf79a343c51c2926b643f9eeda7c2");
-    ("every-event", "705b88c720720eb66072c767be9e1eae");
+    ("benign", "dbe9d55a97ff5523adab7e1ea91111d3");
+    ("attack-break", "8fe031e8b8e6151e9bee0b0be17ca081");
+    ("attack-forensics", "77cda0c37de335de76e825456f786de5");
+    ("attack-observe", "bccee4f679d314ceb13d5ed65f695a32");
+    ("reuse-rop", "72f2257d89ad1560117a0f1dc4c6be39");
+    ("reuse-rop-cfi", "787de977273d3db39b8cbc8b65bbf0fc");
+    ("reuse-fptr-cfi", "3daaa3fc1787b5510d2e9e711324d948");
+    ("scale", "e2d9f2d5d79cfc47780298afa4e47bba");
+    ("every-event", "2852c292847e408dbcff0000a5b8b175");
   ]
 
 let test_pinned_format () =
@@ -237,7 +242,8 @@ let test_decode_fuzz () =
 
 (* A blob that decodes but carries a value [restore] would index or size
    by, or a TLB state that does not fit its TLB, raises [Codec.Corrupt]
-   before the machine is touched. Each case
+   before the machine is touched: the machine still checkpoints to a
+   fresh one's bytes. Each case
    splices one well-formed but out-of-range field into the fuzz subject's
    blob, located by its encoding (taken from the live machine). *)
 let test_hostile_restore () =
@@ -258,8 +264,17 @@ let test_hostile_restore () =
   let gpr = p.regs.gpr and trace = p.trail.ring in
   let trail = int_array trace ^ int_bytes p.trail.pos in
   let alloc = Kernel.Frame_alloc.export (Kernel.Os.alloc os) in
-  let refcounts = int_array alloc.s_refcount in
-  let free = int_bytes (List.length alloc.s_free) ^ ints alloc.s_free in
+  let refcounts l =
+    int_bytes (List.length l)
+    ^ ints (List.concat_map (fun (f, c) -> [ f; c ]) l)
+    ^ int_bytes alloc.s_peak_in_use
+  in
+  let r0, r1, rest =
+    match alloc.s_refcounts with
+    | r0 :: r1 :: rest -> (r0, r1, rest)
+    | _ -> Alcotest.fail "fewer than two frames in use"
+  in
+  let with_refcounts l = splice (refcounts alloc.s_refcounts) (refcounts l) in
   let phys = Kernel.Os.phys os in
   let page = Hw.Phys.page_size phys in
   let f0, f1 =
@@ -295,14 +310,11 @@ let test_hostile_restore () =
       ("trace position = length", splice trail (int_array trace ^ int_bytes (Array.length trace)));
       ("trace position -1", splice trail (int_array trace ^ int_bytes (-1)));
       ("empty trace", splice trail (int_array [||] ^ int_bytes 0));
-      ("63 refcounts", splice refcounts (int_array (Array.sub alloc.s_refcount 0 63)));
-      ( "free frame 64",
-        splice (free ^ refcounts)
-          (ints (List.length alloc.s_free :: List.rev (64 :: List.tl (List.rev alloc.s_free)))
-          ^ refcounts) );
-      ( "free frame 0",
-        splice (free ^ refcounts)
-          (ints (List.length alloc.s_free :: 0 :: List.tl alloc.s_free) ^ refcounts) );
+      ("refcount for frame 0", with_refcounts ((0, snd r0) :: r1 :: rest));
+      ("refcount for frame 64", with_refcounts (r0 :: r1 :: rest @ [ (64, 1) ]));
+      ("refcounts out of order", with_refcounts (r1 :: r0 :: rest));
+      ("refcount repeated", with_refcounts (r0 :: r0 :: r1 :: rest));
+      ("zero refcount", with_refcounts ((fst r0, 0) :: r1 :: rest));
       ("frame index 64", splice (frame f0) (int_bytes 64 ^ String.sub (frame f0) 8 (8 + page)));
       ("frames out of order", splice (frame f0 ^ frame f1) (frame f1 ^ frame f0));
       ( "short frame",
@@ -315,17 +327,43 @@ let test_hostile_restore () =
           (entries (List.init 65 (fun i -> { first with vpn = 0x10_0000 + i }))) );
     ]
   in
+  let bytes os = Snap.Snapshot.(encode (checkpoint os)) in
+  let untouched = bytes (fuzz_fresh ()) in
   List.iter
     (fun (what, hostile) ->
       match Snap.Snapshot.decode hostile with
       | exception e ->
         Alcotest.failf "%s: the spliced blob does not decode (%s)" what (Printexc.to_string e)
       | snap -> (
-        match Snap.Snapshot.restore (fuzz_fresh ()) snap with
-        | exception Snap.Codec.Corrupt _ -> ()
+        let os = fuzz_fresh () in
+        match Snap.Snapshot.restore os snap with
+        | exception Snap.Codec.Corrupt _ ->
+          if bytes os <> untouched then Alcotest.failf "%s: the machine was touched" what
         | () -> Alcotest.failf "%s: restored" what
         | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)))
     cases
+
+(* An allocator imported from another's export, over one that has
+   allocated frames of its own, is the same allocator: the same counts,
+   and the same frames handed out next, single and paired. *)
+let test_alloc_import () =
+  let fresh () = Kernel.Frame_alloc.create (Hw.Phys.create ~frames:128 ()) in
+  let a = fresh () in
+  let frames = List.init 40 (fun _ -> Kernel.Frame_alloc.alloc a) in
+  List.iteri
+    (fun i f ->
+      if i mod 3 = 0 then Kernel.Frame_alloc.decref a f
+      else if i mod 5 = 0 then Kernel.Frame_alloc.incref a f)
+    frames;
+  let b = fresh () in
+  for _ = 1 to 70 do
+    ignore (Kernel.Frame_alloc.alloc b)
+  done;
+  Kernel.Frame_alloc.import b (Kernel.Frame_alloc.export a);
+  let counts t = Kernel.Frame_alloc.(free_frames t, in_use t, peak_in_use t) in
+  Alcotest.(check (triple int int int)) "free, in use, peak" (counts a) (counts b);
+  let next t = Kernel.Frame_alloc.(alloc t, alloc_pair t, alloc t) in
+  Alcotest.(check (triple int (pair int int) int)) "next frames" (next a) (next b)
 
 (* --- Round-trip replay across scenarios ---------------------------------- *)
 
@@ -668,6 +706,7 @@ let suite =
     Alcotest.test_case "pinned wire format" `Quick test_pinned_format;
     Alcotest.test_case "decode fuzz: only Codec.Corrupt escapes" `Quick test_decode_fuzz;
     Alcotest.test_case "hostile restore: out-of-range values" `Quick test_hostile_restore;
+    Alcotest.test_case "allocator import resumes allocation" `Quick test_alloc_import;
     Alcotest.test_case "round trip: benign" `Quick (test_roundtrip "benign");
     Alcotest.test_case "round trip: attack-break" `Quick (test_roundtrip "attack-break");
     Alcotest.test_case "round trip: attack-forensics" `Quick

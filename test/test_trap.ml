@@ -14,10 +14,8 @@
      mid-run, finishes it, restores and re-runs — bit-identical event logs
      and cycle counters or the test fails.
 
-   Regenerate goldens (only for an intentional behaviour change) with:
-     REGEN_GOLDEN=test/golden dune exec test/test_main.exe -- test trap *)
-
-let golden_dir = "golden"
+   Regenerate goldens only for an intentional behaviour change (see
+   [Golden]). *)
 
 let stop_name : Kernel.Os.stop_reason -> string = function
   | All_exited -> "all_exited"
@@ -46,44 +44,7 @@ let shape (scenario : Snap.Scenario.t) =
     (Kernel.Event_log.to_list (Kernel.Os.log os));
   Buffer.contents b
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let golden_path name = Filename.concat golden_dir (name ^ ".golden")
-
-let test_golden (scenario : Snap.Scenario.t) () =
-  let got = shape scenario in
-  match Sys.getenv_opt "REGEN_GOLDEN" with
-  | Some dir ->
-    let path = Filename.concat dir (scenario.name ^ ".golden") in
-    let oc = open_out_bin path in
-    output_string oc got;
-    close_out oc;
-    Fmt.epr "regenerated %s@." path
-  | None ->
-    let path = golden_path scenario.name in
-    if not (Sys.file_exists path) then
-      Alcotest.failf "missing golden file %s (run with REGEN_GOLDEN)" path;
-    let want = read_file path in
-    if got <> want then begin
-      (* line-level diff beats a 2KB string blob in the failure output *)
-      let split s = String.split_on_char '\n' s in
-      let rec first_diff i = function
-        | [], [] -> None
-        | a :: _, [] -> Some (i, a, "<missing>")
-        | [], b :: _ -> Some (i, "<missing>", b)
-        | a :: ta, b :: tb -> if a <> b then Some (i, a, b) else first_diff (i + 1) (ta, tb)
-      in
-      match first_diff 1 (split want, split got) with
-      | Some (ln, w, g) ->
-        Alcotest.failf "golden mismatch for %s at line %d:@.  golden: %s@.  got:    %s"
-          scenario.name ln w g
-      | None -> Alcotest.failf "golden mismatch for %s (whitespace only?)" scenario.name
-    end
+let test_golden (scenario : Snap.Scenario.t) () = Golden.check scenario.name (shape scenario)
 
 let test_replay (scenario : Snap.Scenario.t) () =
   let os = scenario.start () in
