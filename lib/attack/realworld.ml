@@ -291,8 +291,6 @@ let run_bind_session ?defense ?obs ?tune () =
   ignore (Runner.step s);
   (Runner.outcome s, s)
 
-let run_bind ?defense ?obs () = fst (run_bind_session ?defense ?obs ())
-
 let run_proftpd_session ?defense ?obs ?tune () =
   let s = Runner.start ?defense ?obs ?tune (proftpd_victim ()) in
   let store = Runner.leak_addr (Runner.recv s) in
@@ -304,8 +302,6 @@ let run_proftpd_session ?defense ?obs ?tune () =
   Runner.send s file;
   ignore (Runner.step s);
   (Runner.outcome s, s)
-
-let run_proftpd ?defense ?obs () = fst (run_proftpd_session ?defense ?obs ())
 
 (* Samba: no leak — version 2.6 kernels randomize stack placement slightly,
    so the exploit brute-forces the return address from a good first guess

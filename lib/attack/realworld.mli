@@ -36,8 +36,6 @@ val run_session :
     every kernel the exploit spawns, before it runs (see {!Runner.start}). *)
 
 val run_apache : ?defense:Defense.t -> ?obs:Obs.t -> unit -> Runner.outcome
-val run_bind : ?defense:Defense.t -> ?obs:Obs.t -> unit -> Runner.outcome
-val run_proftpd : ?defense:Defense.t -> ?obs:Obs.t -> unit -> Runner.outcome
 
 type samba_result = {
   outcome : Runner.outcome;

@@ -37,5 +37,4 @@ val recv : session -> string
 val leak_addr : string -> int
 (** Decode an info-leak: the last 4 bytes of a response, little-endian. *)
 
-val classify : Kernel.Os.t -> Kernel.Proc.t -> outcome
 val outcome : session -> outcome

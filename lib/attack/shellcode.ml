@@ -95,10 +95,6 @@ let two_stage_stage1 ?(sled = 16) ~base () =
           L "stage2";
         ])
 
-let two_stage_stage2_addr ~base () =
-  (* Where stage two will live: right after stage one's bytes. *)
-  base + String.length (two_stage_stage1 ~sled:16 ~base ())
-
 (* Stage two: spawn the shell, then run a minimal interactive loop so a
    honeypot (Sebek) has keystrokes to log; 'q' quits. *)
 let interactive_shell ~base =

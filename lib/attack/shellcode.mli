@@ -6,8 +6,6 @@
     shellcode authors work around. *)
 
 val assemble_at : base:int -> Isa.Asm.program -> string
-val nops : int -> Isa.Asm.program
-(** A NOP sled ([0x90], as on x86 — visible in forensics dumps). *)
 
 val with_layout : base:int -> ((string -> int) -> Isa.Asm.program) -> string
 (** Assemble a payload at [base] with absolute intra-payload label
@@ -29,9 +27,6 @@ val fake_frame : base:int -> string
 
 val two_stage_stage1 : ?sled:int -> base:int -> unit -> string
 (** 7350wurm-style stage one: write "OK!!" back, read stage two, jump. *)
-
-val two_stage_stage2_addr : base:int -> unit -> int
-(** Where stage two lands, given stage one's base. *)
 
 val interactive_shell : base:int -> string
 (** Stage two: spawn a shell, then prompt/read command loop ('q' quits) —

@@ -18,9 +18,6 @@ type technique =
   | Ptr_func_ptr  (** ... onto a function pointer *)
   | Ptr_longjmp  (** ... onto a jmp_buf *)
 
-val is_indirect : technique -> bool
-(** Wilander's pointer-redirection class (vs direct overflow). *)
-
 type location = Stack | Heap | Bss | Data
 
 val techniques : technique list

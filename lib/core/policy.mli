@@ -11,5 +11,4 @@
 type t = All_pages | Mixed_only | Fraction of int  (** percentage, 0–100 *)
 
 val should_split : t -> Kernel.Aspace.region -> vpn:int -> bool
-val is_mixed_kind : Kernel.Pte.kind -> bool
 val name : t -> string

@@ -4,11 +4,6 @@ module Splitter = Splitter
 
 type mechanism = Tlb_desync | Soft_tlb | Dual_cr3
 
-let mechanism_name = function
-  | Tlb_desync -> "tlb-desync"
-  | Soft_tlb -> "soft-tlb"
-  | Dual_cr3 -> "dual-cr3"
-
 type itlb_load = Single_step | Ret_gadget
 
 (* Desync audit (the lib/inject TLB guard routes here): is a cached TLB

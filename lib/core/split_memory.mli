@@ -30,8 +30,6 @@ type mechanism =
           fetches (CR3-C) and one for data (CR3-D); the OS just maintains
           two views and the protection costs nothing at runtime *)
 
-val mechanism_name : mechanism -> string
-
 val entry_consistent :
   access:Hw.Mmu.access -> Kernel.Pte.t option -> Hw.Tlb.entry -> bool
 (** Defense-side desync audit, consumed by lib/inject's TLB guard: could

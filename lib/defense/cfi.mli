@@ -10,11 +10,6 @@
     target text at a call-preceded address or a function entry. Denials log
     [Injection_detected] and surface as #GP. *)
 
-val call_preceded : Kernel.Proc.t -> int -> bool
-(** Is the address immediately preceded by a call instruction in the
-    static text of the process's executable regions? (Exposed for tests
-    and the reuse-attack planner.) *)
-
 val protection :
   ?shadow_stack:bool ->
   ?coarse:bool ->

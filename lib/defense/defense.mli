@@ -45,11 +45,6 @@ val split_with :
   unit ->
   t
 
-val cfi_over : ?shadow_stack:bool -> ?coarse:bool -> t -> t
-(** Layer shadow stack + coarse CFI over another defense; the underlying
-    defense keeps all its paging behavior and the CFI monitor takes the
-    control-transfer slot. *)
-
 val cfi : t
 (** Shadow stack + coarse CFI alone (over the stock kernel). *)
 

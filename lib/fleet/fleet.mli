@@ -60,6 +60,3 @@ val map_stats :
   'a list ->
   ('b, error) result list * stats
 (** Like {!map}, also returning the run's {!stats}. *)
-
-val record : Obs.t -> stats -> unit
-(** Record a {!stats} into the obs registry (what {!map} does). *)

@@ -24,10 +24,6 @@ let sys_write_imm ?(fd = 1) ~buf ~len () =
     I (Int 0x80);
   ]
 
-let sys_getpid = [ I (Mov_ri (EAX, 20)); I (Int 0x80) ]
-let sys_fork = [ I (Mov_ri (EAX, 2)); I (Int 0x80) ]
-let sys_yield = [ I (Mov_ri (EAX, 158)); I (Int 0x80) ]
-
 (* Unbounded copy from [esi] to [edi] until a newline — the gets()-style
    vulnerability shared by several victims. The newline is not copied. *)
 let copy_until_newline ~tag =
@@ -79,22 +75,6 @@ let setjmp_longjmp =
   ]
 
 let filler n = String.make n 'A'
-
-(* Touch one byte every [stride] bytes over [len] bytes starting at the
-   address in esi (read) — used by workloads to generate memory traffic. *)
-let touch_read_loop ~tag ~len ~stride =
-  [
-    I (Mov_ri (ECX, 0));
-    L (tag ^ "_loop");
-    I (Cmp_ri (ECX, len));
-    I (Jge (Lbl (tag ^ "_end")));
-    I (Mov_rr (EDI, ESI));
-    I (Add (EDI, ECX));
-    I (Loadb (EAX, EDI, 0));
-    I (Add_ri (ECX, stride));
-    I (Jmp (Lbl (tag ^ "_loop")));
-    L (tag ^ "_end");
-  ]
 
 (* A function whose body spans [pages] code pages: each page executes a few
    instructions and jumps to the next, so calling it fetches from every page

@@ -11,9 +11,6 @@ val sys_read_imm : buf:int -> len:int -> Isa.Asm.program
 (** read(0, buf, len) with an immediate buffer address. *)
 
 val sys_write_imm : ?fd:int -> buf:int -> len:int -> unit -> Isa.Asm.program
-val sys_getpid : Isa.Asm.program
-val sys_fork : Isa.Asm.program
-val sys_yield : Isa.Asm.program
 
 val copy_until_newline : tag:string -> Isa.Asm.program
 (** Unbounded copy from [esi] to [edi] until a newline (not copied) — the
@@ -28,9 +25,6 @@ val setjmp_longjmp : Isa.Asm.program
 
 val filler : int -> string
 (** [n] bytes of 'A' padding for overflow strings. *)
-
-val touch_read_loop : tag:string -> len:int -> stride:int -> Isa.Asm.program
-(** Read one byte every [stride] bytes over [len] bytes from [esi]. *)
 
 val code_filler : tag:string -> pages:int -> Isa.Asm.program
 (** A callable function whose body spans [pages] code pages (a few

@@ -112,7 +112,6 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
   t
 
 let stats t = t.stats
-let generation t frame = t.gen.(frame)
 
 (* Drop every cached block. Generations are kept (monotonic per machine
    lifetime) so blocks cached before the clear can never validate again;
@@ -225,7 +224,3 @@ let follow t b pa0 =
    the frame since the block was decoded (self-modifying code). Dispatch
    checks this before every instruction of a block, not just at entry. *)
 let stale t b = b.b_gen <> t.gen.(b.b_frame)
-
-let insns_per_block t =
-  if t.stats.blocks_built = 0 then 0.0
-  else float_of_int t.stats.insns_built /. float_of_int t.stats.blocks_built

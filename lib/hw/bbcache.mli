@@ -78,12 +78,8 @@ val stale : t -> block -> bool
 (** The block's frame was written since it was decoded. Dispatch must
     check before every instruction, not just at block entry. *)
 
-val generation : t -> int -> int
-(** Current generation of a frame. *)
-
 val clear : t -> unit
 (** Drop all cached blocks (snapshot restore; derived state only) and
     start a new epoch, which kills every chain link. *)
 
 val stats : t -> stats
-val insns_per_block : t -> float

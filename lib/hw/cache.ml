@@ -24,7 +24,6 @@ let create ?(line_bits = 6) ~name ~lines () =
     stats = { hits = 0; misses = 0; invalidations = 0; flushes = 0 };
   }
 
-let name t = t.name
 let stats t = t.stats
 
 let line_of t paddr = paddr lsr t.line_bits
@@ -64,9 +63,3 @@ let flush t =
 let hit_rate_opt t =
   let total = t.stats.hits + t.stats.misses in
   if total = 0 then None else Some (float_of_int t.stats.hits /. float_of_int total)
-
-let hit_rate t = match hit_rate_opt t with None -> 0.0 | Some r -> r
-
-let pp_stats ppf t =
-  Fmt.pf ppf "%s: hits=%d misses=%d flushes=%d invl=%d" t.name t.stats.hits
-    t.stats.misses t.stats.flushes t.stats.invalidations

@@ -19,7 +19,6 @@ type t
 val create : ?line_bits:int -> name:string -> lines:int -> unit -> t
 (** [line_bits] = log2 of the line size (default 6 = 64-byte lines). *)
 
-val name : t -> string
 val stats : t -> stats
 
 val access : t -> int -> bool
@@ -30,11 +29,6 @@ val invalidate : t -> int -> bool
 
 val flush : t -> unit
 
-val hit_rate : t -> float
-(** [hits / (hits + misses)]; 0 before any access. *)
-
 val hit_rate_opt : t -> float option
 (** Like {!hit_rate} but [None] before any access, so renderers can show
     "no traffic" ([-]) instead of a meaningless 0%. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -37,8 +37,6 @@ type params = {
           flush — the cost behind the paper's §4.2.4 observation *)
 }
 
-val default_params : params
-
 type t = {
   params : params;
   mutable cycles : int;

@@ -11,8 +11,6 @@ type regs = {
 
 let create_regs () = { gpr = Array.make 8 0; eip = 0; zf = false; sf = false; tf = false }
 
-let copy_regs r = { r with gpr = Array.copy r.gpr }
-
 let get r reg = r.gpr.(Isa.Reg.to_int reg)
 let set r reg v = r.gpr.(Isa.Reg.to_int reg) <- mask32 v
 

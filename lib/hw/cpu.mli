@@ -14,7 +14,6 @@ type regs = {
 }
 
 val create_regs : unit -> regs
-val copy_regs : regs -> regs
 val get : regs -> Isa.Reg.t -> int
 val set : regs -> Isa.Reg.t -> int -> unit
 
@@ -23,8 +22,6 @@ type ctrl_kind = Exec_env.ctrl_kind =
   | Call_indirect  (** [call reg] *)
   | Return  (** [ret] *)
   | Jump_indirect  (** [jmp reg] *)
-
-val ctrl_kind_name : ctrl_kind -> string
 
 type fault =
   | Page of Mmu.fault
@@ -98,5 +95,4 @@ val ud_eip : Exec_env.t -> int
 val ud_opcode : Exec_env.t -> int
 (** The #UD that ended the last call, when it ended in [Ud]. *)
 
-val mask32 : int -> int
 val sign32 : int -> int

@@ -33,12 +33,6 @@ let not_present_code = -1
 let protection_code = -2
 let tlb_miss_code = -3
 
-let fault_code_kind = function
-  | -1 -> Not_present
-  | -2 -> Protection
-  | -3 -> Tlb_miss
-  | c -> invalid_arg (Fmt.str "Mmu.fault_code_kind: %d is not a fault code" c)
-
 exception Pending_fault
 
 type t = {
@@ -103,7 +97,6 @@ let env t = t.env
 let obs t = t.obs
 let set_obs t obs = t.obs <- obs
 let set_nx t v = t.nx_enabled <- v
-let nx_enabled t = t.nx_enabled
 let set_fill_mode t m = t.fill_mode <- m
 let fill_mode t = t.fill_mode
 

@@ -11,8 +11,6 @@
 
 type access = Exec_env.access = Fetch | Read | Write
 
-val pp_access : Format.formatter -> access -> unit
-
 type hw_pte = {
   frame : int;
   present : bool;
@@ -34,8 +32,6 @@ type fault_kind =
   | Tlb_miss  (** software-fill mode only: the OS must load the TLB *)
 
 type fault = { addr : int; access : access; kind : fault_kind; from_user : bool }
-
-val fault_kind_name : fault_kind -> string
 
 val pp_fault : Format.formatter -> fault -> unit
 (** The canonical fault formatter ([#PF addr=... access=... kind=...
@@ -76,7 +72,6 @@ val set_obs : t -> Obs.t -> unit
 val set_nx : t -> bool -> unit
 (** Enable/disable execute-disable-bit enforcement (legacy x86 = off). *)
 
-val nx_enabled : t -> bool
 val set_fill_mode : t -> fill_mode -> unit
 val fill_mode : t -> fill_mode
 
@@ -114,14 +109,10 @@ val translate_result : t -> from_user:bool -> access -> int -> int
     variant packed into an [int]: a physical address is always [>= 0], so
     a non-negative result is the packed paddr ([frame * page_size + off],
     decodable with {!Phys.frame_of_addr}/{!Phys.off_of_addr}) and a
-    negative result is a fault code whose kind {!fault_code_kind} recovers.
+    negative result is a fault code.
     On a fault the details are latched into pending-fault registers (the
     CR2 analogue) readable via {!pending_fault} — no [fault] record or
     exception is allocated. *)
-
-val fault_code_kind : int -> fault_kind
-(** Decode a negative {!translate_result} code. Raises [Invalid_argument]
-    on anything that is not a fault code. *)
 
 val pending_fault : t -> fault
 (** Materialize the most recent fault from the pending registers. Only

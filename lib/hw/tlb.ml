@@ -292,8 +292,6 @@ let hit_rate_opt t =
   let total = t.stats.hits + t.stats.misses in
   if total = 0 then None else Some (float_of_int t.stats.hits /. float_of_int total)
 
-let hit_rate t = match hit_rate_opt t with None -> 0.0 | Some r -> r
-
 let pp_stats ppf t =
   Fmt.pf ppf "%s: hits=%d misses=%d flushes=%d invl=%d evict=%d" t.name t.stats.hits
     t.stats.misses t.stats.flushes t.stats.invalidations t.stats.evictions

@@ -94,9 +94,6 @@ val import : t -> state -> unit
     [Invalid_argument] if [s_entries] holds more entries than {!capacity}
     or repeats a vpn. *)
 
-val hit_rate : t -> float
-(** [hits / (hits + misses)]; 0 before any lookup. *)
-
 val hit_rate_opt : t -> float option
 (** Like {!hit_rate} but [None] before any lookup, so renderers can show
     "no traffic" ([-]) instead of a meaningless 0%. *)

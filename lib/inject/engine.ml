@@ -50,7 +50,6 @@ let plan e = e.plan
 let injected_count e = e.count
 let injected e = List.rev e.injected_rev
 let detections e = e.detections
-let pending_flips e = List.length e.pending_ecc
 
 let cycles e = (e.m.K.Machine.cost).Hw.Cost.cycles
 
@@ -143,8 +142,7 @@ let pick_tlb e =
 (* ------------------------------------------------------------------ *)
 (* Injectors — each returns a detail string, or None when no target
    exists right now (the budget is not consumed; the engine retries at
-   the next boundary). Details must not contain ';' '@' or newlines
-   (they ride in the serialized state). *)
+   the next boundary). *)
 (* ------------------------------------------------------------------ *)
 
 let inject_tlb_wrong_pfn e =
@@ -325,108 +323,101 @@ let arm os plan =
   m.probe.squeeze <- Some (on_syscall e);
   e
 
-let disarm e =
-  e.m.env.tlb_guard <- None;
-  e.m.env.invlpg <- None;
-  Hw.Phys.set_ecc_hook e.m.phys None;
-  Hw.Phys.disable_ecc e.m.phys;
-  e.m.probe.inject <- None;
-  e.m.probe.squeeze <- None
+(* ------------------------------------------------------------------ *)
+(* Resumable state (snapshot metadata)                                 *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Serialization (snapshot metadata)                                   *)
-(* ------------------------------------------------------------------ *)
+(* Everything [arm] resets that a run changes: the engine's mutable
+   fields, the PRNG cursor and the allocator's pending denials. *)
+type state = {
+  s_prng : int64;
+  s_count : int;
+  s_next_fire : int;
+  s_squeeze : int;
+  s_suppress : int;
+  s_suppressed : int;
+  s_detections : int;
+  s_deny : int;
+  s_pending : (int * int) list;
+  s_injected : injected list;  (* oldest first *)
+}
+
+let state_codec =
+  let open Snap.Codec in
+  let injected =
+    record ()
+    |+ (Plan.class_codec, fun i -> i.i_class)
+    |+ (int, fun i -> i.i_cycle)
+    |+ (int, fun i -> i.i_pid)
+    |+ (str, fun i -> i.i_detail)
+    |> seal (fun i_class i_cycle i_pid i_detail -> { i_class; i_cycle; i_pid; i_detail })
+  in
+  record ()
+  |+ (int64, fun s -> s.s_prng)
+  |+ (int, fun s -> s.s_count)
+  |+ (int, fun s -> s.s_next_fire)
+  |+ (int, fun s -> s.s_squeeze)
+  |+ (int, fun s -> s.s_suppress)
+  |+ (int, fun s -> s.s_suppressed)
+  |+ (int, fun s -> s.s_detections)
+  |+ (int, fun s -> s.s_deny)
+  |+ (list (pair int int), fun s -> s.s_pending)
+  |+ (list injected, fun s -> s.s_injected)
+  |> seal
+       (fun s_prng s_count s_next_fire s_squeeze s_suppress s_suppressed s_detections
+            s_deny s_pending s_injected ->
+         {
+           s_prng;
+           s_count;
+           s_next_fire;
+           s_squeeze;
+           s_suppress;
+           s_suppressed;
+           s_detections;
+           s_deny;
+           s_pending;
+           s_injected;
+         })
+
+let magic = "INJSTAT1"
 
 let export e =
-  let pend =
-    String.concat ","
-      (List.map (fun (pa, good) -> Fmt.str "%d:%d" pa good) e.pending_ecc)
-  in
-  let inj =
-    String.concat ";"
-      (List.map
-         (fun i ->
-           Fmt.str "%s@%d@%d@%s" (Plan.class_name i.i_class) i.i_cycle i.i_pid i.i_detail)
-         (injected e))
-  in
-  String.concat "\n"
-    [
-      "prng=" ^ Int64.to_string (Prng.state e.prng);
-      "count=" ^ string_of_int e.count;
-      "next_fire=" ^ string_of_int e.next_fire;
-      "squeeze=" ^ string_of_int e.squeeze_left;
-      "suppress=" ^ string_of_int e.suppress_invlpg;
-      "suppressed=" ^ string_of_int e.suppressed;
-      "detections=" ^ string_of_int e.detections;
-      "deny=" ^ string_of_int (K.Frame_alloc.deny_next e.m.alloc);
-      "pend=" ^ pend;
-      "inj=" ^ inj;
-    ]
+  Snap.Codec.encode ~magic state_codec
+    {
+      s_prng = Prng.state e.prng;
+      s_count = e.count;
+      s_next_fire = e.next_fire;
+      s_squeeze = e.squeeze_left;
+      s_suppress = e.suppress_invlpg;
+      s_suppressed = e.suppressed;
+      s_detections = e.detections;
+      s_deny = K.Frame_alloc.deny_next e.m.alloc;
+      s_pending = e.pending_ecc;
+      s_injected = injected e;
+    }
 
-let import e s =
-  let corrupt msg = invalid_arg ("Engine.import: " ^ msg) in
-  let fields =
-    List.filter_map
-      (fun line ->
-        if line = "" then None
-        else
-          match String.index_opt line '=' with
-          | None -> corrupt ("malformed line " ^ line)
-          | Some i ->
-            Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1)))
-      (String.split_on_char '\n' s)
-  in
-  let get k =
-    match List.assoc_opt k fields with Some v -> v | None -> corrupt ("missing " ^ k)
-  in
-  let int k = match int_of_string_opt (get k) with
-    | Some v -> v
-    | None -> corrupt ("bad integer for " ^ k)
-  in
-  (match Int64.of_string_opt (get "prng") with
-  | Some v -> Prng.set_state e.prng v
-  | None -> corrupt "bad integer for prng");
-  e.count <- int "count";
-  e.next_fire <- int "next_fire";
-  e.squeeze_left <- int "squeeze";
-  e.suppress_invlpg <- int "suppress";
-  e.suppressed <- int "suppressed";
-  e.detections <- int "detections";
-  K.Frame_alloc.set_deny_next e.m.alloc (int "deny");
-  e.pending_ecc <-
-    List.filter_map
-      (fun kv ->
-        if kv = "" then None
-        else
-          match String.index_opt kv ':' with
-          | None -> corrupt ("malformed pending flip " ^ kv)
-          | Some i ->
-            Some
-              ( int_of_string (String.sub kv 0 i),
-                int_of_string (String.sub kv (i + 1) (String.length kv - i - 1)) ))
-      (String.split_on_char ',' (get "pend"));
-  e.injected_rev <-
-    List.rev
-      (List.filter_map
-         (fun entry ->
-           if entry = "" then None
-           else
-             match String.split_on_char '@' entry with
-             | cls :: cycle :: pid :: rest ->
-               let i_class =
-                 match Plan.class_of_name cls with
-                 | Some c -> c
-                 | None -> corrupt ("unknown class " ^ cls)
-               in
-               Some
-                 {
-                   i_class;
-                   i_cycle = int_of_string cycle;
-                   i_pid = int_of_string pid;
-                   i_detail = String.concat "@" rest;
-                 }
-             | _ -> corrupt ("malformed injection record " ^ entry))
-         (String.split_on_char ';' (get "inj")));
+(* Decoded and checked against the machine before [arm] touches it: a
+   pending flip names a byte of physical memory and the byte it held. *)
+let rearm os plan blob =
+  let s = Snap.Codec.decode ~magic state_codec blob in
+  let phys = (K.Os.machine os).phys in
+  let size = Hw.Phys.frame_count phys * Hw.Phys.page_size phys in
+  List.iter
+    (fun (pa, good) ->
+      if pa < 0 || pa >= size || good land 0xFF <> good then
+        raise (Snap.Codec.Corrupt (Fmt.str "pending flip %d:%d off physical memory" pa good)))
+    s.s_pending;
+  let e = arm os plan in
+  Prng.set_state e.prng s.s_prng;
+  e.count <- s.s_count;
+  e.next_fire <- s.s_next_fire;
+  e.squeeze_left <- s.s_squeeze;
+  e.suppress_invlpg <- s.s_suppress;
+  e.suppressed <- s.s_suppressed;
+  e.detections <- s.s_detections;
+  K.Frame_alloc.set_deny_next e.m.alloc s.s_deny;
+  e.pending_ecc <- s.s_pending;
+  e.injected_rev <- List.rev s.s_injected;
   (* the ECC shadow was just rebuilt from the already-flipped frames by
      [arm]'s enable_ecc, which would legitimize pending flips: re-point
      the shadow bytes at their good values so the corrections still fire *)
@@ -436,9 +427,5 @@ let import e s =
         ~frame:(Hw.Phys.frame_of_addr e.m.phys pa)
         ~off:(Hw.Phys.off_of_addr e.m.phys pa)
         good)
-    e.pending_ecc
-
-let rearm os plan state =
-  let e = arm os plan in
-  import e state;
+    e.pending_ecc;
   e

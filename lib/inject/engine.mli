@@ -24,9 +24,6 @@ val arm : Kernel.Os.t -> Plan.t -> t
     shadow, the MMU TLB guard and invlpg hook, the scheduler-boundary
     inject hook and the syscall squeeze. Arm before running the guest. *)
 
-val disarm : t -> unit
-(** Remove every hook installed by {!arm} (including the ECC shadow). *)
-
 val plan : t -> Plan.t
 val injected_count : t -> int
 val injected : t -> injected list
@@ -35,24 +32,15 @@ val injected : t -> injected list
 val detections : t -> int
 (** Detector firings (TLB-guard resyncs + ECC corrections) so far. *)
 
-val pending_flips : t -> int
-(** Injected frame flips not yet read (hence not yet corrected). *)
-
-val fire : t -> unit
-(** The scheduler-boundary callback ({!arm} installs it; exposed for
-    tests). *)
-
 val export : t -> string
-(** Serialize the injector's volatile state — PRNG cursor, budget spent,
-    next fire cycle, pending squeezes/suppressions/denials/flips, the
-    injection journal — for snapshot metadata. The machine-side effects of
-    past faults are in the snapshot itself. *)
-
-val import : t -> string -> unit
-(** Restore {!export}ed state into a freshly {!arm}ed engine, re-marking
-    still-pending frame flips in the rebuilt ECC shadow.
-    @raise Invalid_argument on malformed input. *)
+(** The injector's resumable state — PRNG cursor, budget spent, next fire
+    cycle, pending squeezes/suppressions/denials/flips, the injection
+    journal — encoded with {!Snap.Codec} for snapshot metadata. The
+    machine-side effects of past faults are in the snapshot itself. *)
 
 val rearm : Kernel.Os.t -> Plan.t -> string -> t
-(** [arm] + [import]: call after {!Snap.Snapshot.restore} on the restored
-    machine to resume an interrupted campaign run. *)
+(** {!arm} a machine just restored with {!Snap.Snapshot.restore} and load
+    {!export}ed state into the engine, re-marking still-pending frame
+    flips in the rebuilt ECC shadow, to resume an interrupted campaign run.
+    @raise Snap.Codec.Corrupt, before touching the machine, on malformed
+    state or a pending flip outside physical memory. *)

@@ -239,12 +239,13 @@ let summary_string verdicts = Fmt.str "%a" render_summary verdicts
 
 let meta_plan_key = "inject.plan"
 let meta_state_key = "inject.state"
+let plan_magic = "INJPLAN1"
 
 let checkpoint os engine =
   Snap.Snapshot.checkpoint
     ~meta:
       [
-        (meta_plan_key, Plan.to_string (Engine.plan engine));
+        (meta_plan_key, Snap.Codec.encode ~magic:plan_magic Plan.codec (Engine.plan engine));
         (meta_state_key, Engine.export engine);
       ]
     os
@@ -253,5 +254,5 @@ let rearm os snap =
   match
     (Snap.Snapshot.find_meta snap meta_plan_key, Snap.Snapshot.find_meta snap meta_state_key)
   with
-  | Some p, Some st -> Engine.rearm os (Plan.of_string p) st
+  | Some p, Some st -> Engine.rearm os (Snap.Codec.decode ~magic:plan_magic Plan.codec p) st
   | _ -> invalid_arg "Inject.rearm: snapshot carries no injector state"

@@ -39,10 +39,6 @@ type verdict = {
   v_stop : string;
 }
 
-val is_detection_event : Kernel.Event_log.event -> bool
-(** Detection-class events the oracle counts: [Fault_detected],
-    [Injection_detected], [Library_rejected], [Signal_delivered]. *)
-
 val run_plan : ?obs:Obs.t -> Plan.t -> verdict
 (** Run one plan and its fault-free twin; classify. [obs] (attached to both
     machines) is for debugging single runs — {!campaign} keeps machines
@@ -66,11 +62,6 @@ val escaped : verdict list -> verdict list
 val tally : verdict list -> int * int * int * int
 (** (detected, masked, escaped, clean). *)
 
-val render_summary : Format.formatter -> verdict list -> unit
-(** The deterministic campaign summary (no wall-clock content): per-plan
-    table, per-class roll-up, totals. What [simctl inject] prints and the
-    golden test pins. *)
-
 val summary_string : verdict list -> string
 
 (** {2 Snapshot integration}
@@ -82,4 +73,6 @@ val summary_string : verdict list -> string
 val checkpoint : Kernel.Os.t -> Engine.t -> Snap.Snapshot.t
 val rearm : Kernel.Os.t -> Snap.Snapshot.t -> Engine.t
 (** Call after {!Snap.Snapshot.restore} on the restored machine.
-    @raise Invalid_argument if the snapshot carries no injector state. *)
+    @raise Invalid_argument if the snapshot carries no injector state.
+    @raise Snap.Codec.Corrupt, leaving the machine untouched, if that
+    state does not decode. *)

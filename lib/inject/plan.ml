@@ -67,51 +67,29 @@ let make ?label ?(scenario = "benign") ?(seed = 7) ?(classes = all_classes)
   in
   { label; scenario; seed; classes; trigger = { at_cycle; every; pid; vpn }; budget; fuel }
 
-(* key=value serialization for snapshot metadata. Labels and scenario names
-   must not contain ';' (they never do: ours are short slugs). *)
-let to_string p =
-  Fmt.str "label=%s;scenario=%s;seed=%d;classes=%s;at_cycle=%d;every=%d;pid=%d;vpn=%d;budget=%d;fuel=%d"
-    p.label p.scenario p.seed (classes_string p.classes) p.trigger.at_cycle
-    p.trigger.every
-    (Option.value p.trigger.pid ~default:(-1))
-    (Option.value p.trigger.vpn ~default:(-1))
-    p.budget p.fuel
+let class_codec = Snap.Codec.enum "fault class" all_classes
 
-let of_string s =
-  let corrupt msg = invalid_arg ("Plan.of_string: " ^ msg) in
-  let fields =
-    List.filter_map
-      (fun kv ->
-        if kv = "" then None
-        else
-          match String.index_opt kv '=' with
-          | None -> corrupt ("malformed field " ^ kv)
-          | Some i ->
-            Some (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)))
-      (String.split_on_char ';' s)
+(* [make]'s checks hold for a decoded plan too: the engine draws a class
+   from a non-empty list and counts the budget down from zero. *)
+let codec =
+  let open Snap.Codec in
+  let trigger =
+    record ()
+    |+ (int, fun t -> t.at_cycle)
+    |+ (int, fun t -> t.every)
+    |+ (opt int, fun t -> t.pid)
+    |+ (opt int, fun t -> t.vpn)
+    |> seal (fun at_cycle every pid vpn -> { at_cycle; every; pid; vpn })
   in
-  let get k =
-    match List.assoc_opt k fields with Some v -> v | None -> corrupt ("missing " ^ k)
-  in
-  let int k = match int_of_string_opt (get k) with
-    | Some v -> v
-    | None -> corrupt ("bad integer for " ^ k)
-  in
-  let opt k = match int k with -1 -> None | v -> Some v in
-  let classes =
-    List.map
-      (fun n ->
-        match class_of_name n with
-        | Some c -> c
-        | None -> corrupt ("unknown fault class " ^ n))
-      (String.split_on_char ',' (get "classes"))
-  in
-  {
-    label = get "label";
-    scenario = get "scenario";
-    seed = int "seed";
-    classes;
-    trigger = { at_cycle = int "at_cycle"; every = int "every"; pid = opt "pid"; vpn = opt "vpn" };
-    budget = int "budget";
-    fuel = int "fuel";
-  }
+  record ()
+  |+ (str, fun p -> p.label)
+  |+ (str, fun p -> p.scenario)
+  |+ (int, fun p -> p.seed)
+  |+ (list class_codec, fun p -> p.classes)
+  |+ (trigger, fun p -> p.trigger)
+  |+ (int, fun p -> p.budget)
+  |+ (int, fun p -> p.fuel)
+  |> seal (fun label scenario seed classes trigger budget fuel ->
+         if classes = [] then raise (Corrupt "plan: empty class list");
+         if budget < 0 then raise (Corrupt "plan: negative budget");
+         { label; scenario; seed; classes; trigger; budget; fuel })

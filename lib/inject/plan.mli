@@ -3,8 +3,8 @@
     A plan is a pure value carrying everything a campaign run needs to be
     reproduced bit-for-bit: the scenario to run, the injector seed, the
     fault classes to draw from, the trigger window and the fault budget.
-    Serializable to one line of text so an interrupted campaign's plan
-    rides inside snapshot metadata. *)
+    {!codec} encodes it, so an interrupted campaign's plan rides inside
+    snapshot metadata. *)
 
 type fault_class =
   | Tlb_wrong_pfn  (** flip physical-frame bits of a live TLB entry *)
@@ -58,8 +58,8 @@ val make :
     2000 then every 600 cycles, budget 4, fuel 1M. The default label is
     ["<class>@<scenario>"] (or ["mixed@<scenario>"]). *)
 
-val to_string : t -> string
-(** One-line [key=value;...] form (snapshot metadata). *)
+val class_codec : fault_class Snap.Codec.t
 
-val of_string : string -> t
-(** @raise Invalid_argument on malformed input. *)
+val codec : t Snap.Codec.t
+(** A plan's snapshot-metadata form. Decoding rejects what {!make} rejects
+    (an empty class list, a negative budget) with {!Snap.Codec.Corrupt}. *)

@@ -1,5 +1,3 @@
-let insn_at bytes pos = Decode.of_string bytes pos
-
 let region ?(max_insns = max_int) bytes ~pos ~len =
   let stop = min (String.length bytes) (pos + len) in
   let rec go acc count p =

@@ -1,9 +1,6 @@
 (** Disassembly helpers, used by the forensics response mode to render
     captured shellcode. *)
 
-val insn_at : string -> int -> (Insn.t, Decode.error) result
-(** Decode the instruction starting at a byte offset. *)
-
 val region :
   ?max_insns:int -> string -> pos:int -> len:int -> (int * (Insn.t, Decode.error) result) list
 (** Linear-sweep disassembly of a byte region; undecodable bytes advance by

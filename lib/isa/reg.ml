@@ -32,5 +32,4 @@ let name = function
   | EDI -> "edi"
 
 let all = [ EAX; ECX; EDX; EBX; ESP; EBP; ESI; EDI ]
-let equal (a : t) (b : t) = a = b
 let pp ppf r = Fmt.string ppf (name r)

@@ -18,5 +18,4 @@ val name : t -> string
 val all : t list
 (** All eight registers in encoding order. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -38,7 +38,6 @@ let find_region t vpn = List.find_opt (fun r -> vpn >= r.lo && vpn < r.hi) t.reg
 
 let pte t vpn = Hashtbl.find_opt t.ptes vpn
 let set_pte t (p : Pte.t) = Hashtbl.replace t.ptes p.vpn p
-let remove_pte t vpn = Hashtbl.remove t.ptes vpn
 let iter_ptes t f = Hashtbl.iter (fun _ p -> f p) t.ptes
 let mapped_count t = Hashtbl.length t.ptes
 
@@ -81,6 +80,3 @@ let page_content t region vpn =
   let buf = Bytes.create t.page_size in
   blit_page_content t region vpn buf;
   Bytes.to_string buf
-
-let vpn_of_addr t addr = addr / t.page_size
-let page_base t vpn = vpn * t.page_size

@@ -34,7 +34,6 @@ val regions : t -> region list
 val find_region : t -> int -> region option
 val pte : t -> int -> Pte.t option
 val set_pte : t -> Pte.t -> unit
-val remove_pte : t -> int -> unit
 val iter_ptes : t -> (Pte.t -> unit) -> unit
 val mapped_count : t -> int
 
@@ -55,6 +54,3 @@ val page_content : t -> region -> int -> string
 val blit_page_content : t -> region -> int -> Bytes.t -> unit
 (** Allocation-free variant: write the initial contents of [vpn] into the
     first [page_size] bytes of a caller-owned scratch buffer. *)
-
-val vpn_of_addr : t -> int -> int
-val page_base : t -> int -> int

@@ -23,9 +23,6 @@ type event =
 
 val pp_event : Format.formatter -> event -> unit
 
-val tag : event -> string
-(** Short machine-readable name of the variant ("exec_shell", ...). *)
-
 type t
 
 val create : ?notify:(event -> unit) -> unit -> t

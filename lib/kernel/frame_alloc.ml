@@ -162,7 +162,6 @@ let register_share t ~key ~frame =
   Hashtbl.replace t.shared frame key
 
 let find_share t key = Hashtbl.find_opt t.shares key
-let is_shared t frame = Hashtbl.mem t.shared frame
 
 (* Privatize a registered frame ahead of a store that must not leak to the
    other mappings: with sharers, hand back a fresh private copy (the

@@ -43,9 +43,6 @@ val register_share : t -> key:string -> frame:int -> unit
 val find_share : t -> string -> int option
 (** The registered frame for a content key, if still allocated. *)
 
-val is_shared : t -> int -> bool
-(** Whether the frame is currently published in the registry. *)
-
 val unshare : t -> int -> int
 (** Privatize ahead of a store: for a registered frame with other
     references, allocate-and-copy a private frame (returned; the caller

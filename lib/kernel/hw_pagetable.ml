@@ -30,7 +30,6 @@ let entries_per_table = 1024
 type t = { phys : Hw.Phys.t; alloc : Frame_alloc.t; root : int }
 
 let create phys alloc = { phys; alloc; root = Frame_alloc.alloc alloc }
-let root t = t.root
 
 let encode ~frame ~writable ~user ~nx ~split ~data_sel =
   p_present

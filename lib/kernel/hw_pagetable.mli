@@ -14,9 +14,6 @@ type t
 val create : Hw.Phys.t -> Frame_alloc.t -> t
 (** Allocates the page-directory frame. *)
 
-val root : t -> int
-(** The directory's physical frame — what CR3 would hold. *)
-
 val map : t -> vpn:int -> frame:int -> writable:bool -> user:bool -> ?nx:bool -> unit -> unit
 val unmap : t -> int -> unit
 val entry : t -> int -> int option

@@ -27,8 +27,6 @@ type builder = lbl:(string -> int) -> Isa.Asm.program
     label of every segment plus the specials ["bss"], ["heap"],
     ["stack_top"], ["initial_esp"]. *)
 
-val no_program : builder
-
 val build :
   name:string ->
   ?rodata:Isa.Asm.program ->
@@ -45,10 +43,6 @@ val build :
     writable segment that may also contain code — the "mixed code and data
     page" case of the paper's Fig. 1b.
     @raise Unknown_label on a reference to an undefined label. *)
-
-val signable : t -> string list
-(** The canonical string rendering of everything the signature covers —
-    also the input to the loader's content digest (shared-image COW). *)
 
 val seal : t -> t
 (** Recompute the signature (what a trusted build system does). *)

@@ -185,9 +185,6 @@ val attach_pipe : t -> Pipe.t -> unit
     sys_pipe, snapshot restore) or blocked waiters on it would sleep
     forever. *)
 
-val attach_proc_pipes : t -> Proc.t -> unit
-(** {!attach_pipe} on the consoles and every fd-held pipe end. *)
-
 val register_wait : t -> Proc.t -> Proc.wait_cond -> unit
 (** Register a blocked process where its condition can flip: the pipe
     behind the fd for I/O waits (missing/mismatched fds go straight to the
@@ -206,9 +203,6 @@ val earliest_sleeper : t -> int option
 
 val map_demand_page : t -> Proc.t -> Aspace.region -> int -> Pte.t
 val cow_service : t -> Pte.t -> unit
-
-val ensure_mapped_for_kernel : t -> Proc.t -> int -> write:bool -> Pte.t
-(** @raise Efault on an unmapped or forbidden guest page. *)
 
 val copy_from_user : t -> Proc.t -> int -> int -> string
 val copy_to_user : t -> Proc.t -> int -> string -> unit

@@ -50,21 +50,16 @@ let connect = Machine.connect
 
 let run ?fuel t = Sched.run ?fuel t
 
-let kill = Machine.kill
-let terminate = Machine.terminate
-
 let copy_from_user = Machine.copy_from_user
 let copy_to_user = Machine.copy_to_user
 let read_cstring = Machine.read_cstring
 let load_pagetables = Machine.load_pagetables
 let map_demand_page = Machine.map_demand_page
-let cow_service = Machine.cow_service
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot support                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let quantum (t : t) = t.Machine.quantum
 let set_sched_hook (t : t) hook = t.Machine.probe.boundary <- hook
 
 let libraries = Machine.libraries

@@ -112,9 +112,6 @@ val run : ?fuel:int -> t -> stop_reason
 (** Schedule until exit, deadlock, or fuel exhaustion. Exploit drivers
     alternate [run] / [feed_stdin]. *)
 
-val kill : t -> Proc.t -> Proc.signal -> unit
-val terminate : t -> Proc.t -> Proc.exit_status -> unit
-
 val copy_from_user : t -> Proc.t -> int -> int -> string
 (** Kernel read of guest memory (reaches split pages' data copies);
     demand-maps as needed. @raise Efault. *)
@@ -123,15 +120,12 @@ val copy_to_user : t -> Proc.t -> int -> string -> unit
 val read_cstring : t -> Proc.t -> int -> max:int -> string
 val load_pagetables : t -> Proc.t -> unit
 val map_demand_page : t -> Proc.t -> Aspace.region -> int -> Pte.t
-val cow_service : t -> Pte.t -> unit
 
 (** {2 Snapshot support}
 
     Raw state exposure consumed by [lib/snap]. These accessors export and
     replace whole-machine bookkeeping; they are not meant for normal kernel
     clients. *)
-
-val quantum : t -> int
 
 val set_sched_hook : t -> (unit -> unit) option -> unit
 (** [(probe t).boundary <- hook]. *)

@@ -37,13 +37,11 @@ let create ?(capacity = 65536) ~name () =
     wakeup = ignore;
   }
 
-let name t = t.name
 let level t = t.write_pos - t.read_pos
 let is_empty t = level t = 0
 let space t = t.capacity - level t
 let has_writers t = t.writers > 0
 let has_readers t = t.readers > 0
-let bytes_written t = t.bytes_written
 
 let set_wakeup t f = t.wakeup <- f
 

@@ -4,7 +4,6 @@
 type t
 
 val create : ?capacity:int -> name:string -> unit -> t
-val name : t -> string
 val level : t -> int
 (** Bytes currently buffered. *)
 
@@ -12,8 +11,6 @@ val is_empty : t -> bool
 val space : t -> int
 val has_writers : t -> bool
 val has_readers : t -> bool
-val bytes_written : t -> int
-(** Total bytes ever accepted (pipe-throughput metric). *)
 
 val add_reader : t -> unit
 val add_writer : t -> unit

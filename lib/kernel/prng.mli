@@ -8,7 +8,6 @@
 type t
 
 val make : int -> t
-val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). *)
 

@@ -7,13 +7,6 @@ let signal_name = function
   | Sigpipe -> "SIGPIPE"
   | Sigbus -> "SIGBUS"
 
-let signal_number = function
-  | Sigill -> 4
-  | Sigbus -> 7
-  | Sigkill -> 9
-  | Sigsegv -> 11
-  | Sigpipe -> 13
-
 type exit_status = Exited of int | Killed of signal
 
 let status_string = function

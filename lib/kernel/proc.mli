@@ -6,7 +6,6 @@
 type signal = Sigsegv | Sigill | Sigkill | Sigpipe | Sigbus
 
 val signal_name : signal -> string
-val signal_number : signal -> int
 
 type exit_status = Exited of int | Killed of signal
 

@@ -1,16 +1,5 @@
 type kind = Code | Rodata | Data | Bss | Heap | Stack | Mixed | Lib | Mmap
 
-let kind_name = function
-  | Code -> "code"
-  | Rodata -> "rodata"
-  | Data -> "data"
-  | Bss -> "bss"
-  | Heap -> "heap"
-  | Stack -> "stack"
-  | Mixed -> "mixed"
-  | Lib -> "lib"
-  | Mmap -> "mmap"
-
 type split = {
   code_frame : int;
   mutable data_frame : int;
@@ -58,15 +47,3 @@ let code_frame t =
   match t.split with
   | Some s -> if s.locked_to_data then s.data_frame else s.code_frame
   | None -> t.frame
-
-let pp ppf t =
-  Fmt.pf ppf "vpn=0x%x %s frame=%d%s%s%s%s%s" t.vpn (kind_name t.kind) t.frame
-    (if t.user then "" else " supervisor")
-    (if t.writable then " rw" else " ro")
-    (if t.nx then " nx" else "")
-    (if t.cow then " cow" else "")
-    (match t.split with
-    | None -> ""
-    | Some s ->
-      Fmt.str " split(code=%d,data=%d%s)" s.code_frame s.data_frame
-        (if s.locked_to_data then ",locked" else ""))

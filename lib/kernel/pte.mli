@@ -9,8 +9,6 @@
 
 type kind = Code | Rodata | Data | Bss | Heap | Stack | Mixed | Lib | Mmap
 
-val kind_name : kind -> string
-
 type split = {
   code_frame : int;  (** pristine copy, target of instruction fetches *)
   mutable data_frame : int;  (** live copy, target of data accesses *)
@@ -44,5 +42,3 @@ val data_frame : t -> int
 val code_frame : t -> int
 (** The frame fetches should reach: the code copy, unless observe mode
     locked the page to its data copy. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,21 +20,9 @@ val wake : Machine.t -> unit
     order. The determinism harness (test/test_equiv.ml) checks this at
     every scheduler boundary of its baseline runs. *)
 
-val dequeue_runnable : Machine.t -> Proc.t option
-(** Pop the next runnable process, clearing its [in_runq] bit (and that of
-    any stale queued pid skipped along the way). *)
-
-val all_zombie : Machine.t -> bool
-
 val switch_to : Machine.t -> Proc.t -> unit
 (** Context switch if [p] was not already running: charge it, load the
     process pagetables (flushing the TLBs). *)
-
-val timer_tick : Machine.t -> unit
-
-val run_quantum : ?table:Syscalls.table -> Machine.t -> Proc.t -> int ref -> unit
-(** Run [p] for up to one quantum, decrementing [fuel] per instruction;
-    requeues the process if it is still runnable. *)
 
 val run : ?fuel:int -> ?table:Syscalls.table -> Machine.t -> stop_reason
 (** Schedule until every process exited, everything blocked, or fuel ran

@@ -2,6 +2,5 @@
     the paper defers library validation to). Not cryptographically secure —
     it exists so the loader's accept/reject logic is real and testable. *)
 
-val hash_string : ?seed:int -> string -> int
 val sign : string list -> int
 val verify : string list -> int -> bool

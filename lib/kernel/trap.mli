@@ -13,14 +13,6 @@ val class_name : Hw.Cpu.trap -> string
     ["page_fault"], ["invalid_opcode"], ["general_protection"] or
     ["debug_trap"] (["none"] for [No_trap], which is never counted). *)
 
-val handle_tlb_miss : Machine.t -> Proc.t -> Hw.Mmu.fault -> Pte.t -> unit
-(** Software-managed-TLB miss service (paper §4.7): COW and permission
-    checks, then the [on_tlb_fill] hook picks the frame to load. *)
-
-val handle_page_fault : Machine.t -> Proc.t -> Hw.Mmu.fault -> unit
-(** The page-fault handler: demand paging, COW, the Algorithm 1 hook
-    ([on_protection_fault]), or SIGSEGV. *)
-
 val deliver_trap : ?table:Syscalls.table -> Machine.t -> Proc.t -> Hw.Cpu.trap -> unit
 (** Deliver the trap that ended a {!Hw.Cpu.run_block} call on this
     machine, read from the registers holding its payload (EAX, the MMU's

@@ -122,7 +122,6 @@ let label_cells l =
    mutates shared state — a requirement for running machines on multiple
    domains (lib/fleet). *)
 let detached_counter name = { c_name = name; count = 0 }
-let detached_gauge name = { g_name = name; value = 0.0 }
 
 let detached_histogram name =
   { h_name = name; n = 0; sum = 0; vmin = max_int; vmax = min_int;

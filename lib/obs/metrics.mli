@@ -36,7 +36,6 @@ val observe : histogram -> int -> unit
 (** Record one sample. Bucket 0 holds values <= 0; bucket [k] holds
     [[2^(k-1), 2^k)]. *)
 
-val bucket_bounds : int -> int * int
 val mean : histogram -> float
 
 val nonzero_buckets : histogram -> (int * int * int) list
@@ -50,9 +49,8 @@ val label_cells : labeled -> (string * int) list
 val detached_counter : string -> counter
 (** A well-formed instrument registered in no registry — handed out by
     disabled [Obs] sinks so instrumentation never mutates shared state.
-    Same for the other three kinds. *)
+    Same for histograms and labeled tallies. *)
 
-val detached_gauge : string -> gauge
 val detached_histogram : string -> histogram
 val detached_labeled : string -> labeled
 
@@ -69,5 +67,4 @@ val gauges : registry -> (string * float) list
 val histograms : registry -> histogram list
 val labeled_sets : registry -> (string * (string * int) list) list
 
-val histogram_to_json : histogram -> Json.t
 val to_json : registry -> Json.t

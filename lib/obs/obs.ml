@@ -31,7 +31,6 @@ let create ?(trace_capacity = 8192) () = make true trace_capacity
 
 let enabled t = t.enabled
 let set_clock t f = if t.enabled then t.clock <- f
-let now t = t.clock ()
 let metrics t = t.metrics
 let ring t = t.ring
 let events t = Trace.to_list t.ring

@@ -27,8 +27,6 @@ val set_clock : t -> (unit -> int) -> unit
 (** Install the timestamp source (the kernel wires this to
     [cost.cycles]). No-op on {!null}. *)
 
-val now : t -> int
-
 val metrics : t -> Metrics.registry
 (** The raw registry (no snapshot hooks run); see {!snapshot}. *)
 

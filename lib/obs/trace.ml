@@ -24,7 +24,6 @@ let create ?(capacity = 8192) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; buf = Array.make capacity None; next = 0; length = 0; dropped = 0 }
 
-let capacity r = r.capacity
 let length r = r.length
 let dropped r = r.dropped
 
@@ -41,12 +40,6 @@ let to_list r =
       match r.buf.((start + i) mod r.capacity) with
       | Some e -> e
       | None -> assert false)
-
-let clear r =
-  Array.fill r.buf 0 r.capacity None;
-  r.next <- 0;
-  r.length <- 0;
-  r.dropped <- 0
 
 (* ------------------------------------------------------------------ *)
 (* JSON export / import                                                *)

@@ -22,7 +22,6 @@ val create : ?capacity:int -> unit -> ring
 (** Bounded sink (default 8192 events); once full, new events are counted
     as dropped rather than grown without bound. *)
 
-val capacity : ring -> int
 val length : ring -> int
 
 val dropped : ring -> int
@@ -31,11 +30,6 @@ val dropped : ring -> int
 val add : ring -> event -> unit
 val to_list : ring -> event list
 (** Oldest retained event first. *)
-
-val clear : ring -> unit
-
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
 
 val jsonl : event list -> string
 (** One JSON object per line. *)

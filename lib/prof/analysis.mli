@@ -23,23 +23,9 @@ type page_stat = {
 val page_stats : Sampler.sample list -> page_stat list
 (** Per-(pid, vpn) aggregation, sorted by (pid, vpn). *)
 
-val working_set : window_size:int -> Sampler.sample list -> wset_point list
-(** Unique sampled pages per absolute cycle window, sorted by window.
-    Anchoring to absolute windows keeps the curve identical across a
-    checkpoint/restore boundary. *)
-
-val hot_pages : ?top:int -> Sampler.sample list -> page_stat list
-(** Top pages by sample count (ties broken by pid, vpn). Default top 10. *)
-
 val hot_split_pages : ?top:int -> Sampler.sample list -> page_stat list
 (** {!hot_pages} restricted to split pages — the ranking that tells the
     split-page machinery where its service effort lands. *)
-
-val heatmap_grid :
-  ?buckets:int -> Sampler.sample list -> (int * int array) list * int * int * int
-(** [(rows, vpn_lo, vpn_hi, pages_per_bucket)]: one [(pid, cells)] row per
-    pid (sorted), [buckets] columns (default 64) spanning the sampled vpn
-    range. *)
 
 (** {2 Rendering} *)
 

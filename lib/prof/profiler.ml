@@ -69,28 +69,27 @@ let install t =
         set "prof.translations" (Sampler.seen s))
   end
 
-let attach ?(rate = 64) ?capacity os =
-  let t = { sampler = Sampler.create ?capacity ~rate (); os; cur_aspace = None } in
+let attach ?(rate = 64) os =
+  let t = { sampler = Sampler.create ~rate (); os; cur_aspace = None } in
   install t;
   t
-
-let detach t =
-  (Kernel.Os.env t.os).Hw.Exec_env.sample <- None;
-  (Kernel.Os.probe t.os).switch <- None
 
 (* --- snapshot integration ------------------------------------------------ *)
 
 let meta_state_key = "prof.state"
 
-let meta t = [ (meta_state_key, Sampler.export t.sampler) ]
+let magic = "PROFSMP1"
 
-let checkpoint ?(meta = []) t =
-  Snap.Snapshot.checkpoint ~meta:(meta @ [ (meta_state_key, Sampler.export t.sampler) ]) t.os
+let checkpoint t =
+  Snap.Snapshot.checkpoint
+    ~meta:[ (meta_state_key, Snap.Codec.encode ~magic Sampler.codec t.sampler) ]
+    t.os
 
 let rearm os snap =
   match Snap.Snapshot.find_meta snap meta_state_key with
   | None -> None
   | Some state ->
-    let t = { sampler = Sampler.import state; os; cur_aspace = None } in
+    let sampler = Snap.Codec.decode ~magic Sampler.codec state in
+    let t = { sampler; os; cur_aspace = None } in
     install t;
     Some t

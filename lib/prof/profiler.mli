@@ -17,14 +17,9 @@
 
 type t
 
-val attach : ?rate:int -> ?capacity:int -> Kernel.Os.t -> t
-(** Install the sampler on the machine ([rate] default 64, [capacity]
-    default 8192). Replaces any previously attached profiler's hooks. *)
-
-val detach : t -> unit
-(** Remove the MMU sample hook and the scheduler switch hook, returning
-    the machine to the zero-overhead configuration. The collected samples
-    remain readable. *)
+val attach : ?rate:int -> Kernel.Os.t -> t
+(** Install a sampler with the default capacity on the machine ([rate]
+    default 64). Replaces any previously attached profiler's hooks. *)
 
 val sampler : t -> Sampler.t
 val samples : t -> Sampler.sample list
@@ -33,21 +28,18 @@ val samples : t -> Sampler.sample list
 (** {2 Snapshot integration}
 
     Sampler state (ring contents, decimation phase, counters, pid
-    attribution) rides in snapshot metadata under {!meta_state_key}, the
-    same extension mechanism lib/inject uses — the binary snapshot format
-    is untouched. *)
+    attribution) rides in snapshot metadata under ["prof.state"],
+    encoded with {!Sampler.codec} — the same extension mechanism lib/inject
+    uses; the snapshot format itself is untouched. *)
 
-val meta_state_key : string
-
-val meta : t -> (string * string) list
-(** The metadata pairs to pass to [Snap.Snapshot.checkpoint ~meta]. *)
-
-val checkpoint : ?meta:(string * string) list -> t -> Snap.Snapshot.t
+val checkpoint : t -> Snap.Snapshot.t
 (** [Snap.Snapshot.checkpoint] of the profiled machine with the sampler
-    state appended to [meta]. *)
+    state in its metadata. *)
 
 val rearm : Kernel.Os.t -> Snap.Snapshot.t -> t option
 (** After [Snap.Snapshot.restore os snap], rebuild the profiler from the
     snapshot's sampler state and reinstall its hooks on [os]; [None] if
     the snapshot carries no profiler state. The rearmed profiler's future
-    samples are bit-identical to the original run's. *)
+    samples are bit-identical to the original run's.
+    @raise Snap.Codec.Corrupt, leaving [os] untouched, if that state does
+    not decode. *)

@@ -33,9 +33,14 @@ type t = {
   mutable cur_pid : int;  (* owner of current translations; 0 = unknown *)
 }
 
+(* Bounds the two arrays a sampler allocates (16 MiB), including a ring
+   sized by a snapshot's header. *)
+let max_capacity = 1 lsl 20
+
 let create ?(capacity = 8192) ~rate () =
   if rate <= 0 then invalid_arg "Sampler.create: rate must be positive";
-  if capacity <= 0 then invalid_arg "Sampler.create: capacity must be positive";
+  if capacity <= 0 || capacity > max_capacity then
+    invalid_arg "Sampler.create: capacity must be in 1..2^20";
   {
     rate;
     cap = capacity;
@@ -51,7 +56,6 @@ let create ?(capacity = 8192) ~rate () =
   }
 
 let rate t = t.rate
-let capacity t = t.cap
 let length t = t.len
 let dropped t = t.dropped
 let seen t = t.seen
@@ -119,52 +123,39 @@ let samples t =
 
 (* --- snapshot state ------------------------------------------------------ *)
 
-(* Text export: header counters, then the live (cycle, meta) pairs oldest
-   first. Import rebuilds the ring with head = len mod cap — a rotation of
-   the original layout, which is invisible to [samples] and to all future
-   overwrite behaviour, so a rearmed sampler replays bit-identically. *)
-let export t =
-  let buf = Buffer.create (32 + (t.len * 12)) in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d %d %d %d %d %d" t.rate t.cap t.len t.dropped t.countdown
-       t.seen t.taken);
-  Buffer.add_string buf (Printf.sprintf " %d" t.cur_pid);
-  for i = 0 to t.len - 1 do
-    let idx = (t.head - t.len + i + t.cap) mod t.cap in
-    Buffer.add_string buf (Printf.sprintf " %d %d" t.cycles.(idx) t.meta.(idx))
-  done;
-  Buffer.contents buf
+(* The counters, then the live cycle stamps and metadata words oldest
+   first. Decoding rebuilds the ring with head = len mod cap — a rotation
+   of the original layout, which is invisible to [samples] and to all
+   future overwrite behaviour, so a rearmed sampler replays
+   bit-identically. The header is checked before the ring is allocated. *)
+let live t a = Array.init t.len (fun i -> a.((t.head - t.len + i + t.cap) mod t.cap))
 
-exception Corrupt_state of string
-
-let import s =
-  let fail msg = raise (Corrupt_state ("Sampler.import: " ^ msg)) in
-  let words =
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun w -> w <> "")
-    |> List.map (fun w ->
-           match int_of_string_opt w with Some n -> n | None -> fail ("bad int " ^ w))
-  in
-  match words with
-  | rate :: cap :: len :: dropped :: countdown :: seen :: taken :: cur_pid :: rest ->
-    if rate <= 0 || cap <= 0 || len < 0 || len > cap then fail "bad header";
-    if List.length rest <> 2 * len then fail "sample count mismatch";
-    let t = create ~capacity:cap ~rate () in
-    t.len <- len;
-    t.head <- len mod cap;
-    t.dropped <- dropped;
-    t.countdown <- countdown;
-    t.seen <- seen;
-    t.taken <- taken;
-    t.cur_pid <- cur_pid;
-    let rec fill i = function
-      | [] -> ()
-      | cycle :: meta :: rest ->
-        t.cycles.(i) <- cycle;
-        t.meta.(i) <- meta;
-        fill (i + 1) rest
-      | [ _ ] -> fail "odd sample list"
-    in
-    fill 0 rest;
-    t
-  | _ -> fail "truncated header"
+let codec =
+  let open Snap.Codec in
+  record ()
+  |+ (int, fun t -> t.rate)
+  |+ (int, fun t -> t.cap)
+  |+ (int, fun t -> t.dropped)
+  |+ (int, fun t -> t.countdown)
+  |+ (int, fun t -> t.seen)
+  |+ (int, fun t -> t.taken)
+  |+ (int, fun t -> t.cur_pid)
+  |+ (int_array, fun t -> live t t.cycles)
+  |+ (int_array, fun t -> live t t.meta)
+  |> seal (fun rate cap dropped countdown seen taken cur_pid cycles meta ->
+         let len = Array.length cycles in
+         if rate <= 0 || countdown <= 0 || countdown > rate then
+           raise (Corrupt (Fmt.str "sampler: rate %d, countdown %d" rate countdown));
+         if cap <= 0 || cap > max_capacity || len > cap || Array.length meta <> len then
+           raise (Corrupt (Fmt.str "sampler: %d samples in a ring of %d" len cap));
+         let t = create ~capacity:cap ~rate () in
+         Array.blit cycles 0 t.cycles 0 len;
+         Array.blit meta 0 t.meta 0 len;
+         t.len <- len;
+         t.head <- len mod cap;
+         t.dropped <- dropped;
+         t.countdown <- countdown;
+         t.seen <- seen;
+         t.taken <- taken;
+         t.cur_pid <- cur_pid;
+         t)

@@ -15,11 +15,10 @@ type sample = {
 type t
 
 val create : ?capacity:int -> rate:int -> unit -> t
-(** [capacity] (default 8192) bounds the ring; [rate] samples every Nth
+(** [capacity] (default 8192, at most 2{^20}) bounds the ring; [rate] samples every Nth
     successful translation. @raise Invalid_argument unless both positive. *)
 
 val rate : t -> int
-val capacity : t -> int
 
 val length : t -> int
 (** Live samples in the ring. *)
@@ -48,16 +47,11 @@ val samples : t -> sample list
 
 val set_pid : t -> int -> unit
 val pid : t -> int
-val access_code : Hw.Mmu.access -> int
 
 (** {2 Snapshot state} *)
 
-val export : t -> string
-(** Complete sampler state as printable text (snapshot metadata value). *)
-
-exception Corrupt_state of string
-
-val import : string -> t
-(** Rebuild a sampler from {!export} output; the clone's [samples],
-    decimation phase and overwrite behaviour match the original exactly.
-    @raise Corrupt_state on malformed input. *)
+val codec : t Snap.Codec.t
+(** The complete sampler state (snapshot metadata value); a decoded
+    sampler's [samples], decimation phase and overwrite behaviour match
+    the original exactly. Decoding checks the header before it allocates
+    the ring, and raises {!Snap.Codec.Corrupt} on malformed input. *)

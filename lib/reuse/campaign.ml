@@ -17,11 +17,6 @@ let attack_name = function
   | Ret2libtext -> "ret2libtext"
   | Fptr_clobber -> "fptr-clobber"
 
-let attack_descr = function
-  | Rop_chain -> "gadget chain: execve(\"/bin/sh\") from unintended gadgets"
-  | Ret2libtext -> "return into the image's dead maintenance routine"
-  | Fptr_clobber -> "function-pointer clobber aimed at existing code"
-
 (* --- exploit construction ------------------------------------------------ *)
 
 let scan ?max_insns () = Gadget.scan_image ?max_insns (Victim.image ())

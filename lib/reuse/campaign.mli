@@ -9,7 +9,6 @@ type attack = Rop_chain | Ret2libtext | Fptr_clobber
 
 val attacks : attack list
 val attack_name : attack -> string
-val attack_descr : attack -> string
 
 val scan : ?max_insns:int -> unit -> Gadget.t list
 (** Scan the victim image for gadgets. *)
@@ -35,18 +34,12 @@ type row = Injection of Attack.Wilander.technique | Reuse of attack
 val rows : (string * row) list
 val defenses : (string * Defense.t) list
 
-val expected_escape : defense:Defense.t -> row:row -> bool
-
 type cell = {
   defense : string;
   attack : string;
   expected : bool;
   result : (Attack.Runner.outcome, string) result;
 }
-
-val cell_ok : cell -> bool
-(** The cell matches the threat model: escapes exactly when expected,
-    and a stopped attack is a logged detection, not a mere crash. *)
 
 val matrix : ?jobs:int -> unit -> cell list
 (** Run the full grid on the fleet; submission-order results make the

@@ -16,11 +16,6 @@
 
 type terminator = Ret | Jmp_reg of Isa.Reg.t | Call_reg of Isa.Reg.t
 
-let terminator_name = function
-  | Ret -> "ret"
-  | Jmp_reg r -> Fmt.str "jmp %s" (Isa.Reg.name r)
-  | Call_reg r -> Fmt.str "call %s" (Isa.Reg.name r)
-
 type t = {
   addr : int;  (** virtual address of the first instruction *)
   insns : Isa.Insn.t list;  (** the sequence, terminator included *)
@@ -94,6 +89,3 @@ let pop_ret gadgets reg =
 let syscall_ret gadgets =
   find gadgets (fun g ->
       match g.insns with [ Isa.Insn.Int 0x80; Isa.Insn.Ret ] -> true | _ -> false)
-
-let ret_only gadgets =
-  find gadgets (fun g -> match g.insns with [ Isa.Insn.Ret ] -> true | _ -> false)

@@ -6,8 +6,6 @@
 
 type terminator = Ret | Jmp_reg of Isa.Reg.t | Call_reg of Isa.Reg.t
 
-val terminator_name : terminator -> string
-
 type t = {
   addr : int;  (** virtual address of the first instruction *)
   insns : Isa.Insn.t list;  (** the sequence, terminator included *)
@@ -26,9 +24,6 @@ val at : ?max_insns:int -> base:int -> string -> int -> t option
     failures (including [Truncated] at the segment boundary) simply yield
     [None]. *)
 
-val scan_segment : ?max_insns:int -> base:int -> string -> t list
-(** Every gadget at every byte offset, ascending address. *)
-
 val scan_image : ?max_insns:int -> Kernel.Image.t -> t list
 (** Scan all executable (code/lib/mixed) segments. *)
 
@@ -37,6 +32,3 @@ val pop_ret : t list -> Isa.Reg.t -> t option
 
 val syscall_ret : t list -> t option
 (** First [int 0x80; ret] gadget. *)
-
-val ret_only : t list -> t option
-(** First bare [ret] gadget. *)

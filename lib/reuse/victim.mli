@@ -4,12 +4,6 @@
     pointer ([gfptr]) — everything the reuse attacks need and nothing a
     split memory would ever see written. *)
 
-val const_pop_ebx : int
-val const_pop_eax : int
-val const_syscall : int
-(** The checksum constants whose encodings carry the gadgets at
-    immediate offset +2. *)
-
 val sel_stack : string
 (** Selector byte for the vulnerable stack-frame path. *)
 

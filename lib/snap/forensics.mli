@@ -42,11 +42,6 @@ val page_diff : Kernel.Os.t -> pid:int -> addr:int -> page_diff option
 (** Diff the code copy against the data copy of the page mapping [addr] in
     process [pid]. [None] if the process/page is unknown or not split. *)
 
-val extract_payload : page_diff -> eip_off:int -> (int * string) option
-(** [(start_off, bytes)] of the merged differing range containing (or
-    starting at) [eip_off] — the injected instructions the CPU was about to
-    run, read from the data copy. *)
-
 val arm : ?dir:string -> ?all:bool -> Kernel.Os.t -> capture list ref
 (** Start capturing. Returns the (initially empty) capture list, appended
     to on each detection — by default only the first detection is captured
@@ -55,5 +50,3 @@ val arm : ?dir:string -> ?all:bool -> Kernel.Os.t -> capture list ref
     [capture-k.diff.json] beneath it (the directory is created). A second
     [arm] on the same machine replaces the first in the slot: the first
     list stops growing. *)
-
-val diff_json : capture -> Obs.Json.t

@@ -85,7 +85,6 @@ let page_size t = t.sn_page_size
 let frame_count t = t.sn_frame_count
 let frames_written t = List.length t.sn_frames
 let frames_sparse_skipped t = t.sn_frames_skipped
-let protection_name t = t.sn_protection
 let meta t = t.sn_meta
 let find_meta t k = List.assoc_opt k t.sn_meta
 let trigger t = t.sn_trigger
@@ -702,8 +701,15 @@ let decode s = Codec.decode ~magic snapshot s
 (* Manifest + files                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A metadata value is text (a scenario name, a source) or a Codec
+   blob (lib/inject and lib/prof state), which JSON cannot carry: a blob
+   shows as its size. *)
 let manifest t : Obs.Json.t =
   let open Obs.Json in
+  let meta v =
+    if String.for_all (fun c -> c >= ' ' && c <= '~') v then Str v
+    else Obj [ ("bytes", Int (String.length v)) ]
+  in
   Obj
     [
       ("format", Str (Fmt.str "snap/%d" version));
@@ -721,7 +727,7 @@ let manifest t : Obs.Json.t =
              (fun (pid, name, state) ->
                Obj [ ("pid", Int pid); ("name", Str name); ("state", Str state) ])
              (proc_summaries t)) );
-      ("meta", Obj (List.map (fun (k, v) -> (k, Str v)) t.sn_meta));
+      ("meta", Obj (List.map (fun (k, v) -> (k, meta v)) t.sn_meta));
       ( "trigger",
         match t.sn_trigger with
         | None -> Null

@@ -34,7 +34,6 @@ val page_size : t -> int
 val frame_count : t -> int
 val frames_written : t -> int
 val frames_sparse_skipped : t -> int
-val protection_name : t -> string
 val meta : t -> (string * string) list
 val find_meta : t -> string -> string option
 val trigger : t -> trigger option
@@ -47,7 +46,8 @@ val checkpoint :
     mid-execution; for bit-exact replay, capture at a scheduler-loop
     boundary (which is where {!Kernel.Os.run} with bounded fuel stops and
     where {!Ring} hooks fire). [meta] carries free-form provenance (e.g.
-    scenario name) into the manifest and binary. Copies only frames that
+    scenario name) or a {!Codec} blob (lib/inject and lib/prof state)
+    into the binary and the manifest. Copies only frames that
     were written; a never-written frame costs one pointer compare.
     @raise Invalid_argument if the machine has the cache model enabled. *)
 
@@ -74,6 +74,8 @@ val decode : string -> t
     any other malformed input; no other exception escapes. *)
 
 val manifest : t -> Obs.Json.t
+(** A metadata value of printable ASCII shows verbatim; any other (a
+    {!Codec} blob) as [{"bytes": n}]. *)
 
 val save : ?obs:Obs.t -> file:string -> t -> int
 (** Write [file] (binary) plus [file].manifest.json; returns the binary

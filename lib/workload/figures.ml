@@ -72,16 +72,6 @@ let apache_normalized ?jobs ~defense ~size ~requests () =
   in
   nrm look "apache"
 
-let single_normalized ?jobs ~defense image =
-  let look =
-    lookup_of ?jobs (vs "single" ~defense (fun d -> Harness.single ~defense:d image))
-  in
-  nrm look "single"
-
-let gzip_normalized ?jobs ~defense ~size () =
-  let look = lookup_of ?jobs (vs "gzip" ~defense (fun d -> gzip_spec ~defense:d ~size)) in
-  nrm look "gzip"
-
 let ctxsw_normalized ?jobs ~defense ~iters () =
   let look =
     lookup_of ?jobs (vs "ctxsw" ~defense (fun d -> ctxsw_spec ~defense:d ~iters))
@@ -142,9 +132,6 @@ let unixbench_pieces_of look =
 let unixbench_pieces ?jobs ~defense () =
   let look = lookup_of ?jobs (List.concat_map snd (unixbench_parts ~defense)) in
   unixbench_pieces_of look
-
-let unixbench_index ?jobs ~defense () =
-  Harness.geomean (List.map snd (unixbench_pieces ?jobs ~defense ()))
 
 (* --- Fig. 6: Apache 32KB, gzip, nbench, Unixbench under stand-alone split. *)
 let fig6 ?obs ?jobs ?(defense = Defense.split_standalone) () =

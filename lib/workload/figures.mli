@@ -10,8 +10,6 @@
 type point = { x : string; value : float }
 
 val apache_requests : int
-val gzip_size : int
-val nbench_iters : int
 val ctxsw_iters : int
 
 (** {2 Experiment specs} — the building blocks, exposed for composition
@@ -32,8 +30,6 @@ val run_ctxsw : ?obs:Obs.t -> defense:Defense.t -> iters:int -> unit -> Harness.
 
 val apache_normalized :
   ?jobs:int -> defense:Defense.t -> size:int -> requests:int -> unit -> float
-val single_normalized : ?jobs:int -> defense:Defense.t -> Kernel.Image.t -> float
-val gzip_normalized : ?jobs:int -> defense:Defense.t -> size:int -> unit -> float
 val ctxsw_normalized : ?jobs:int -> defense:Defense.t -> iters:int -> unit -> float
 
 val nbench_results : ?jobs:int -> defense:Defense.t -> unit -> (string * float) list
@@ -41,9 +37,6 @@ val nbench_results : ?jobs:int -> defense:Defense.t -> unit -> (string * float) 
 
 val unixbench_pieces : ?jobs:int -> defense:Defense.t -> unit -> (string * float) list
 (** Normalized score per Unixbench piece. *)
-
-val unixbench_index : ?jobs:int -> defense:Defense.t -> unit -> float
-(** Geometric mean of the pieces, Unixbench-style. *)
 
 (** {2 Figures} *)
 

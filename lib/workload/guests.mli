@@ -39,9 +39,6 @@ val syscall_bench : iters:int -> unit -> Kernel.Image.t
 val pipe_throughput : iters:int -> unit -> Kernel.Image.t
 (** Self-pipe write/read of 512-byte blocks (no context switches). *)
 
-val ctxsw_ws : int
-val ctxsw_stride : int
-
 val ctxsw_ping : iters:int -> unit -> Kernel.Image.t
 (** Pipe-based context switching, initiator side: walk the working set,
     send the token, wait for the echo. *)

@@ -148,28 +148,19 @@ let run ?obs s = fst (run_k ?obs s)
    per-job registries are folded into the caller's sink in submission
    order after the workers join, so the aggregate is identical for every
    [jobs] value. *)
-let run_fleet_stats ?(obs = Obs.null) ?jobs specs =
+let run_fleet ?(obs = Obs.null) ?jobs specs =
   let live = Obs.enabled obs in
-  let results, stats =
-    Fleet.map_stats ~obs ?jobs
-      ~label:(fun s -> s.label)
-      (fun s ->
-        let job_obs = if live then Obs.create () else Obs.null in
-        (run ~obs:job_obs s, job_obs))
-      specs
-  in
-  let results =
-    List.map
-      (function
-        | Ok (r, job_obs) ->
-          if live then Obs.merge_metrics ~into:obs job_obs;
-          Ok r
-        | Error (e : Fleet.error) -> Error e)
-      results
-  in
-  (results, stats)
-
-let run_fleet ?obs ?jobs specs = fst (run_fleet_stats ?obs ?jobs specs)
+  Fleet.map ~obs ?jobs
+    ~label:(fun s -> s.label)
+    (fun s ->
+      let job_obs = if live then Obs.create () else Obs.null in
+      (run ~obs:job_obs s, job_obs))
+    specs
+  |> List.map (function
+       | Ok (r, job_obs) ->
+         if live then Obs.merge_metrics ~into:obs job_obs;
+         Ok r
+       | Error (e : Fleet.error) -> Error e)
 
 let run_fleet_exn ?obs ?jobs specs =
   List.map

@@ -134,14 +134,6 @@ val run_fleet :
     folded into it in submission order ({!Obs.merge_metrics}) and the
     fleet records its own [fleet.*] metrics. *)
 
-val run_fleet_stats :
-  ?obs:Obs.t ->
-  ?jobs:int ->
-  spec list ->
-  (result, Fleet.error) Stdlib.result list * Fleet.stats
-(** Like {!run_fleet}, also returning wall-clock stats (per-job times,
-    observed speedup). *)
-
 val run_fleet_exn : ?obs:Obs.t -> ?jobs:int -> spec list -> result list
 (** Like {!run_fleet} but re-raising the first failure as
     {!Did_not_finish} — for experiments whose every machine must finish. *)
@@ -154,5 +146,3 @@ val normalized : baseline:result -> result -> float
 
 val geomean : float list -> float
 (** Geometric mean (Unixbench-style index). @raise Invalid_argument on []. *)
-
-val snapshot : label:string -> defense:string -> Kernel.Os.t -> result

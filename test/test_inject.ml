@@ -44,9 +44,9 @@ let test_plan_roundtrip () =
   in
   List.iter
     (fun p ->
-      let p' = Inject.Plan.of_string (Inject.Plan.to_string p) in
-      Alcotest.(check string) "round trip" (Inject.Plan.to_string p)
-        (Inject.Plan.to_string p');
+      let encode = Snap.Codec.encode ~magic:"P" Inject.Plan.codec in
+      let p' = Snap.Codec.decode ~magic:"P" Inject.Plan.codec (encode p) in
+      Alcotest.(check string) "round trip" (encode p) (encode p');
       Alcotest.(check bool) "equal" true (p = p'))
     plans;
   List.iter

@@ -25,7 +25,9 @@ let test_sampler_roundtrip () =
         ~access:(if i mod 2 = 0 then Hw.Mmu.Read else Hw.Mmu.Fetch)
         ~tlb_hit:(i mod 5 <> 0) ~split:(i mod 7 = 0)
   done;
-  let s' = Prof.Sampler.import (Prof.Sampler.export s) in
+  let s' =
+    Snap.Codec.(decode ~magic:"S" Prof.Sampler.codec (encode ~magic:"S" Prof.Sampler.codec s))
+  in
   Alcotest.(check int) "rate" (Prof.Sampler.rate s) (Prof.Sampler.rate s');
   Alcotest.(check int) "length" (Prof.Sampler.length s) (Prof.Sampler.length s');
   Alcotest.(check int) "dropped" (Prof.Sampler.dropped s) (Prof.Sampler.dropped s');
@@ -36,9 +38,8 @@ let test_sampler_roundtrip () =
   for _ = 1 to 10 do
     Alcotest.(check bool) "tick parity" (Prof.Sampler.tick s) (Prof.Sampler.tick s')
   done;
-  Alcotest.check_raises "corrupt"
-    (Prof.Sampler.Corrupt_state "Sampler.import: truncated header") (fun () ->
-      ignore (Prof.Sampler.import "" : Prof.Sampler.t))
+  Alcotest.check_raises "corrupt" (Snap.Codec.Corrupt "expected \"S\" at byte 0")
+    (fun () -> ignore (Snap.Codec.decode ~magic:"S" Prof.Sampler.codec "" : Prof.Sampler.t))
 
 (* --- Snapshot replay ------------------------------------------------------- *)
 
@@ -73,6 +74,30 @@ let test_replay_identical () =
   let machine = Test_equiv.observe os' (run_to_end os') in
   Alcotest.(check string) "replayed report" reference (profile_report prof');
   Alcotest.(check string) "machine state" ref_machine machine
+
+(* A hostile prof.state declaring a 2^31-1 slot ring (its second field)
+   is rejected before the ring is allocated, and leaves the machine
+   without profiler hooks. *)
+let test_rearm_rejects_huge_ring () =
+  let spec = Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:4 in
+  let os = Workload.Harness.build spec in
+  let blob =
+    Option.get (Snap.Snapshot.find_meta (Prof.checkpoint (Prof.attach os)) "prof.state")
+  in
+  (* after the 8-byte magic and the rate, zigzag-encoded *)
+  let bytes = Bytes.of_string blob in
+  Bytes.set_int64_le bytes 16 (Int64.of_int (2 * ((1 lsl 31) - 1)));
+  let os' = Workload.Harness.build spec in
+  let snap =
+    Snap.Snapshot.checkpoint ~meta:[ ("prof.state", Bytes.to_string bytes) ] os'
+  in
+  let before = Gc.allocated_bytes () in
+  (match Prof.rearm os' snap with
+  | exception Snap.Codec.Corrupt _ -> ()
+  | _ -> Alcotest.fail "rearm accepted a 2^31-1 slot ring");
+  Alcotest.(check bool) "no ring allocated" true (Gc.allocated_bytes () -. before < 1e6);
+  Alcotest.(check bool) "no sample hook" true ((Kernel.Os.env os').sample = None);
+  Alcotest.(check bool) "no switch hook" true ((Kernel.Os.probe os').switch = None)
 
 (* --- TLB replacement policy ------------------------------------------------ *)
 
@@ -139,6 +164,8 @@ let suite =
   [
     Test_equiv.(generated ~name:"attached profiler is bit-invisible" [ Prof_attached ]);
     Alcotest.test_case "sampler state round-trips exactly" `Quick test_sampler_roundtrip;
+    Alcotest.test_case "rearm rejects a 2^31-1 slot ring" `Quick
+      test_rearm_rejects_huge_ring;
     Alcotest.test_case "checkpoint/rearm replay renders identically" `Quick
       test_replay_identical;
     Alcotest.test_case "tlb sweep is -j invariant" `Slow (Test_equiv.test_grid "tlb sweep");

@@ -605,7 +605,11 @@ let test_save_load () =
   let s = scenario "attack-observe" in
   let os = s.start () in
   ignore (Kernel.Os.run ~fuel:1500 os);
-  let snap = Snap.Snapshot.checkpoint ~meta:[ ("scenario", "attack-observe") ] os in
+  let snap =
+    Snap.Snapshot.checkpoint
+      ~meta:[ ("scenario", "attack-observe"); ("state", "ST\000\255") ]
+      os
+  in
   let bytes = Snap.Snapshot.save ~file snap in
   Alcotest.(check bool) "nonempty" true (bytes > 0);
   let loaded = Snap.Snapshot.load file in
@@ -620,7 +624,12 @@ let test_save_load () =
   | Error e -> Alcotest.failf "manifest does not parse: %s" e
   | Ok j ->
     Alcotest.(check (option int)) "manifest bytes field" (Some bytes)
-      (Option.bind (Obs.Json.member "bytes" j) Obs.Json.to_int));
+      (Option.bind (Obs.Json.member "bytes" j) Obs.Json.to_int);
+    let meta k = Option.bind (Obs.Json.member "meta" j) (Obs.Json.member k) in
+    Alcotest.(check (option string)) "text meta verbatim" (Some "attack-observe")
+      (Option.bind (meta "scenario") Obs.Json.to_str);
+    Alcotest.(check (option int)) "binary meta as its size" (Some 4)
+      (Option.bind (Option.bind (meta "state") (Obs.Json.member "bytes")) Obs.Json.to_int));
   Sys.remove file;
   Sys.remove (file ^ ".manifest.json")
 
@@ -698,6 +707,71 @@ let test_inject_rearm_requires_meta () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "rearm accepted a snapshot without injector state"
 
+(* Hostile injector metadata raises Codec.Corrupt before the engine is
+   armed: no inject or guard hook, no ECC shadow. The state and plan are
+   a real checkpoint's with bytes replaced (ints are 8 zigzag bytes). *)
+let test_inject_rearm_hostile () =
+  let s = scenario "benign" in
+  let plan = Inject.Plan.make ~scenario:"benign" ~classes:[ Inject.Plan.Pte_flip ] () in
+  let os = s.start () in
+  let meta = Snap.Snapshot.find_meta (Inject.checkpoint os (Inject.Engine.arm os plan)) in
+  let good_plan = Option.get (meta "inject.plan") in
+  let good_state = Option.get (meta "inject.state") in
+  let int v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int (2 * v));
+    Bytes.to_string b
+  in
+  (* a fresh engine's state ends with its two empty lists: pending flips,
+     then the journal *)
+  let flips pairs =
+    String.sub good_state 0 (String.length good_state - 16)
+    ^ int (List.length pairs)
+    ^ String.concat "" (List.map (fun (pa, good) -> int pa ^ int good) pairs)
+    ^ int 0
+  in
+  (* the one class tag follows the label, scenario, seed and list length *)
+  let unknown_class =
+    let b = Bytes.of_string good_plan in
+    Bytes.set_uint8 b
+      (8 + 8 + String.length plan.label + 8 + String.length plan.scenario + 8 + 8)
+      (List.length Inject.Plan.all_classes);
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (what, plan_blob, state_blob) ->
+      let os = s.start () in
+      ignore (Kernel.Os.run ~fuel:900 os);
+      let snap =
+        Snap.Snapshot.checkpoint
+          ~meta:[ ("inject.plan", plan_blob); ("inject.state", state_blob) ]
+          os
+      in
+      (match Inject.rearm os snap with
+      | exception Snap.Codec.Corrupt _ -> ()
+      | _ -> Alcotest.failf "rearm accepted %s" what);
+      let m = Kernel.Os.machine os in
+      Alcotest.(check bool) (what ^ ": unarmed") true
+        (m.probe.inject = None && m.env.tlb_guard = None
+        && not (Hw.Phys.ecc_enabled m.phys)))
+    [
+      ("a text state with a non-numeric flip", good_plan, "pend=abc:1");
+      ("a truncated state", good_plan, String.sub good_state 0 (String.length good_state - 1));
+      ("a flip off physical memory", good_plan, flips [ (1 lsl 40, 0) ]);
+      ("a flip to a non-byte value", good_plan, flips [ (0, 256) ]);
+      ("an unknown fault class", unknown_class, good_state);
+    ];
+  (* the forged list itself is well formed: an in-range flip arms *)
+  let os = s.start () in
+  let snap =
+    Snap.Snapshot.checkpoint
+      ~meta:[ ("inject.plan", good_plan); ("inject.state", flips [ (0, 0) ]) ]
+      os
+  in
+  ignore (Inject.rearm os snap : Inject.Engine.t);
+  Alcotest.(check bool) "in-range flip: armed" true
+    (Hw.Phys.ecc_enabled (Kernel.Os.machine os).phys)
+
 let suite =
   [
     Alcotest.test_case "codec round trip" `Quick test_codec_roundtrip;
@@ -729,4 +803,6 @@ let suite =
     Alcotest.test_case "injector state round trip" `Quick test_inject_rearm;
     Alcotest.test_case "rearm rejects plain snapshots" `Quick
       test_inject_rearm_requires_meta;
+    Alcotest.test_case "rearm rejects hostile injector metadata" `Quick
+      test_inject_rearm_hostile;
   ]
