@@ -446,10 +446,12 @@ let alloc_per_insn (s : Workload.Harness.spec) =
 
 (* Wall-clock of one run, machine construction excluded, with the block
    cache on or off (off = the fresh machine's cache is removed, leaving
-   exact dispatch). *)
+   exact dispatch). A full major collection first, so the clock does not
+   also time the collection of what earlier runs and the build left. *)
 let run_s ~bbcache (s : Workload.Harness.spec) =
   let k = Workload.Harness.build s in
   if not bbcache then (Kernel.Os.env k).Hw.Exec_env.cache <- None;
+  Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   ignore (Kernel.Os.run ~fuel:s.fuel k : Kernel.Os.stop_reason);
   Unix.gettimeofday () -. t0

@@ -54,11 +54,6 @@ let is_detection_event : Kernel.Event_log.event -> bool = function
     true
   | _ -> false
 
-let stop_name : Kernel.Os.stop_reason -> string = function
-  | All_exited -> "all-exited"
-  | All_blocked -> "all-blocked"
-  | Fuel_exhausted -> "fuel-exhausted"
-
 let scenario_of (plan : Plan.t) =
   match Snap.Scenario.find plan.scenario with
   | Some s -> s
@@ -133,8 +128,8 @@ let run_plan ?obs (plan : Plan.t) =
     v_cycles_match = cycles_match;
     v_base_cycles = base_cycles;
     v_cycles = run_cycles;
-    v_base_stop = stop_name base_stop;
-    v_stop = stop_name stop;
+    v_base_stop = Snap.Replay.stop_name base_stop;
+    v_stop = Snap.Replay.stop_name stop;
   }
 
 (* Campaign over the fleet: one job per plan (twin + armed run inside the

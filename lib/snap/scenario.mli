@@ -4,8 +4,9 @@
     spawns the guest and feeds any attack input up front, so a single
     {!Kernel.Os.run} (or a fuel-sliced sequence of runs with checkpoints in
     between) carries it to completion deterministically. They back the
-    round-trip/replay tests, the [simctl snapshot/replay] subcommands and
-    the replay gate that [dune runtest] runs (test/replay/dune). *)
+    scenario goldens, the determinism harness's checkpoint axis (both
+    through {!Replay}), the [simctl snapshot/replay] subcommands and the
+    replay gate that [dune runtest] runs (test/replay/dune). *)
 
 type t = {
   name : string;

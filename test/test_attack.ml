@@ -1,24 +1,7 @@
-(* The attack grid: every combination succeeds on the unprotected kernel and
-   is foiled under split memory. *)
-
-let check_combo technique location =
-  let name =
-    Fmt.str "%s / %s"
-      (Attack.Wilander.technique_name technique)
-      (Attack.Wilander.location_name location)
-  in
-  let unprot = Attack.Wilander.run ~defense:Defense.unprotected technique location in
-  Alcotest.(check bool)
-    (name ^ ": succeeds unprotected")
-    true
-    (Attack.Runner.is_attack_success unprot);
-  let split = Attack.Wilander.run ~defense:Defense.split_standalone technique location in
-  Alcotest.(check bool) (name ^ ": foiled under split") true (Attack.Runner.is_foiled split)
-
-let test_grid () =
-  List.iter
-    (fun t -> List.iter (fun l -> check_combo t l) Attack.Wilander.locations)
-    Attack.Wilander.techniques
+(* The attack grid beyond Table 1. Table 1 itself (every combination
+   foiled under split memory, and the control: every one spawns a shell
+   unprotected) is pinned by test/golden/reproduction.golden; here, benign
+   runs, the NX bit, and the two other implementation mechanisms. *)
 
 let test_benign () =
   List.iter
@@ -47,7 +30,6 @@ let test_nx_blocks_grid () =
 
 let suite =
   [
-    Alcotest.test_case "6x4 grid: unprotected succeeds, split foils" `Quick test_grid;
     Alcotest.test_case "benign runs complete under all defenses" `Quick test_benign;
     Alcotest.test_case "nx blocks stack-injection grid" `Quick test_nx_blocks_grid;
   ]

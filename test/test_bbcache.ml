@@ -469,7 +469,7 @@ let test_trap_exit_allocation () =
    reference run bit-exactly. *)
 let test_restore_drops_cache () =
   let spec = Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40 in
-  let run_to_end os = Test_equiv.observe os (Kernel.Os.run ~fuel:Test_equiv.fuel os) in
+  let run_to_end os = Snap.Replay.observe os (Kernel.Os.run ~fuel:Test_equiv.fuel os) in
   let reference = run_to_end (Workload.Harness.build spec) in
   let os1 = Workload.Harness.build spec in
   ignore (Kernel.Os.run ~fuel:5_000 os1 : Kernel.Os.stop_reason);
