@@ -327,23 +327,24 @@ let jobs_arg =
           "Worker domains for multi-machine workloads (unixbench). Default: the \
            machine's recommended domain count. Output is identical for any $(docv).")
 
-(* Shared by the workload and stats commands: every workload is built as a
-   first-class experiment spec and executed with the kernel in hand so the
-   machine counters (cost, TLBs) can be printed. *)
-let exec_workload ?tune ~obs ~jobs ~defense which =
-  let show_spec spec =
-    let (r : Workload.Harness.result), k = Workload.Harness.run_k ~obs ?tune spec in
+(* The single-machine workloads as experiment specs: [workload] runs one
+   with the kernel in hand so the machine counters (cost, TLBs) can be
+   printed, and [profile] attaches the profiler to one. *)
+let workload_spec ~defense = function
+  | `Apache size -> Workload.Figures.apache_spec ~defense ~size ~requests:25
+  | `Gzip -> Workload.Figures.gzip_spec ~defense ~size:(48 * 1024)
+  | `Nbench -> Workload.Harness.single ~defense (Workload.Guests.nbench ~iters:60 ())
+  | `Ctxsw -> Workload.Figures.ctxsw_spec ~defense ~iters:250
+
+let exec_workload ?tune ~obs ~jobs ~defense = function
+  | (`Apache _ | `Gzip | `Nbench | `Ctxsw) as w ->
+    let (r : Workload.Harness.result), k =
+      Workload.Harness.run_k ~obs ?tune (workload_spec ~defense w)
+    in
     Fmt.pr
       "%s under %s: %d cycles, %d insns, %d traps, %d split faults, %d ctx switches@."
       r.label r.defense r.cycles r.insns r.traps r.split_faults r.ctx_switches;
     show_machine k
-  in
-  match which with
-  | `Apache size -> show_spec (Workload.Figures.apache_spec ~defense ~size ~requests:25)
-  | `Gzip -> show_spec (Workload.Figures.gzip_spec ~defense ~size:(48 * 1024))
-  | `Nbench ->
-    show_spec (Workload.Harness.single ~defense (Workload.Guests.nbench ~iters:60 ()))
-  | `Ctxsw -> show_spec (Workload.Figures.ctxsw_spec ~defense ~iters:250)
   | `Unixbench ->
     (* The only multi-machine workload: fan its pieces over the fleet. *)
     if Option.is_some tune then
@@ -366,21 +367,6 @@ let workload_cmd =
     Term.(
       const run $ defense_arg $ jobs_arg $ metrics_arg $ trace_arg $ chrome_arg
       $ strace_arg $ workload_arg)
-
-(* stats command: the workload run with the full observability readout *)
-
-let stats_cmd =
-  let run defense jobs trace chrome which =
-    let obs = Obs.create () in
-    exec_workload ~obs ~jobs ~defense which;
-    finish_obs obs ~metrics:true ~trace ~chrome
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run a workload with observability on and render the full metrics snapshot \
-          (counters, gauges, latency histograms, per-page/per-pid tallies).")
-    Term.(const run $ defense_arg $ jobs_arg $ trace_arg $ chrome_arg $ workload_arg)
 
 (* disasm / layout commands *)
 
@@ -448,7 +434,7 @@ let layout_cmd =
     (Cmd.info "layout" ~doc:"Print a victim image's segments and labels.")
     Term.(const run $ image_arg)
 
-(* snapshot / restore / replay / diff commands (lib/snap) *)
+(* replay / restore / diff commands (lib/snap) *)
 
 let scenario_arg =
   let scen =
@@ -460,98 +446,33 @@ let scenario_arg =
     & info [] ~docv:"SCENARIO"
         ~doc:(Fmt.str "One of: %s." (String.concat ", " Snap.Scenario.names)))
 
-let save_snapshot ~obs ~file snap =
-  try Some (Snap.Snapshot.save ~obs ~file snap)
-  with Sys_error msg ->
-    Fmt.epr "simctl: cannot write snapshot: %s@." msg;
-    None
-
-let load_snapshot file =
-  try Snap.Snapshot.load file
-  with
-  | Sys_error msg -> die "cannot read snapshot: %s" msg
-  | Snap.Codec.Corrupt msg -> die "%s is not a valid snapshot: %s" file msg
+(* A checkpoint file and the scenario its metadata names, restored onto
+   a fresh machine that scenario builds (for [restore] and [ps]). *)
+let restore_scenario ?obs file =
+  let snap =
+    try Snap.Snapshot.load file
+    with
+    | Sys_error msg -> die "cannot read snapshot: %s" msg
+    | Snap.Codec.Corrupt msg -> die "%s is not a valid snapshot: %s" file msg
+  in
+  match Option.bind (Snap.Snapshot.find_meta snap "scenario") Snap.Scenario.find with
+  | None ->
+    die "snapshot %s names no known scenario (meta: %a)" file
+      Fmt.(list ~sep:comma (pair ~sep:(any "=") string string))
+      (Snap.Snapshot.meta snap)
+  | Some (scenario : Snap.Scenario.t) ->
+    let os = scenario.start ?obs () in
+    Snap.Snapshot.restore os snap;
+    (scenario, snap, os)
 
 let snap_file_arg =
   Arg.(
-    value
-    & opt string "machine.snap"
-    & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Snapshot file to write ($(docv).manifest.json rides along).")
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE" ~doc:"Checkpoint written by $(b,simctl replay -o).")
 
 let fuel_arg ~default ~doc =
   Arg.(value & opt int default & info [ "fuel" ] ~docv:"INSNS" ~doc)
-
-let snapshot_cmd =
-  let run metrics trace chrome (scenario : Snap.Scenario.t) fuel file =
-    let obs = make_obs ~metrics ~trace ~chrome in
-    let os = scenario.start ~obs () in
-    let stop = Kernel.Os.run ~fuel os in
-    let snap =
-      Snap.Snapshot.checkpoint
-        ~meta:[ ("scenario", scenario.name); ("source", "simctl") ]
-        os
-    in
-    (match save_snapshot ~obs ~file snap with
-    | None -> exit 1
-    | Some bytes ->
-      Fmt.pr "snapshot: %s at cycle %d (%s), %d bytes -> %s@." scenario.name
-        (Snap.Snapshot.cycle snap) (Snap.Replay.stop_name stop) bytes file;
-      Fmt.pr "  frames written %d, all-zero skipped %d, procs: %a@."
-        (Snap.Snapshot.frames_written snap)
-        (Snap.Snapshot.frames_sparse_skipped snap)
-        Fmt.(
-          list ~sep:comma (fun ppf (pid, name, st) -> Fmt.pf ppf "%d:%s(%s)" pid name st))
-        (Snap.Snapshot.proc_summaries snap));
-    finish_obs obs ~metrics ~trace ~chrome
-  in
-  Cmd.v
-    (Cmd.info "snapshot"
-       ~doc:
-         "Run a canonical scenario for a bounded number of instructions and write a \
-          whole-machine snapshot (plus JSON manifest).")
-    Term.(
-      const run $ metrics_arg $ trace_arg $ chrome_arg $ scenario_arg
-      $ fuel_arg ~default:1500
-          ~doc:"Instructions to execute before the checkpoint is taken."
-      $ snap_file_arg)
-
-let restore_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Snapshot file written by $(b,simctl snapshot).")
-  in
-  let run metrics trace chrome file fuel =
-    let snap = load_snapshot file in
-    match
-      Option.bind (Snap.Snapshot.find_meta snap "scenario") Snap.Scenario.find
-    with
-    | None ->
-      die "snapshot %s names no known scenario (meta: %a)" file
-        Fmt.(list ~sep:comma (pair ~sep:(any "=") string string))
-        (Snap.Snapshot.meta snap)
-    | Some scenario ->
-      let obs = make_obs ~metrics ~trace ~chrome in
-      let os = scenario.start ~obs () in
-      Snap.Snapshot.restore os snap;
-      Fmt.pr "restored %s (scenario %s) at cycle %d; resuming@." file scenario.name
-        (Snap.Snapshot.cycle snap);
-      let stop = Kernel.Os.run ~fuel os in
-      Fmt.pr "stopped: %s@." (Snap.Replay.stop_name stop);
-      Fmt.pr "--- kernel log ---@.%a@." Kernel.Event_log.pp (Kernel.Os.log os);
-      show_machine os;
-      finish_obs obs ~metrics ~trace ~chrome
-  in
-  Cmd.v
-    (Cmd.info "restore"
-       ~doc:
-         "Load a snapshot into a fresh machine built by the scenario recorded in its \
-          manifest, then resume execution to completion.")
-    Term.(
-      const run $ metrics_arg $ trace_arg $ chrome_arg $ file_arg
-      $ fuel_arg ~default:2_000_000 ~doc:"Instruction budget for the resumed run.")
 
 let replay_cmd =
   let snap_out_arg =
@@ -559,17 +480,34 @@ let replay_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also save the mid-run checkpoint to $(docv).")
+          ~doc:
+            "Also save the mid-run checkpoint to $(docv) ($(docv).manifest.json \
+             rides along), for $(b,simctl restore) and $(b,simctl ps).")
   in
   let run metrics trace chrome (scenario : Snap.Scenario.t) at out =
     let obs = make_obs ~metrics ~trace ~chrome in
-    let report = Snap.Replay.check ~at (fun () -> scenario.start ~obs ()) in
+    let meta = [ ("scenario", scenario.name); ("source", "simctl") ] in
+    let ride os _ =
+      {
+        Snap.Replay.snapshot = (fun () -> Snap.Snapshot.checkpoint ~meta os);
+        show = (fun () -> "");
+      }
+    in
+    let report = Snap.Replay.check ~at ~ride (fun () -> scenario.start ~obs ()) in
     Fmt.pr "%s: %a@." scenario.name Snap.Replay.pp report;
     (match (out, report.checkpoint) with
     | Some file, Some snap ->
-      Option.iter
-        (fun bytes -> Fmt.pr "checkpoint: %d bytes -> %s@." bytes file)
-        (save_snapshot ~obs ~file snap)
+      let bytes =
+        try Snap.Snapshot.save ~obs ~file snap
+        with Sys_error msg -> die "cannot write snapshot: %s" msg
+      in
+      Fmt.pr "checkpoint: %d bytes -> %s@." bytes file;
+      Fmt.pr "  frames written %d, all-zero skipped %d, procs: %a@."
+        (Snap.Snapshot.frames_written snap)
+        (Snap.Snapshot.frames_sparse_skipped snap)
+        Fmt.(
+          list ~sep:comma (fun ppf (pid, name, st) -> Fmt.pf ppf "%d:%s(%s)" pid name st))
+        (Snap.Snapshot.proc_summaries snap)
     | _ -> ());
     finish_obs obs ~metrics ~trace ~chrome;
     if not (Snap.Replay.ok report) then exit 1
@@ -588,6 +526,24 @@ let replay_cmd =
             "Instructions to retire before the checkpoint, which is taken at the next \
              scheduler boundary."
       $ snap_out_arg)
+
+let restore_cmd =
+  let run metrics trace chrome file fuel =
+    let obs = make_obs ~metrics ~trace ~chrome in
+    let scenario, _, os = restore_scenario ~obs file in
+    let stop = Kernel.Os.run ~fuel os in
+    print_string ("scenario: " ^ scenario.name ^ "\n" ^ Snap.Replay.observe os stop);
+    finish_obs obs ~metrics ~trace ~chrome
+  in
+  Cmd.v
+    (Cmd.info "restore"
+       ~doc:
+         "Load a checkpoint into a fresh machine built by the scenario recorded in \
+          its metadata, resume it to completion and print the run's observation: \
+          the scenario's golden when the checkpoint came from $(b,simctl replay -o).")
+    Term.(
+      const run $ metrics_arg $ trace_arg $ chrome_arg $ snap_file_arg
+      $ fuel_arg ~default:2_000_000 ~doc:"Instruction budget for the resumed run.")
 
 let hexdump ppf s =
   String.iteri
@@ -692,21 +648,20 @@ let inject_cmd =
       const run $ metrics_arg $ trace_arg $ chrome_arg $ seed_arg $ seeds_arg
       $ suite_arg $ jobs_arg)
 
-(* reuse command (lib/reuse): gadget scanner, chain builder, matrix *)
+(* reuse command (lib/reuse): gadget scanner and chain builder; the
+   defense x attack matrix is bench/main.exe matrix *)
 
 let reuse_cmd =
   let mode_arg =
     Arg.(
       required
       & pos 0
-          (some
-             (enum [ ("gadgets", `Gadgets); ("chain", `Chain); ("matrix", `Matrix) ]))
+          (some (enum [ ("gadgets", `Gadgets); ("chain", `Chain) ]))
           None
       & info [] ~docv:"MODE"
           ~doc:
             "$(b,gadgets) lists every gadget the scanner finds in the victim's \
-             text; $(b,chain) prints the execve ROP chain built from them; \
-             $(b,matrix) runs the full defense x attack grid.")
+             text; $(b,chain) prints the execve ROP chain built from them.")
   in
   let max_insns_arg =
     Arg.(
@@ -714,7 +669,7 @@ let reuse_cmd =
       & info [ "max-insns" ] ~docv:"N"
           ~doc:"Longest gadget (instructions, terminator included) to index.")
   in
-  let run jobs max_insns mode =
+  let run max_insns mode =
     if max_insns < 1 then die "--max-insns must be at least 1";
     let img = Reuse.Victim.image () in
     match mode with
@@ -729,41 +684,26 @@ let reuse_cmd =
       Fmt.pr "%d stack words, %d bytes on the wire, no 0x0a anywhere@."
         (List.length (Reuse.Chain.words chain))
         (String.length (Reuse.Chain.to_bytes chain))
-    | `Matrix ->
-      let cells = Reuse.Campaign.matrix ?jobs () in
-      Reuse.Campaign.render Fmt.stdout cells;
-      if not (Reuse.Campaign.check cells) then
-        die "matrix deviates from the threat model (see ** cells)"
   in
   Cmd.v
     (Cmd.info "reuse"
        ~doc:
-         "Code-reuse attacks (paper §7): scan the victim image for gadgets, build \
-          the execve chain, or run the defense x attack matrix — injection stopped \
-          by split memory, ROP/ret2libtext escaping it, both stopped by CFI. \
-          $(b,matrix) exits non-zero on any cell the threat model does not \
-          predict; its table is identical at any $(b,-j).")
-    Term.(const run $ jobs_arg $ max_insns_arg $ mode_arg)
+         "Code-reuse attacks (paper §7): scan the victim image for gadgets or \
+          build the execve chain from them. The defense x attack matrix is \
+          $(b,bench/main.exe matrix).")
+    Term.(const run $ max_insns_arg $ mode_arg)
 
 (* profile command (lib/prof): address-sampling profiler over a workload *)
 
-(* The single-machine workloads only: the profiler instruments one
-   machine's MMU, so the fleet axis here is "one job per requested
-   workload", not unixbench's piece fan-out. *)
+(* The single-machine rows of the workload table: the profiler
+   instruments one machine's MMU, so the fleet axis here is "one job per
+   requested workload", not unixbench's piece fan-out. *)
 let profile_workloads =
-  [
-    ("apache32k", `Apache 32768);
-    ("apache1k", `Apache 1024);
-    ("gzip", `Gzip);
-    ("nbench", `Nbench);
-    ("ctxsw", `Ctxsw);
-  ]
-
-let profile_spec ~defense = function
-  | `Apache size -> Workload.Figures.apache_spec ~defense ~size ~requests:25
-  | `Gzip -> Workload.Figures.gzip_spec ~defense ~size:(48 * 1024)
-  | `Nbench -> Workload.Harness.single ~defense (Workload.Guests.nbench ~iters:60 ())
-  | `Ctxsw -> Workload.Figures.ctxsw_spec ~defense ~iters:250
+  List.filter_map
+    (function
+      | n, ((`Apache _ | `Gzip | `Nbench | `Ctxsw) as w) -> Some (n, w)
+      | _, `Unixbench -> None)
+    workload_names
 
 let profile_workload_arg =
   (* carry the name alongside the tag so the report header can use it *)
@@ -772,8 +712,8 @@ let profile_workload_arg =
     value & pos_all wl []
     & info [] ~docv:"WORKLOAD"
         ~doc:
-          "Workloads to profile (default: apache32k). Any of: apache32k, apache1k, \
-           gzip, nbench, ctxsw.")
+          (Fmt.str "Workloads to profile (default: apache32k). Any of: %s."
+             (String.concat ", " (List.map fst profile_workloads))))
 
 let rate_arg =
   Arg.(
@@ -810,7 +750,7 @@ let render_profile_report ~sections name prof =
    whose machine observations and reports must match byte for byte.
    Either way the output is the plain run's report. *)
 let profile_job ~defense ~rate ~sections ~replay (name, which) =
-  let spec = profile_spec ~defense which in
+  let spec = workload_spec ~defense which in
   let first = ref None in
   let ride os snap =
     let prof =
@@ -833,15 +773,6 @@ let profile_job ~defense ~rate ~sections ~replay (name, which) =
     render_profile_report ~sections name (Option.get !first) ^ "replay-check: ok\n"
 
 let profile_cmd =
-  let bench_flag =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Instead of per-workload reports, run the profile-driven policy \
-             experiments: the TLB capacity x eviction sweep and the hot split-page \
-             ranking.")
-  in
   let replay_arg =
     Arg.(
       value & flag
@@ -851,44 +782,36 @@ let profile_cmd =
              machine and finish both; exit non-zero unless the rendered reports \
              match byte-for-byte.")
   in
-  let run defense jobs rate heatmap wset persist hot csv bench replay fuel workloads =
+  let run defense jobs rate heatmap wset persist hot csv replay fuel workloads =
     if rate < 1 then die "--rate must be at least 1";
-    if bench then begin
-      let rows = Prof.Experiments.tlb_sweep ?jobs ~rate ~defense () in
-      print_string (Prof.Experiments.render_tlb_sweep rows);
-      print_newline ();
-      print_string (Prof.Experiments.hot_page_ranking ?jobs ~rate ~defense ())
-    end
-    else begin
-      let sections =
-        let chosen =
-          List.filter_map
-            (fun (on, s) -> if on then Some s else None)
-            [
-              (heatmap, `Heatmap); (wset, `Wset); (persist, `Persist); (hot, `Hot);
-              (csv, `Csv);
-            ]
-        in
-        (* default view: heatmap + working set *)
-        if chosen = [] then [ `Heatmap; `Wset ] else chosen
+    let sections =
+      let chosen =
+        List.filter_map
+          (fun (on, s) -> if on then Some s else None)
+          [
+            (heatmap, `Heatmap); (wset, `Wset); (persist, `Persist); (hot, `Hot);
+            (csv, `Csv);
+          ]
       in
-      let workloads =
-        if workloads = [] then [ ("apache32k", `Apache 32768) ] else workloads
-      in
-      let replay = if replay then Some fuel else None in
-      let results =
-        Fleet.map ?jobs ~label:fst (profile_job ~defense ~rate ~sections ~replay) workloads
-      in
-      let failed = ref false in
-      List.iter
-        (function
-          | Ok report -> print_string report
-          | Error (e : Fleet.error) ->
-            failed := true;
-            Fmt.epr "simctl: profile %s failed: %s@." e.label e.reason)
-        results;
-      if !failed then exit 1
-    end
+      (* default view: heatmap + working set *)
+      if chosen = [] then [ `Heatmap; `Wset ] else chosen
+    in
+    let workloads =
+      if workloads = [] then [ ("apache32k", `Apache 32768) ] else workloads
+    in
+    let replay = if replay then Some fuel else None in
+    let results =
+      Fleet.map ?jobs ~label:fst (profile_job ~defense ~rate ~sections ~replay) workloads
+    in
+    let failed = ref false in
+    List.iter
+      (function
+        | Ok report -> print_string report
+        | Error (e : Fleet.error) ->
+          failed := true;
+          Fmt.epr "simctl: profile %s failed: %s@." e.label e.reason)
+      results;
+    if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "profile"
@@ -903,7 +826,7 @@ let profile_cmd =
       $ section_flag "persist" "Render the page-persistence (residency) report."
       $ section_flag "hot" "Render the hot-page ranking."
       $ section_flag "csv" "Emit the heatmap as CSV."
-      $ bench_flag $ replay_arg
+      $ replay_arg
       $ fuel_arg ~default:5_000
           ~doc:
             "Instructions to retire before the --replay-check checkpoint, which is \
@@ -913,31 +836,18 @@ let profile_cmd =
 (* serve command (lib/serve): traffic-at-scale knee analysis *)
 
 let serve_cmd =
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "Run the full sweep: all five protection modes, concurrency 1..32, \
-             16 requests per client, 3 knee repetitions. Default is a quick \
-             two-defense sweep up to concurrency 8.")
-  in
   let knee_flag =
     Arg.(
       value & flag
       & info [ "knee" ]
           ~doc:"Print only the knee table (skip the throughput-vs-concurrency curves).")
   in
-  let run metrics trace chrome jobs sweep knee =
+  let run metrics trace chrome jobs knee =
     let obs = make_obs ~metrics ~trace ~chrome in
     let t =
-      if sweep then
-        Serve.Sweep.run ~obs ?jobs ~concurrencies:[ 1; 2; 4; 8; 16; 32 ] ~reps:3
-          ~requests:16 ()
-      else
-        Serve.Sweep.run ~obs ?jobs
-          ~defenses:[ Defense.unprotected; Defense.split_standalone ]
-          ~concurrencies:[ 1; 2; 4; 8 ] ~reps:2 ~requests:8 ()
+      Serve.Sweep.run ~obs ?jobs
+        ~defenses:[ Defense.unprotected; Defense.split_standalone ]
+        ~concurrencies:[ 1; 2; 4; 8 ] ~reps:2 ~requests:8 ()
     in
     print_string (Serve.Sweep.render ~knee_only:knee t);
     finish_obs obs ~metrics ~trace ~chrome;
@@ -947,13 +857,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Traffic at scale: closed-loop client/server pairs over Zipf-popular \
-          pages, swept across concurrency per protection mode. Reports each \
-          defense's throughput knee (lowest concurrency within 97% of its \
-          peak) with latency percentiles; the tables are byte-identical for \
-          any $(b,-j).")
-    Term.(
-      const run $ metrics_arg $ trace_arg $ chrome_arg $ jobs_arg $ sweep_flag
-      $ knee_flag)
+          pages, swept across concurrency 1..8 without protection and under \
+          split memory. Reports each defense's throughput knee (lowest \
+          concurrency within 97% of its peak) with latency percentiles; the \
+          tables are byte-identical for any $(b,-j). The full figure, all \
+          five protection modes to concurrency 32, is $(b,bench/main.exe serve).")
+    Term.(const run $ metrics_arg $ trace_arg $ chrome_arg $ jobs_arg $ knee_flag)
 
 (* spawn / ps commands: the scale-out path (loader COW, indexed wakeups)
    driven interactively *)
@@ -1043,35 +952,18 @@ let spawn_cmd =
       $ fuel_arg ~default:200_000_000 ~doc:"Instruction budget for the run.")
 
 let ps_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Snapshot file written by $(b,simctl snapshot).")
-  in
   let run file =
-    let snap = load_snapshot file in
-    match
-      Option.bind (Snap.Snapshot.find_meta snap "scenario") Snap.Scenario.find
-    with
-    | None ->
-      die "snapshot %s names no known scenario (meta: %a)" file
-        Fmt.(list ~sep:comma (pair ~sep:(any "=") string string))
-        (Snap.Snapshot.meta snap)
-    | Some scenario ->
-      let os = scenario.start () in
-      Snap.Snapshot.restore os snap;
-      Fmt.pr "%s (scenario %s) at cycle %d@." file scenario.name
-        (Snap.Snapshot.cycle snap);
-      ps_table os
+    let scenario, snap, os = restore_scenario file in
+    Fmt.pr "%s (scenario %s) at cycle %d@." file scenario.name (Snap.Snapshot.cycle snap);
+    ps_table os
   in
   Cmd.v
     (Cmd.info "ps"
        ~doc:
-         "Load a snapshot and print its process table, pid-sorted: state, \
+         "Load a checkpoint and print its process table, pid-sorted: state, \
           resident frames (split pages count their code and data copies), \
           retired instructions. Does not resume execution.")
-    Term.(const run $ file_arg)
+    Term.(const run $ snap_file_arg)
 
 let main =
   Cmd.group
@@ -1081,12 +973,10 @@ let main =
       attack_cmd;
       grid_cmd;
       workload_cmd;
-      stats_cmd;
       disasm_cmd;
       layout_cmd;
-      snapshot_cmd;
-      restore_cmd;
       replay_cmd;
+      restore_cmd;
       diff_cmd;
       inject_cmd;
       reuse_cmd;

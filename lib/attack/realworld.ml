@@ -277,8 +277,6 @@ let run_apache_session ?defense ?obs ?tune () =
   ignore (Runner.step s);
   (Runner.outcome s, s)
 
-let run_apache ?defense ?obs () = fst (run_apache_session ?defense ?obs ())
-
 let run_bind_session ?defense ?obs ?tune () =
   let s = Runner.start ?defense ?obs ?tune (bind_victim ()) in
   Runner.send s "query: victim.example.com\n";

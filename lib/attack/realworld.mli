@@ -35,8 +35,6 @@ val run_session :
     a Samba brute-force that exhausted its attempts. [tune] is applied to
     every kernel the exploit spawns, before it runs (see {!Runner.start}). *)
 
-val run_apache : ?defense:Defense.t -> ?obs:Obs.t -> unit -> Runner.outcome
-
 type samba_result = {
   outcome : Runner.outcome;
   attempts : int;

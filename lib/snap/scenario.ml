@@ -63,15 +63,9 @@ let injected_payload =
   Attack.Shellcode.execve_bin_sh ~sled:8 ~base:payload_landing () ^ "\x90"
 
 let start_with ~defense ~image ~input ?obs () =
-  let protection = Defense.to_protection defense in
-  let k =
-    Kernel.Os.create ?obs ~tlb_fill:(Defense.tlb_fill defense) ~protection ()
-  in
-  let p = Kernel.Os.spawn k image in
-  (match input with
-  | None -> ()
-  | Some s -> ignore (Kernel.Os.feed_stdin k p s : int));
-  k
+  let s = Attack.Runner.start ~defense ?obs image in
+  Option.iter (Attack.Runner.send s) input;
+  s.k
 
 let attack ~name ~descr ~response =
   let defense = Defense.split_with ~response () in

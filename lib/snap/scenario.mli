@@ -5,8 +5,8 @@
     {!Kernel.Os.run} (or a fuel-sliced sequence of runs with checkpoints in
     between) carries it to completion deterministically. They back the
     scenario goldens, the determinism harness's checkpoint axis (both
-    through {!Replay}), the [simctl snapshot/replay] subcommands and the
-    replay gate that [dune runtest] runs (test/replay/dune). *)
+    through {!Replay}), [simctl replay/restore/ps/diff] and the replay
+    gate that [dune runtest] runs (test/replay/dune). *)
 
 type t = {
   name : string;

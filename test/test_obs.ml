@@ -171,7 +171,9 @@ let test_event_log_mirrors_to_trace () =
 
 let test_attack_populates_metrics () =
   let obs = Obs.create () in
-  let o = Attack.Realworld.run_apache ~defense:Defense.split_standalone ~obs () in
+  let o =
+    Attack.Realworld.run ~defense:Defense.split_standalone ~obs Attack.Realworld.Apache_ssl
+  in
   Alcotest.(check bool) "foiled" true (Attack.Runner.is_foiled o);
   let reg = Obs.snapshot obs in
   let counters = Obs.Metrics.counters reg in
@@ -190,7 +192,9 @@ let test_attack_populates_metrics () =
 
 let test_trace_jsonl_file_roundtrip () =
   let obs = Obs.create () in
-  ignore (Attack.Realworld.run_apache ~defense:Defense.split_standalone ~obs ());
+  ignore
+    (Attack.Realworld.run ~defense:Defense.split_standalone ~obs
+       Attack.Realworld.Apache_ssl);
   let file = Filename.temp_file "obs" ".jsonl" in
   Obs.write_trace obs file;
   let ic = open_in_bin file in
