@@ -474,6 +474,25 @@ let snap_file_arg =
 let fuel_arg ~default ~doc =
   Arg.(value & opt int default & info [ "fuel" ] ~docv:"INSNS" ~doc)
 
+(* A checkpoint's processes as pid:name(state): all of them up to 16,
+   else the first 16 and a count per state (runnable, blocked, zombie), so
+   a 10k-process checkpoint prints one short line. *)
+let pp_proc_summaries ppf procs =
+  let entries = Fmt.(list ~sep:comma (fun ppf (pid, name, st) -> pf ppf "%d:%s(%s)" pid name st)) in
+  let n = List.length procs in
+  if n <= 16 then entries ppf procs
+  else begin
+    let kind (_, _, st) =
+      match String.index_opt st '(' with Some i -> String.sub st 0 i | None -> st
+    in
+    let count k = List.length (List.filter (fun p -> kind p = k) procs) in
+    Fmt.pf ppf "%a, ... (%d procs: %a)" entries
+      (List.filteri (fun i _ -> i < 16) procs)
+      n
+      Fmt.(list ~sep:comma (fun ppf k -> pf ppf "%d %s" (count k) k))
+      (List.sort_uniq compare (List.map kind procs))
+  end
+
 let replay_cmd =
   let snap_out_arg =
     Arg.(
@@ -505,9 +524,7 @@ let replay_cmd =
       Fmt.pr "  frames written %d, all-zero skipped %d, procs: %a@."
         (Snap.Snapshot.frames_written snap)
         (Snap.Snapshot.frames_sparse_skipped snap)
-        Fmt.(
-          list ~sep:comma (fun ppf (pid, name, st) -> Fmt.pf ppf "%d:%s(%s)" pid name st))
-        (Snap.Snapshot.proc_summaries snap)
+        pp_proc_summaries (Snap.Snapshot.proc_summaries snap)
     | _ -> ());
     finish_obs obs ~metrics ~trace ~chrome;
     if not (Snap.Replay.ok report) then exit 1

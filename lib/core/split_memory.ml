@@ -76,15 +76,19 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
     else Kernel.Protection.Default_fill
   in
 
-  (* Algorithm 1: the split-memory page-fault handler. *)
+  (* Algorithm 1: the split-memory page-fault handler. [f] may be the
+     MMU's fault register, which a later fault would overwrite, so its
+     fields are read once, here. *)
   let on_protection_fault (ctx : Kernel.Protection.ctx) (proc : Kernel.Proc.t) (f : Hw.Mmu.fault) =
-    match pte_of proc ctx f.addr with
-    | Some pte when Splitter.is_active_split pte && (not pte.user) && f.from_user ->
+    let addr = f.addr and access = f.access and from_user = f.from_user in
+    match Kernel.Aspace.find_pte proc.aspace (addr / page_size ctx) with
+    | exception Not_found -> Kernel.Protection.Not_ours
+    | pte when Splitter.is_active_split pte && (not pte.user) && from_user ->
       let since = ctx.cost.cycles in
       Hw.Cost.charge_split_pf ctx.cost;
       let s = Option.get pte.split in
       let result =
-        match f.access with
+        match access with
         | Hw.Mmu.Fetch -> (
           pte.frame <- s.code_frame;
           Kernel.Pte.unrestrict pte;
@@ -92,13 +96,13 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
           | Single_step ->
             (* Code access: single-step the restarted instruction so the
                ITLB gets filled; the debug-interrupt handler re-restricts. *)
-            proc.pending_fault_addr <- Some f.addr;
+            proc.pending_fault_addr <- addr;
             proc.regs.tf <- true;
             if Obs.enabled ctx.obs then
               Obs.span_begin ctx.obs
                 ~key:("ss:" ^ string_of_int proc.pid)
                 ~cat:"split" "split.single_step"
-                ~args:[ ("addr", Obs.Json.Str (Fmt.str "0x%08x" f.addr)) ];
+                ~args:[ ("addr", Obs.Json.Str (Fmt.str "0x%08x" addr)) ];
             Kernel.Protection.Handled
           | Ret_gadget ->
             (* The paper's discarded alternative (S4.2.4): plant a ret at the
@@ -109,7 +113,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
             let off = psz - 1 in
             let saved = Hw.Phys.read8 ctx.phys ~frame:s.code_frame ~off in
             Hw.Mmu.kernel_code_write ctx.mmu ~frame:s.code_frame ~off 0x32;
-            ignore (Hw.Mmu.Fast.fetch8 ctx.mmu ~from_user:true ((f.addr / psz * psz) + off));
+            ignore (Hw.Mmu.Fast.fetch8 ctx.mmu ~from_user:true ((addr / psz * psz) + off));
             Hw.Mmu.kernel_code_write ctx.mmu ~frame:s.code_frame ~off saved;
             Kernel.Pte.restrict pte;
             Kernel.Protection.Handled)
@@ -118,40 +122,40 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
              unrestrict, touch a byte to load the DTLB, restrict again. *)
           pte.frame <- s.data_frame;
           Kernel.Pte.unrestrict pte;
-          Hw.Mmu.touch_read ctx.mmu f.addr;
+          Hw.Mmu.touch_read ctx.mmu addr;
           Kernel.Pte.restrict pte;
           Kernel.Protection.Handled
       in
       if Obs.enabled ctx.obs then
         Obs.complete ctx.obs ~cat:"split" ~since
-          (match f.access with
+          (match access with
           | Hw.Mmu.Fetch -> "split.alg1_fetch"
           | Hw.Mmu.Read | Hw.Mmu.Write -> "split.alg1_data")
           ~args:
             [ ("pid", Obs.Json.Int proc.pid);
-              ("addr", Obs.Json.Str (Fmt.str "0x%08x" f.addr)) ];
+              ("addr", Obs.Json.Str (Fmt.str "0x%08x" addr)) ];
       result
-    | Some pte when nx && pte.nx && f.access = Hw.Mmu.Fetch ->
+    | pte when nx && pte.nx && access = Hw.Mmu.Fetch ->
       (* The execute-disable bit caught a fetch from a non-split data
          page (combined deployment mode). *)
       Kernel.Event_log.add ctx.log
-        (Kernel.Event_log.Injection_detected { pid = proc.pid; eip = f.addr; mode = "nx" });
+        (Kernel.Event_log.Injection_detected { pid = proc.pid; eip = addr; mode = "nx" });
       proc.detections <- proc.detections + 1;
       Kernel.Protection.Not_ours
-    | Some _ | None -> Kernel.Protection.Not_ours
+    | _ -> Kernel.Protection.Not_ours
   in
 
   (* Algorithm 2: the debug-interrupt handler. *)
   let on_debug_trap (ctx : Kernel.Protection.ctx) (proc : Kernel.Proc.t) =
-    match proc.pending_fault_addr with
-    | None -> false
-    | Some addr ->
+    let addr = proc.pending_fault_addr in
+    if addr < 0 then false
+    else begin
       Hw.Cost.charge_single_step ctx.cost;
-      (match pte_of proc ctx addr with
-      | Some pte when Splitter.is_active_split pte -> Kernel.Pte.restrict pte
-      | Some _ | None -> ());
+      (match Kernel.Aspace.find_pte proc.aspace (addr / page_size ctx) with
+      | pte -> if Splitter.is_active_split pte then Kernel.Pte.restrict pte
+      | exception Not_found -> ());
       proc.regs.tf <- false;
-      proc.pending_fault_addr <- None;
+      proc.pending_fault_addr <- -1;
       (if Obs.enabled ctx.obs then
          match
            Obs.span_end ctx.obs
@@ -164,6 +168,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
              window
          | None -> ());
       true
+    end
   in
 
   (* Algorithm 3 + response modes: the invalid-opcode (SIGILL) path fires
@@ -187,7 +192,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
            { pid = proc.pid; eip; mode = Response.name response });
       (* Clear the single-step bookkeeping left over from the ITLB load of
          the detection fetch. *)
-      proc.pending_fault_addr <- None;
+      proc.pending_fault_addr <- -1;
       proc.regs.tf <- false;
       match response with
       | Response.Break -> Kernel.Protection.Kill_process "code injection (break mode)"

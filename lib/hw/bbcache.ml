@@ -81,7 +81,7 @@ type stats = {
 type t = {
   phys : Phys.t;
   page_size : int;
-  blocks : block Int_table.t;
+  blocks : block Ints.Table.t;
   gen : int array;  (* per-frame generation *)
   stats : stats;
   max_block : int;  (* instruction-count cap per block *)
@@ -95,7 +95,7 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
     {
       phys;
       page_size = Phys.page_size phys;
-      blocks = Int_table.create 1024;
+      blocks = Ints.Table.create 1024;
       gen = Array.make (Phys.frame_count phys) 0;
       stats = { hits = 0; misses = 0; invalidations = 0; blocks_built = 0; insns_built = 0 };
       max_block;
@@ -117,7 +117,7 @@ let stats t = t.stats
    lifetime) so blocks cached before the clear can never validate again;
    the epoch bump retires every chain link made before it. *)
 let clear t =
-  Int_table.reset t.blocks;
+  Ints.Table.reset t.blocks;
   t.epoch <- t.epoch + 1
 
 let build t pa0 =
@@ -165,13 +165,13 @@ let build t pa0 =
       links_epoch = t.epoch;
     }
   in
-  if Int_table.length t.blocks >= t.max_blocks then clear t;
-  Int_table.replace t.blocks pa0 b;
+  if Ints.Table.length t.blocks >= t.max_blocks then clear t;
+  Ints.Table.replace t.blocks pa0 b;
   Phys.watch_frame t.phys ~frame;
   b
 
 let lookup t pa0 =
-  match Int_table.find t.blocks pa0 with
+  match Ints.Table.find t.blocks pa0 with
   | b ->
     if b.b_gen = t.gen.(b.b_frame) then begin
       t.stats.hits <- t.stats.hits + 1;

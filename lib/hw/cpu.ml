@@ -40,7 +40,7 @@ let pp_fault ppf = function
 (* How an instruction, or a [run_block] call, ended. The constructors are
    constant, so reporting a trap allocates nothing: its payload stays in
    registers — the syscall number in EAX, a page fault in the MMU's
-   pending-fault registers, #UD and #GP in the dispatch cursor below —
+   fault register, #UD and #GP in the dispatch cursor below —
    until the kernel asks for it. *)
 type trap = No_trap | Sys | Pf | Ud | Gp | Db
 
@@ -51,7 +51,8 @@ type trap = No_trap | Sys | Pf | Ud | Gp | Db
    its [Exec_env], so the loops below carry one pointer instead of a
    closure per call, and a call allocates no counters or result record.
    [trail] is [env.trail] as armed when the call began, and [folded] the
-   ITLB hits on [fold_vpn] the cached loop still owes ([pay]). *)
+   ITLB hits on [fold_vpn] the cached loop still owes ([pay]); [steps]
+   memoizes the single step's decodes ([single_step]). *)
 type cursor = {
   env : Exec_env.t;
   mmu : Mmu.t;
@@ -71,6 +72,7 @@ type cursor = {
   mutable ud_eip : int;
   mutable ud_opcode : int;
   mutable gp_reason : string;
+  steps : Isa.Insn.t Ints.Table.t;
 }
 
 type Exec_env.cursor += Cursor of cursor
@@ -101,6 +103,7 @@ let cursor (env : Exec_env.t) mmu r =
         ud_eip = 0;
         ud_opcode = 0;
         gp_reason = "";
+        steps = Ints.Table.create 8;
       }
     in
     env.cursor <- Cursor c;
@@ -567,12 +570,87 @@ and cached_exec c cache b idx vpn =
     trace_trap c t;
     t
 
+(* The single-step window (Algorithm 2: the trap flag is set), with the
+   cache on. One instruction, run as [exact_loop] runs it — byte 0
+   translated, then every further byte through its own translation and
+   icache touch, as the decoder's fetches make them — but decoded from
+   [steps], a memo keyed by the instruction's bytes, so a step allocates
+   nothing. A decode is a function of the bytes alone, so the memo needs
+   no invalidation, and it leaves the block cache and its statistics
+   alone. An instruction that does not decode within its page takes the
+   exact byte-at-a-time path from the translated byte 0. *)
+
+(* The bytes at packed paddr [pa0], up to the longest encoding (7) and
+   not past the page end, packed with their count at bit 56: they
+   determine the decode. Raw reads: no translation, no cache traffic. *)
+let step_key c pa0 =
+  let phys = Mmu.phys c.mmu in
+  let page = 1 lsl c.page_shift in
+  let n = min 7 (page - (pa0 land (page - 1))) in
+  let key = ref (n lsl 56) in
+  for i = 0 to n - 1 do
+    key := !key lor (Phys.read8_at phys (pa0 + i) lsl (8 * i))
+  done;
+  !key
+
+(* The instruction [key]'s bytes decode to; raises [Not_found] when they
+   do not decode (within the page). Decodes, and so allocates, only on a
+   memo miss; the memo is dropped wholesale at 4096 entries. *)
+let step_decode c key =
+  match Ints.Table.find c.steps key with
+  | insn -> insn
+  | exception Not_found -> (
+    let bytes = String.init (key lsr 56) (fun i -> Char.chr ((key lsr (8 * i)) land 0xFF)) in
+    match Isa.Decode.of_string bytes 0 with
+    | Ok insn ->
+      if Ints.Table.length c.steps >= 4096 then Ints.Table.reset c.steps;
+      Ints.Table.replace c.steps key insn;
+      insn
+    | Error _ -> raise Not_found)
+
+(* A step ends as in [exact_loop]: a retired instruction reports #DB,
+   uncharged, and a syscall is recorded in the trail. *)
+let stepped c eip = function
+  | No_trap ->
+    record c eip;
+    Db
+  | Sys ->
+    record c eip;
+    Sys
+  | (Pf | Ud | Gp | Db) as t -> t
+
+let single_step c =
+  if in_budget c then begin
+    let r = c.regs in
+    let eip = r.eip in
+    let pa0 = Mmu.translate_result c.mmu ~from_user:true Mmu.Fetch eip in
+    attempted c;
+    if pa0 < 0 then Pf
+    else
+      match step_decode c (step_key c pa0) with
+      | exception Not_found -> stepped c eip (step_env_at_pa0 c pa0)
+      | insn -> (
+        let sz = Isa.Insn.size insn in
+        Mmu.touch_icache c.mmu pa0;
+        for i = 1 to sz - 1 do
+          Mmu.touch_icache c.mmu (Mmu.translate_result c.mmu ~from_user:true Mmu.Fetch (eip + i))
+        done;
+        match exec_insn c r insn ~eip ~next:(eip + sz) with
+        | exception Mmu.Pending_fault -> Pf
+        | (Ud | Gp) as t ->
+          trace_trap c t;
+          t
+        | t -> stepped c eip t)
+  end
+  else No_trap
+
 (* The one dispatcher. The path is chosen once, at entry: the cached loop
-   needs a cache and nothing that must observe individual steps or byte
-   fetches — the trap flag (Algorithm 2's single-step window), a TLB
+   needs a cache and nothing that must observe byte fetches — a TLB
    integrity guard (every cached-entry hit, lib/inject) or ECC scrubbing
-   (a side effect on every physical read). Only trap handlers set the trap
-   flag, and they run between calls, so one check at entry suffices. *)
+   (a side effect on every physical read) — and the trap flag
+   (Algorithm 2's single-step window) takes [single_step]. Only trap
+   handlers set the trap flag, and they run between calls, so one check
+   at entry suffices. *)
 let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   let c = cursor env mmu r in
   c.max_insns <- max_insns;
@@ -581,11 +659,13 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   c.attempts <- 0;
   c.retired <- 0;
   match env.cache with
-  | Some cache
-    when not (r.tf || Option.is_some env.tlb_guard || Phys.ecc_enabled (Mmu.phys mmu)) ->
-    c.fast_fetch <- Option.is_none env.sample && Option.is_none (Mmu.icache mmu);
-    let t = cached_loop c cache Bbcache.none (-1) (-1) in
-    (* every exit of the loop comes back here: pay the folded hits *)
-    pay c;
-    t
+  | Some cache when not (Option.is_some env.tlb_guard || Phys.ecc_enabled (Mmu.phys mmu)) ->
+    if r.tf then single_step c
+    else begin
+      c.fast_fetch <- Option.is_none env.sample && Option.is_none (Mmu.icache mmu);
+      let t = cached_loop c cache Bbcache.none (-1) (-1) in
+      (* every exit of the loop comes back here: pay the folded hits *)
+      pay c;
+      t
+    end
   | Some _ | None -> exact_loop c

@@ -58,9 +58,14 @@ val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -
     whose cycles are charged but whose [Cost.insns] and retire-rate
     counts the caller must flush.
 
-    The path is chosen once, at entry. With [env.cache] installed, the trap
-    flag clear, no TLB integrity guard ([env.tlb_guard]) and ECC off, it
-    replays decoded basic blocks from the {!Bbcache}. Within one call the
+    The path is chosen once, at entry. With [env.cache] installed, no TLB
+    integrity guard ([env.tlb_guard]) and ECC off, a trap-flag run is one
+    single step: every byte fetched through its own translation and
+    icache touch, as the exact loop's decoder fetches them, and the
+    decode taken from a per-machine memo keyed by the instruction's bytes
+    (an instruction that does not decode within its page takes the exact
+    path). With the trap flag clear, it replays decoded basic blocks from
+    the {!Bbcache}. Within one call the
     ITLB is immutable apart from fetch accounting (flushes, [invlpg], CR3
     reloads and ticks happen between calls), so a real translation runs
     only for the call's first instruction and after a transfer to another
@@ -81,8 +86,9 @@ val run_block : Exec_env.t -> Mmu.t -> regs -> max_insns:int -> tick_limit:int -
     that the first call on an MMU builds the dispatch state it keeps in
     [env.cursor] (which also holds the counts and the #UD payload the
     readers below return); the exact path's decoder allocates the
-    instruction it decodes, and so does the cached path's byte-at-a-time
-    fallback for an undecodable or page-straddling instruction. *)
+    instruction it decodes, and so do the cached path's byte-at-a-time
+    fallback for an undecodable or page-straddling instruction and a
+    single step's memo miss. *)
 
 val attempts : Exec_env.t -> int
 (** Instructions the last {!run_block} call on this environment attempted;

@@ -11,7 +11,12 @@ type fill_mode = Hardware_walk | Software_fill
 
 type fault_kind = Not_present | Protection | Tlb_miss
 
-type fault = { addr : int; access : access; kind : fault_kind; from_user : bool }
+type fault = {
+  mutable addr : int;
+  mutable access : access;
+  mutable kind : fault_kind;
+  mutable from_user : bool;
+}
 
 let fault_kind_name = function
   | Not_present -> "not-present"
@@ -42,10 +47,10 @@ type t = {
   cost : Cost.t;
   mutable nx_enabled : bool;
   mutable fill_mode : fill_mode;
-  mutable walk : int -> hw_pte option;
-  mutable walk_code : (int -> hw_pte option) option;
-      (* §3.3.1 hardware variant: a second pagetable register (CR3-C) used
-         for instruction fetches *)
+  mutable walk : int -> int;
+  mutable walk_code : int -> int;
+      (* the walker for instruction fetches: [walk] itself, or under the
+         §3.3.1 hardware variant a second pagetable register (CR3-C) *)
   mutable icache : Cache.t option;
   mutable dcache : Cache.t option;
   mutable obs : Obs.t;
@@ -56,17 +61,13 @@ type t = {
      arguments, so with nothing installed the fast path pays one branch
      and zero allocation. *)
   env : Exec_env.t;
-  (* pending-fault registers: like x86's CR2, the details of the last fault
-     live in mutable registers instead of an allocated record, so the fast
-     path faults without touching the minor heap. [pending_fault]
-     materializes them on demand at the trap boundary. *)
-  mutable pend_addr : int;
-  mutable pend_access : access;
-  mutable pend_kind : fault_kind;
-  mutable pend_from_user : bool;
+  (* the fault register: like x86's CR2, the last fault lives in one
+     mutable record that every fault overwrites, so the fast path faults
+     without touching the minor heap *)
+  fault : fault;
 }
 
-let no_pagetable _ = None
+let no_pagetable _ = -1
 
 let create ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?(tlb_policy = Tlb.Fifo)
     ~phys ~cost () =
@@ -78,15 +79,12 @@ let create ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?(tlb_policy = Tlb.Fifo)
     nx_enabled = false;
     fill_mode = Hardware_walk;
     walk = no_pagetable;
-    walk_code = None;
+    walk_code = no_pagetable;
     icache = None;
     dcache = None;
     obs = Obs.null;
     env = Exec_env.create ();
-    pend_addr = 0;
-    pend_access = Read;
-    pend_kind = Not_present;
-    pend_from_user = false;
+    fault = { addr = 0; access = Read; kind = Not_present; from_user = false };
   }
 
 let phys t = t.phys
@@ -148,16 +146,22 @@ let flush_tlbs t =
     Obs.event t.obs ~cat:"hw" "mmu.tlb_flush"
   end
 
-let reload_cr3 t walk =
+let load_cr3 t walk =
   t.walk <- walk;
-  t.walk_code <- None;
+  t.walk_code <- walk;
   flush_tlbs t
+
+let reload_cr3 t walk =
+  load_cr3 t (fun vpn ->
+      match walk vpn with
+      | Some p when p.present -> Tlb.word ~frame:p.frame ~writable:p.writable ~user:p.user ~nx:p.nx
+      | Some _ | None -> -1)
 
 (* The paper's §3.3.1 hardware modification: load both pagetable registers,
    CR3-C for instruction fetches and CR3-D for data accesses. *)
-let reload_cr3_dual t ~code ~data =
+let load_cr3_dual t ~code ~data =
   t.walk <- data;
-  t.walk_code <- Some code;
+  t.walk_code <- code;
   flush_tlbs t
 
 let invlpg t vpn =
@@ -169,14 +173,15 @@ let invlpg t vpn =
 
 let mask32 = Isa.Encode.mask32
 
-(* Every architectural fault latches through here so the pending registers
+(* Every architectural fault latches through here so the fault register
    and the trace stream see them uniformly, whichever path detected it.
    Returns the negative fault code for [translate_result]. *)
 let record_fault t ~addr ~access ~kind ~from_user =
-  t.pend_addr <- addr;
-  t.pend_access <- access;
-  t.pend_kind <- kind;
-  t.pend_from_user <- from_user;
+  let f = t.fault in
+  f.addr <- addr;
+  f.access <- access;
+  f.kind <- kind;
+  f.from_user <- from_user;
   if Obs.enabled t.obs then begin
     Obs.count t.obs "mmu.faults";
     Obs.event t.obs ~cat:"hw" "mmu.fault"
@@ -192,43 +197,45 @@ let record_fault t ~addr ~access ~kind ~from_user =
   | Protection -> protection_code
   | Tlb_miss -> tlb_miss_code
 
-let pending_fault t =
-  {
-    addr = t.pend_addr;
-    access = t.pend_access;
-    kind = t.pend_kind;
-    from_user = t.pend_from_user;
-  }
+let pending_fault t = t.fault
 
-(* The non-raising, non-allocating translation core. Permission checks keep
-   the x86 order (user, then write, then nx) and are performed against the
-   cached TLB entry on a hit and against the PTE on a miss; a violating
-   miss does not fill the TLB. *)
+(* The x86 permission check on a PTE word, in x86's order (user, then
+   write, then nx). *)
+let[@inline] denied t ~from_user access w =
+  (from_user && w land Tlb.pte_user = 0)
+  || (access = Write && w land Tlb.pte_writable = 0)
+  || (access = Fetch && t.nx_enabled && w land Tlb.pte_nx <> 0)
+
+(* Does guard [g] reject the entry cached for [vpn]? It sees the decoded
+   entry, the one allocation of a guarded hit. *)
+let rejects g access tlb vpn =
+  match Tlb.peek tlb vpn with Some e -> not (g access e) | None -> false
+
+(* The non-raising, non-allocating translation core. Permission checks are
+   performed against the cached TLB word on a hit and against the walked
+   PTE word on a miss; a violating miss does not fill the TLB. *)
 let rec translate_result t ~from_user access vaddr =
   let vaddr = mask32 vaddr in
   let page_size = Phys.page_size t.phys in
   let vpn = vaddr / page_size in
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
-  match Tlb.find tlb vpn with
-  | (e : Tlb.entry) ->
-    if match t.env.tlb_guard with None -> false | Some g -> not (g access e) then begin
+  let w = Tlb.find tlb vpn in
+  if w >= 0 then
+    if match t.env.tlb_guard with None -> false | Some g -> rejects g access tlb vpn then begin
       (* the guard rejected the cached entry as corrupted: drop it and
          retranslate — the retry misses and refills (or faults) from the
-         live pagetable. No closure, no box: the fast path stays
-         allocation-free when no guard is installed. *)
+         live pagetable. With no guard installed the fast path stays
+         allocation-free. *)
       Tlb.invalidate tlb vpn;
       translate_result t ~from_user access vaddr
     end
-    else if
-      (from_user && not e.user)
-      || (access = Write && not e.writable)
-      || (access = Fetch && t.nx_enabled && e.nx)
-    then record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
+    else if denied t ~from_user access w then
+      record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
     else begin
       (match t.env.sample with None -> () | Some h -> h access vpn true);
-      (e.frame * page_size) + (vaddr mod page_size)
+      (Tlb.frame_of_word w * page_size) + (vaddr mod page_size)
     end
-  | exception Not_found -> (
+  else begin
     if t.fill_mode = Software_fill then
       (* the hardware has no walker: trap to the OS miss handler *)
       record_fault t ~addr:vaddr ~access ~kind:Tlb_miss ~from_user
@@ -239,35 +246,26 @@ let rec translate_result t ~from_user access vaddr =
         Obs.event t.obs ~cat:"hw" "mmu.walk"
           ~args:[ ("vpn", Obs.Json.Int vpn); ("tlb", Obs.Json.Str (Tlb.name tlb)) ]
       end;
-      let walk =
-        match (access, t.walk_code) with
-        | Fetch, Some wc -> wc
-        | (Fetch | Read | Write), _ -> t.walk
-      in
-      match walk vpn with
-      | None -> record_fault t ~addr:vaddr ~access ~kind:Not_present ~from_user
-      | Some p ->
-        if not p.present then record_fault t ~addr:vaddr ~access ~kind:Not_present ~from_user
-        else if
-          (from_user && not p.user)
-          || (access = Write && not p.writable)
-          || (access = Fetch && t.nx_enabled && p.nx)
-        then record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
-        else begin
-          if Obs.enabled t.obs then Obs.count t.obs "mmu.fills";
-          Tlb.insert tlb
-            { vpn; frame = p.frame; user = p.user; writable = p.writable; nx = p.nx };
-          (match t.env.sample with None -> () | Some h -> h access vpn false);
-          (p.frame * page_size) + (vaddr mod page_size)
-        end
-    end)
+      let w = (match access with Fetch -> t.walk_code | Read | Write -> t.walk) vpn in
+      if w < 0 || w land Tlb.pte_present = 0 then
+        record_fault t ~addr:vaddr ~access ~kind:Not_present ~from_user
+      else if denied t ~from_user access w then
+        record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
+      else begin
+        if Obs.enabled t.obs then Obs.count t.obs "mmu.fills";
+        Tlb.fill tlb vpn w;
+        (match t.env.sample with None -> () | Some h -> h access vpn false);
+        (Tlb.frame_of_word w * page_size) + (vaddr mod page_size)
+      end
+    end
+  end
 
 (* The one memory-access API, for the CPU dispatch loop, the kernel and
    tools alike. One shared translation core ([paddr]) holds the fault
    plumbing of all five accessors: a negative translation raises the
    constant [Pending_fault], so the whole miss path allocates nothing and
-   the caller materializes the fault record once, at the trap boundary,
-   via [pending_fault]. Each accessor then layers exactly its cache
+   the caller reads the fault register at the trap boundary, via
+   [pending_fault]. Each accessor then layers exactly its cache
    traffic (icache for fetches, dcache — plus SMC coherency on stores —
    for data) over the physical access. 32-bit accesses split at page
    boundaries into four byte accesses, each with its own translation and

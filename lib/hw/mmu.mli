@@ -7,7 +7,12 @@
     split-memory technique exploits: a PTE can be restricted (supervisor)
     while a previously loaded user-accessible TLB entry keeps servicing
     accesses of one kind, routing fetches and data accesses to different
-    physical frames. *)
+    physical frames.
+
+    Allocation contract: a translation allocates nothing, hit, walk, fill
+    or fault. The walker returns a PTE word ({!Tlb.word}'s layout), the
+    TLBs cache words, and a fault writes the one fault register
+    ({!pending_fault}). *)
 
 type access = Exec_env.access = Fetch | Read | Write
 
@@ -31,7 +36,15 @@ type fault_kind =
   | Protection
   | Tlb_miss  (** software-fill mode only: the OS must load the TLB *)
 
-type fault = { addr : int; access : access; kind : fault_kind; from_user : bool }
+type fault = {
+  mutable addr : int;
+  mutable access : access;
+  mutable kind : fault_kind;
+  mutable from_user : bool;
+}
+(** The MMU's fault register, like x86's CR2: one record per MMU that
+    every fault overwrites (see {!pending_fault}). A record built by a
+    caller is an ordinary value. *)
 
 val pp_fault : Format.formatter -> fault -> unit
 (** The canonical fault formatter ([#PF addr=... access=... kind=...
@@ -90,11 +103,17 @@ val kernel_code_write : t -> frame:int -> off:int -> int -> unit
 (** Kernel byte store into a physical frame with coherency effects (icache
     invalidation + pipeline-flush penalty if the line was cached). *)
 
-val reload_cr3 : t -> (int -> hw_pte option) -> unit
-(** Load a new pagetable (the walk function) and flush both TLBs — what a
-    context switch does. Clears any dual-pagetable configuration. *)
+val load_cr3 : t -> (int -> int) -> unit
+(** Load a new pagetable and flush both TLBs — what a context switch
+    does. Clears any dual-pagetable configuration. The walker maps a vpn
+    to its PTE word ({!Tlb.word}), negative when the page is not present;
+    it must not allocate if the walk is to stay allocation-free. *)
 
-val reload_cr3_dual : t -> code:(int -> hw_pte option) -> data:(int -> hw_pte option) -> unit
+val reload_cr3 : t -> (int -> hw_pte option) -> unit
+(** {!load_cr3} through a walker that returns the decoded {!hw_pte}
+    (an allocating adapter for benchmarks and tests). *)
+
+val load_cr3_dual : t -> code:(int -> int) -> data:(int -> int) -> unit
 (** The §3.3.1 hardware modification: two pagetable registers, CR3-C
     walked on instruction fetches and CR3-D on data accesses. *)
 
@@ -110,18 +129,20 @@ val translate_result : t -> from_user:bool -> access -> int -> int
     a non-negative result is the packed paddr ([frame * page_size + off],
     decodable with {!Phys.frame_of_addr}/{!Phys.off_of_addr}) and a
     negative result is a fault code.
-    On a fault the details are latched into pending-fault registers (the
-    CR2 analogue) readable via {!pending_fault} — no [fault] record or
-    exception is allocated. *)
+    On a fault the details are written into the fault register (the CR2
+    analogue) returned by {!pending_fault} — no record or exception is
+    allocated. *)
 
 val pending_fault : t -> fault
-(** Materialize the most recent fault from the pending registers. Only
-    meaningful immediately after a negative {!translate_result} or a
-    {!Pending_fault} raise; a later fault overwrites the registers. *)
+(** The fault register itself, not a copy. It describes the most recent
+    fault: read it after a negative {!translate_result} or a
+    {!Pending_fault} raise, before the next faulting translation
+    overwrites it. A caller that keeps a fault past its trap copies it
+    ([{ f with addr = f.addr }]). *)
 
 exception Pending_fault
 (** Constant (payload-free) exception raised by the {!Fast} accessors so a
-    faulting access unwinds without allocating. Catch it and call
+    faulting access unwinds without allocating. Catch it and read
     {!pending_fault} at the trap boundary. *)
 
 (** The one memory-access API (the CPU dispatch loop, the kernel and

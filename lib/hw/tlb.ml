@@ -1,5 +1,33 @@
 type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
 
+(* The x86 PTE word: what the MMU's walker returns and what a slot
+   caches. Kernel.Hw_pagetable stores the same layout in simulated
+   memory, with two software bits (split, data-selected) at 0x200/0x400
+   that the hardware ignores. *)
+let pte_present = 0x001
+let pte_writable = 0x002
+let pte_user = 0x004
+let pte_nx = 0x100
+
+let word ~frame ~writable ~user ~nx =
+  (frame lsl 12) lor pte_present
+  lor (if writable then pte_writable else 0)
+  lor (if user then pte_user else 0)
+  lor if nx then pte_nx else 0
+
+let frame_of_word w = w lsr 12
+
+let word_of_entry (e : entry) = word ~frame:e.frame ~writable:e.writable ~user:e.user ~nx:e.nx
+
+let entry_of_word vpn w =
+  {
+    vpn;
+    frame = frame_of_word w;
+    user = w land pte_user <> 0;
+    writable = w land pte_writable <> 0;
+    nx = w land pte_nx <> 0;
+  }
+
 type policy = Fifo | Lru
 
 let policy_name = function Fifo -> "fifo" | Lru -> "lru"
@@ -13,7 +41,9 @@ type stats = {
 }
 
 (* One structure, sized once by [capacity]:
-   - [slots] holds the resident entries, one per slot;
+   - [vpns] and [words] hold the resident entries, one per slot: its vpn
+     (-1 when vacant) and its PTE word, so a hit or a fill moves ints and
+     allocates nothing;
    - [index] maps a vpn to its slot: open addressing with linear probing
      over a power-of-two table at most half full, -1 marking an empty
      cell, and backward-shift deletion, so no tombstones ever build up;
@@ -29,7 +59,8 @@ type t = {
   name : string;
   capacity : int;
   policy : policy;
-  slots : entry array;
+  vpns : int array;
+  words : int array;
   next : int array;
   prev : int array;
   mutable size : int;
@@ -41,8 +72,6 @@ type t = {
   stats : stats;
 }
 
-let vacant = { vpn = -1; frame = 0; user = false; writable = false; nx = false }
-
 let create ?(policy = Fifo) ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   let bits = ref 1 in
@@ -53,7 +82,8 @@ let create ?(policy = Fifo) ~name ~capacity () =
     name;
     capacity;
     policy;
-    slots = Array.make capacity vacant;
+    vpns = Array.make capacity (-1);
+    words = Array.make capacity 0;
     next = Array.make (capacity + 1) capacity;
     prev = Array.make (capacity + 1) capacity;
     size = 0;
@@ -81,7 +111,7 @@ let[@inline] home t vpn = (vpn * 0x4F1B_BCDC_BFA5_3E0B) lsr t.shift
 let rec probe t vpn i =
   let s = Array.unsafe_get t.index i in
   if s < 0 then -1
-  else if (Array.unsafe_get t.slots s).vpn = vpn then i
+  else if Array.unsafe_get t.vpns s = vpn then i
   else probe t vpn ((i + 1) land t.mask)
 
 (* The index cell holding [vpn]'s slot, or -1 if it is not resident. The
@@ -91,7 +121,7 @@ let locate t vpn =
   let i = home t vpn in
   let s = Array.unsafe_get t.index i in
   if s < 0 then -1
-  else if (Array.unsafe_get t.slots s).vpn = vpn then i
+  else if Array.unsafe_get t.vpns s = vpn then i
   else probe t vpn ((i + 1) land t.mask)
 
 (* Cell [hole] is being emptied: pull back every later entry of its probe
@@ -100,7 +130,7 @@ let locate t vpn =
 let rec shift_back t hole j =
   let s = t.index.(j) in
   if s < 0 then t.index.(hole) <- -1
-  else if (j - home t t.slots.(s).vpn) land t.mask >= (j - hole) land t.mask then begin
+  else if (j - home t t.vpns.(s)) land t.mask >= (j - hole) land t.mask then begin
     t.index.(hole) <- s;
     shift_back t j ((j + 1) land t.mask)
   end
@@ -109,7 +139,7 @@ let rec shift_back t hole j =
 let rec place_at t s i =
   if t.index.(i) < 0 then t.index.(i) <- s else place_at t s ((i + 1) land t.mask)
 
-let place t s = place_at t s (home t t.slots.(s).vpn)
+let place t s = place_at t s (home t t.vpns.(s))
 
 let unlink t s =
   let p = t.prev.(s) and n = t.next.(s) in
@@ -139,22 +169,23 @@ let remove t i =
   t.freed <- s;
   t.size <- t.size - 1
 
-(* Allocation-free hit path for the MMU fast path: no [Some] box per hit,
-   and [Not_found] is a constant exception. *)
+(* The MMU's hit path: the cached word, or -1 on a miss — no box. *)
 let find t vpn =
   let i = locate t vpn in
   if i >= 0 then begin
     let s = Array.unsafe_get t.index i in
     t.stats.hits <- t.stats.hits + 1;
     if t.policy = Lru then touch t s;
-    Array.unsafe_get t.slots s
+    Array.unsafe_get t.words s
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    raise Not_found
+    -1
   end
 
-let lookup t vpn = match find t vpn with e -> Some e | exception Not_found -> None
+let lookup t vpn =
+  let w = find t vpn in
+  if w < 0 then None else Some (entry_of_word vpn w)
 
 (* Bulk hit accounting for the block-dispatch fast path: the caller has
    already proven the next [n] lookups of [vpn] would all hit, so fold
@@ -171,14 +202,14 @@ let note_hits t vpn n =
 
 let peek t vpn =
   let i = locate t vpn in
-  if i >= 0 then Some t.slots.(t.index.(i)) else None
+  if i >= 0 then Some (entry_of_word vpn t.words.(t.index.(i))) else None
 
-let insert t (e : entry) =
-  let i = locate t e.vpn in
-  if i >= 0 then t.slots.(t.index.(i)) <- e
+let fill t vpn w =
+  let i = locate t vpn in
+  if i >= 0 then t.words.(t.index.(i)) <- w
   else begin
     if t.size = t.capacity then begin
-      remove t (locate t t.slots.(t.next.(t.capacity)).vpn);
+      remove t (locate t t.vpns.(t.next.(t.capacity)));
       t.stats.evictions <- t.stats.evictions + 1
     end;
     let s =
@@ -193,14 +224,19 @@ let insert t (e : entry) =
       end
     in
     t.size <- t.size + 1;
-    t.slots.(s) <- e;
+    t.vpns.(s) <- vpn;
+    t.words.(s) <- w;
     place t s;
     append t s
   end
 
-(* Resident slots, oldest first. *)
+let insert t (e : entry) = fill t e.vpn (word_of_entry e)
+
+(* Resident entries, decoded, oldest first. *)
 let fold_list f t acc =
-  let rec go s acc = if s = t.capacity then acc else go t.prev.(s) (f t.slots.(s) acc) in
+  let rec go s acc =
+    if s = t.capacity then acc else go t.prev.(s) (f (entry_of_word t.vpns.(s) t.words.(s)) acc)
+  in
   go t.prev.(t.capacity) acc
 
 (* Fault-injection surface (lib/inject): enumerate and mutate live entries
@@ -213,7 +249,7 @@ let tamper t vpn f =
   if i < 0 then false
   else begin
     let s = t.index.(i) in
-    t.slots.(s) <- { (f t.slots.(s)) with vpn };
+    t.words.(s) <- word_of_entry (f (entry_of_word vpn t.words.(s)));
     true
   end
 
@@ -235,7 +271,7 @@ let rec wipe t i =
 
 let rec clear_from t s =
   if s <> t.capacity then begin
-    wipe t (home t t.slots.(s).vpn);
+    wipe t (home t t.vpns.(s));
     clear_from t t.next.(s)
   end
 

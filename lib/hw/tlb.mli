@@ -5,9 +5,32 @@
     split-memory technique works precisely because each TLB caches its own
     (vpn -> frame, permissions) mapping: once an entry is cached, later
     accesses are served from it without consulting the pagetable, so the two
-    TLBs can deliberately be driven out of sync. *)
+    TLBs can deliberately be driven out of sync.
+
+    Allocation contract: each slot is two ints, its vpn and the PTE word
+    it caches, and the MMU hits ({!find}) and fills ({!fill}) them word by
+    word, so neither allocates. {!entry} is the decoded view the cold
+    paths use ({!lookup}, {!peek}, {!entries}, {!tamper}, {!export},
+    {!import}, {!insert}); building one allocates. *)
 
 type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
+
+(** {1 PTE words}
+
+    The x86 pagetable-entry layout, shared by the MMU's walker, the TLB
+    slots and [Kernel.Hw_pagetable]: bit 0 present, bit 1 writable, bit 2
+    user, bit 8 nx, the frame number from bit 12 up. A walker returns a
+    negative word for a page that is not present. *)
+
+val pte_present : int
+val pte_writable : int
+val pte_user : int
+val pte_nx : int
+
+val word : frame:int -> writable:bool -> user:bool -> nx:bool -> int
+(** A present PTE word. *)
+
+val frame_of_word : int -> int
 
 (** Replacement policy. Under [Fifo] (the default) entries age in
     insertion order; under [Lru] every hit makes its entry the youngest,
@@ -39,9 +62,10 @@ val stats : t -> stats
 val lookup : t -> int -> entry option
 (** Lookup by virtual page number; updates hit/miss statistics. *)
 
-val find : t -> int -> entry
-(** Like {!lookup} but without the [option] box: raises the constant
-    [Not_found] on a miss. The MMU fast path's allocation-free lookup. *)
+val find : t -> int -> int
+(** The PTE word cached for a vpn, or [-1] on a miss; updates hit/miss
+    statistics like {!lookup}. The MMU fast path's allocation-free
+    lookup. *)
 
 val note_hits : t -> int -> int -> unit
 (** [note_hits t vpn n] accounts for [n] guaranteed hits on [vpn] without
@@ -54,9 +78,13 @@ val note_hits : t -> int -> int -> unit
 val peek : t -> int -> entry option
 (** Lookup without touching statistics (for tests and assertions). *)
 
+val fill : t -> int -> int -> unit
+(** [fill t vpn word] caches [word] for [vpn] (replacing any entry for the
+    same vpn); evicts per the replacement {!policy} when full. The MMU's
+    allocation-free fill. *)
+
 val insert : t -> entry -> unit
-(** Insert (replacing any entry for the same vpn); evicts per the
-    replacement {!policy} when full. *)
+(** {!fill} from a decoded entry. *)
 
 val entries : t -> entry list
 (** Live entries sorted by vpn, without touching statistics — the

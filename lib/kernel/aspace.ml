@@ -20,15 +20,21 @@ type t = {
   mutable regions : region list;
   mutable brk : int;
   mutable mmap_cursor : int;
+  walker : int -> int;
 }
 
+let word_of ptes vpn = match Hashtbl.find ptes vpn with p -> Pte.word p | exception Not_found -> -1
+
 let create ~page_size =
+  let ptes = Hashtbl.create 64 in
   {
     page_size;
-    ptes = Hashtbl.create 64;
+    ptes;
     regions = [];
     brk = Layout.heap_base;
     mmap_cursor = Layout.mmap_base;
+    (* built once: a context switch loads it without allocating *)
+    walker = word_of ptes;
   }
 
 let page_size t = t.page_size
@@ -37,28 +43,23 @@ let regions t = t.regions
 let find_region t vpn = List.find_opt (fun r -> vpn >= r.lo && vpn < r.hi) t.regions
 
 let pte t vpn = Hashtbl.find_opt t.ptes vpn
+let find_pte t vpn = Hashtbl.find t.ptes vpn
 let set_pte t (p : Pte.t) = Hashtbl.replace t.ptes p.vpn p
 let iter_ptes t f = Hashtbl.iter (fun _ p -> f p) t.ptes
 let mapped_count t = Hashtbl.length t.ptes
-
-let walk t vpn =
-  match Hashtbl.find t.ptes vpn with
-  | p -> Some (Pte.to_hw p)
-  | exception Not_found -> None
 
 (* Hardware-split views (§3.3.1): the code pagetable maps split pages to
    their code copy, the data pagetable to their data copy; everything else
    is shared. Both views are user-accessible — with dedicated hardware
    there is nothing to trap. *)
+let view (p : Pte.t) frame =
+  if p.present then Hw.Tlb.word ~frame ~writable:p.writable ~user:true ~nx:p.nx else -1
+
 let walk_code_view t vpn =
-  Option.map
-    (fun (p : Pte.t) -> { (Pte.to_hw p) with frame = Pte.code_frame p; user = true })
-    (pte t vpn)
+  match find_pte t vpn with p -> view p (Pte.code_frame p) | exception Not_found -> -1
 
 let walk_data_view t vpn =
-  Option.map
-    (fun (p : Pte.t) -> { (Pte.to_hw p) with frame = Pte.data_frame p; user = true })
-    (pte t vpn)
+  match find_pte t vpn with p -> view p (Pte.data_frame p) | exception Not_found -> -1
 
 (* Contents a freshly demand-mapped page should start with: the matching
    slice of the backing image segment (zero-padded), or zeros. The blit

@@ -25,6 +25,11 @@ type t = {
   mutable regions : region list;
   mutable brk : int;
   mutable mmap_cursor : int;
+  walker : int -> int;
+      (** The hardware page-walk view of this address space, a PTE word
+          per vpn ({!Pte.word}; feed to {!Hw.Mmu.load_cr3}). The closure
+          is built once, by {!create}, so loading it on a context switch
+          allocates nothing, and a walk allocates nothing either. *)
 }
 
 val create : page_size:int -> t
@@ -33,19 +38,20 @@ val add_region : t -> region -> unit
 val regions : t -> region list
 val find_region : t -> int -> region option
 val pte : t -> int -> Pte.t option
+
+val find_pte : t -> int -> Pte.t
+(** {!pte} without the [option] box: raises [Not_found] when [vpn] is
+    unmapped. The fault and syscall paths' allocation-free lookup. *)
+
 val set_pte : t -> Pte.t -> unit
 val iter_ptes : t -> (Pte.t -> unit) -> unit
 val mapped_count : t -> int
 
-val walk : t -> int -> Hw.Mmu.hw_pte option
-(** The hardware page-walk view of this address space (feed to
-    {!Hw.Mmu.reload_cr3}). *)
-
-val walk_code_view : t -> int -> Hw.Mmu.hw_pte option
+val walk_code_view : t -> int -> int
 (** §3.3.1 dual-pagetable hardware: the CR3-C view — split pages resolve
     to their code copy, unrestricted. *)
 
-val walk_data_view : t -> int -> Hw.Mmu.hw_pte option
+val walk_data_view : t -> int -> int
 (** The CR3-D view — split pages resolve to their data copy. *)
 
 val page_content : t -> region -> int -> string

@@ -12,16 +12,17 @@
    - restricting/unrestricting a page and flipping it between its copies
      are single 32-bit stores, exactly as in the Linux patch.
 
-   Entry format (both PDE and PTE, little-endian 32-bit):
+   Entry format (both PDE and PTE, little-endian 32-bit; the hardware bits
+   are the MMU's PTE-word layout, [Hw.Tlb.word]):
      bit 0  present        bit 1  writable      bit 2  user
      bit 8  nx (simulated PAE-style)            bit 9  split marker
      bit 10 data-selected (split page currently pointing at its data copy)
      bits 12..31 frame number *)
 
-let p_present = 0x001
-let p_writable = 0x002
-let p_user = 0x004
-let p_nx = 0x100
+let p_present = Hw.Tlb.pte_present
+let p_writable = Hw.Tlb.pte_writable
+let p_user = Hw.Tlb.pte_user
+let p_nx = Hw.Tlb.pte_nx
 let p_split = 0x200
 let p_data_sel = 0x400
 
@@ -65,12 +66,19 @@ let table_frame t vpn ~create_missing =
     Some tf
   end
 
+(* What the hardware page walker sees: two dependent reads from simulated
+   physical memory. The raw entry is the MMU's PTE word (the split bits
+   are software bits the hardware ignores); -1 when not present. *)
+let walk t vpn =
+  let pde = read_entry t ~frame:t.root ~idx:(dir_index vpn) in
+  if not (present pde) then -1
+  else
+    let e = read_entry t ~frame:(frame_of pde) ~idx:(table_index vpn) in
+    if present e then e else -1
+
 let entry t vpn =
-  match table_frame t vpn ~create_missing:false with
-  | None -> None
-  | Some tf ->
-    let e = read_entry t ~frame:tf ~idx:(table_index vpn) in
-    if present e then Some e else None
+  let e = walk t vpn in
+  if e < 0 then None else Some e
 
 let set_entry t vpn e =
   match table_frame t vpn ~create_missing:true with
@@ -116,21 +124,6 @@ let point_at_data t vpn =
 
 let restrict t vpn = update t vpn (fun e -> e land lnot p_user)
 let unrestrict t vpn = update t vpn (fun e -> e lor p_user)
-
-(* What the hardware page walker sees: two dependent reads from simulated
-   physical memory, then the permission bits. *)
-let walk t vpn =
-  match entry t vpn with
-  | None -> None
-  | Some e ->
-    Some
-      {
-        Hw.Mmu.frame = frame_of e;
-        present = true;
-        writable = writable e;
-        user = user e;
-        nx = nx e;
-      }
 
 let free t =
   for idx = 0 to entries_per_table - 1 do

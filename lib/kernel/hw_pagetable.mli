@@ -29,8 +29,9 @@ val point_at_data : t -> int -> unit
 val restrict : t -> int -> unit
 val unrestrict : t -> int -> unit
 
-val walk : t -> int -> Hw.Mmu.hw_pte option
-(** The hardware walker view (feed to {!Hw.Mmu.reload_cr3}). *)
+val walk : t -> int -> int
+(** The hardware walker (feed to {!Hw.Mmu.load_cr3}): the raw entry, a
+    PTE word in {!Hw.Tlb.word}'s layout, or [-1] when not present. *)
 
 val free : t -> unit
 (** Release every mapped frame (split pairs via frame arithmetic), the

@@ -74,15 +74,15 @@ type t = {
      pipe the machine owns); [Sched.wake] drains, rechecks and enqueues.
      May hold duplicates and stale/ready-anyway pids — the recheck filters,
      so a spurious entry is harmless. *)
-  mutable pending_wakeups : int list;
+  pending_wakeups : Hw.Ints.Stack.t;
   mutable wakeup_sink : int -> unit;
-  (* Processes blocked on [Proc.Sleep], as (wake_cycle, pid) sorted
-     ascending — the earliest deadline is the head. The scheduler pops
-     expired entries onto [pending_wakeups] at every boundary and, when
-     nothing is runnable, jumps the clock to the head's deadline
-     (tickless idle). Entries can go stale (snapshot restore rebuilds the
-     list; a recheck may re-insert); stale heads are dropped lazily. *)
-  mutable sleepers : (int * int) list;
+  (* Processes blocked on [Proc.Sleep], as (wake_cycle, pid) pairs in a
+     min-queue — the earliest deadline first. The scheduler pops expired
+     entries onto [pending_wakeups] at every boundary and, when nothing is
+     runnable, jumps the clock to the earliest deadline (tickless idle).
+     Entries can go stale (snapshot restore rebuilds the queue; a recheck
+     may re-insert); stale minima are dropped lazily. *)
+  sleepers : Hw.Ints.Heap.t;
   (* Loader COW: share read-only image-backed frames across spawns of
      identical guests, keyed by content digest. Off by default so existing
      scenarios keep their exact frame trajectories; the 10k-process scale
@@ -93,7 +93,7 @@ type t = {
   mutable image_memo : (Image.t * (bool * (int * string) list)) list;
   libraries : (string, library) Hashtbl.t;
   mutable lib_cursor : int;
-  runq : int Queue.t;
+  runq : Hw.Ints.Fifo.t;
   rng : Prng.t;
   page_size : int;
   quantum : int;
@@ -207,14 +207,14 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
       ctx = { Protection.phys; alloc; mmu; cost; log; obs };
       procs = Hashtbl.create 8;
       children_index = Hashtbl.create 8;
-      pending_wakeups = [];
+      pending_wakeups = Hw.Ints.Stack.create ();
       wakeup_sink = ignore;
-      sleepers = [];
+      sleepers = Hw.Ints.Heap.create ();
       share_images;
       image_memo = [];
       libraries = Hashtbl.create 4;
     lib_cursor = Layout.lib_base + 0x100000;
-    runq = Queue.create ();
+    runq = Hw.Ints.Fifo.create ();
     rng = Prng.make seed;
     page_size;
     quantum;
@@ -230,12 +230,13 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
       probe;
     }
   in
-  t.wakeup_sink <- (fun pid -> t.pending_wakeups <- pid :: t.pending_wakeups);
+  t.wakeup_sink <- Hw.Ints.Stack.push t.pending_wakeups;
   t
 
 let ctx t = t.ctx
 
 let proc t pid = Hashtbl.find_opt t.procs pid
+let find_proc t pid = Hashtbl.find t.procs pid
 
 (* pid-sorted so every traversal of the process table (wake scans, snapshot
    serialization, reporting) is deterministic regardless of hashtable
@@ -278,7 +279,7 @@ let children_of t parent =
 let enqueue t (p : Proc.t) =
   if not p.in_runq then begin
     p.in_runq <- true;
-    Queue.add p.pid t.runq
+    Hw.Ints.Fifo.push t.runq p.pid
   end
 
 (* Remove a reaped zombie from the table and both sides of the children
@@ -316,52 +317,48 @@ let attach_proc_pipes t (p : Proc.t) =
    the pending list for the next boundary's recheck. *)
 let register_wait t (p : Proc.t) = function
   | Proc.Read_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Read_end pipe) -> Pipe.add_read_waiter pipe p.pid
-    | Some (Write_end _) | None -> t.wakeup_sink p.pid)
+    match Proc.find_fd p fd with
+    | Read_end pipe -> Pipe.add_read_waiter pipe p.pid
+    | Write_end _ | (exception Not_found) -> t.wakeup_sink p.pid)
   | Proc.Write_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Write_end pipe) -> Pipe.add_write_waiter pipe p.pid
-    | Some (Read_end _) | None -> t.wakeup_sink p.pid)
+    match Proc.find_fd p fd with
+    | Write_end pipe -> Pipe.add_write_waiter pipe p.pid
+    | Read_end _ | (exception Not_found) -> t.wakeup_sink p.pid)
   | Proc.Child _ -> ()
   | Proc.Sleep until_ ->
-    (* sorted (deadline, pid) insert keeps the earliest wake-up at the
-       head; O(sleepers) per insert is fine at serving-benchmark
-       concurrency, and the canonical order makes restore-time
-       re-registration bit-identical to the live run *)
-    let rec ins = function
-      | [] -> [ (until_, p.pid) ]
-      | ((u, q) as hd) :: tl ->
-        if (u, q) <= (until_, p.pid) then hd :: ins tl
-        else (until_, p.pid) :: hd :: tl
-    in
-    t.sleepers <- ins t.sleepers
+    (* the (deadline, pid) order is canonical, so restore-time
+       re-registration pops in the live run's order *)
+    Hw.Ints.Heap.push t.sleepers ~key:until_ p.pid
 
 (* Pop every sleeper whose deadline has passed onto the pending-wakeup
    list; the next boundary recheck makes them runnable (a [Proc.Sleep]
-   condition is ready once the clock reaches its deadline). *)
-let expire_sleepers t =
-  let now = t.cost.Hw.Cost.cycles in
-  let rec pop = function
-    | (until_, pid) :: rest when until_ <= now ->
-      t.wakeup_sink pid;
-      pop rest
-    | rest -> t.sleepers <- rest
-  in
-  pop t.sleepers
+   condition is ready once the clock reaches its deadline). A top-level
+   loop, so a boundary builds no closure. *)
+let rec expire_sleepers t =
+  let q = t.sleepers in
+  if (not (Hw.Ints.Heap.is_empty q)) && Hw.Ints.Heap.min_key q <= t.cost.Hw.Cost.cycles then begin
+    let pid = Hw.Ints.Heap.min_value q in
+    Hw.Ints.Heap.pop q;
+    t.wakeup_sink pid;
+    expire_sleepers t
+  end
 
-(* Earliest genuine sleeper deadline, dropping stale head entries (a pid
-   that was restored, re-slept or already woke through another path) as a
-   side effect. [None] means nobody is sleeping. *)
+let sleeping_until (p : Proc.t) until_ =
+  match p.state with Proc.Blocked (Proc.Sleep u) -> u = until_ | _ -> false
+
+(* Earliest genuine sleeper deadline, dropping stale entries (a pid that
+   was restored, re-slept or already woke through another path) as a side
+   effect; -1 when nobody is sleeping. *)
 let rec earliest_sleeper t =
-  match t.sleepers with
-  | [] -> None
-  | (until_, pid) :: rest -> (
-    match proc t pid with
-    | Some p when p.state = Proc.Blocked (Proc.Sleep until_) -> Some until_
-    | _ ->
-      t.sleepers <- rest;
-      earliest_sleeper t)
+  let q = t.sleepers in
+  if Hw.Ints.Heap.is_empty q then -1
+  else
+    let until_ = Hw.Ints.Heap.min_key q in
+    match find_proc t (Hw.Ints.Heap.min_value q) with
+    | p when sleeping_until p until_ -> until_
+    | _ | (exception Not_found) ->
+      Hw.Ints.Heap.pop q;
+      earliest_sleeper t
 
 (* ------------------------------------------------------------------ *)
 (* Demand paging                                                       *)
@@ -421,14 +418,14 @@ let cow_service t (pte : Pte.t) =
 (* ------------------------------------------------------------------ *)
 
 let ensure_mapped_for_kernel t (p : Proc.t) vpn ~write =
-  match Aspace.pte p.aspace vpn with
-  | Some pte ->
+  match Aspace.find_pte p.aspace vpn with
+  | pte ->
     if write then begin
       if not pte.orig_writable then raise Efault;
       if pte.cow then cow_service t pte
     end;
     pte
-  | None -> (
+  | exception Not_found -> (
     match Aspace.find_region p.aspace vpn with
     | Some region ->
       if write && not region.writable then raise Efault;
@@ -793,18 +790,21 @@ let preview s =
   in
   if n > 40 then clean ^ "..." else clean
 
-let block t (p : Proc.t) cond =
-  (* Rewind over [int 0x80] so the syscall re-executes on wake-up. *)
-  p.regs.eip <- p.regs.eip - 2;
-  p.state <- Blocked cond;
-  register_wait t p cond
+let block t (p : Proc.t) (state : Proc.state) =
+  match state with
+  | Blocked cond ->
+    (* Rewind over [int 0x80] so the syscall re-executes on wake-up. *)
+    p.regs.eip <- p.regs.eip - 2;
+    p.state <- state;
+    register_wait t p cond
+  | Runnable | Zombie _ -> invalid_arg "Machine.block: not a blocked state"
 
 let load_pagetables t (p : Proc.t) =
   if t.protection.dual_pagetables then
-    Hw.Mmu.reload_cr3_dual t.mmu
+    Hw.Mmu.load_cr3_dual t.mmu
       ~code:(Aspace.walk_code_view p.aspace)
       ~data:(Aspace.walk_data_view p.aspace)
-  else Hw.Mmu.reload_cr3 t.mmu (Aspace.walk p.aspace)
+  else Hw.Mmu.load_cr3 t.mmu p.aspace.walker
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot support: raw registry exposure                             *)
@@ -840,9 +840,10 @@ let replace_procs t ps =
   List.iter (fun (p : Proc.t) -> attach_proc_pipes t p) ps;
   (* The sleeper queue is re-derived the same way: the recheck of a pid
      still blocked on [Sleep] re-inserts it (register_wait), and the
-     sorted insert reproduces the canonical order. *)
-  t.sleepers <- [];
-  t.pending_wakeups <- [];
+     heap pops in the canonical (deadline, pid) order whatever the
+     insertion order. *)
+  Hw.Ints.Heap.clear t.sleepers;
+  Hw.Ints.Stack.clear t.pending_wakeups;
   List.iter
     (fun (p : Proc.t) ->
       match p.state with Proc.Blocked _ -> t.wakeup_sink p.pid | _ -> ())

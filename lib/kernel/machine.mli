@@ -94,7 +94,7 @@ type t = {
       (** parent pid -> live child pids, ascending — [children_of] is
           O(children). Maintained by fork/{!reap}; rebuilt by
           {!replace_procs} *)
-  mutable pending_wakeups : int list;
+  pending_wakeups : Hw.Ints.Stack.t;
       (** pids whose blocking condition may have flipped since the last
           scheduler boundary (pipe activity, zombie transitions); drained
           and rechecked by [Sched.wake]. Duplicates and stale pids are
@@ -102,9 +102,9 @@ type t = {
   mutable wakeup_sink : int -> unit;
       (** the one shared closure pushing onto [pending_wakeups]; attached
           to every pipe the machine owns via {!attach_pipe} *)
-  mutable sleepers : (int * int) list;
-      (** processes blocked on [Proc.Sleep], as (wake_cycle, pid) sorted
-          ascending; see {!expire_sleepers} and {!earliest_sleeper}.
+  sleepers : Hw.Ints.Heap.t;
+      (** processes blocked on [Proc.Sleep], as (wake_cycle, pid) pairs,
+          least first; see {!expire_sleepers} and {!earliest_sleeper}.
           Stale entries are dropped lazily; not serialized — restore
           re-derives it through the {!replace_procs} wake seeding *)
   share_images : bool;
@@ -117,7 +117,7 @@ type t = {
           independent of image size *)
   libraries : (string, library) Hashtbl.t;
   mutable lib_cursor : int;
-  runq : int Queue.t;
+  runq : Hw.Ints.Fifo.t;
   rng : Prng.t;
   page_size : int;
   quantum : int;
@@ -163,6 +163,11 @@ val ctx : t -> Protection.ctx
 
 val proc : t -> int -> Proc.t option
 
+val find_proc : t -> int -> Proc.t
+(** {!proc} without the [option] box: raises [Not_found] for an unknown
+    pid. The scheduler's allocation-free lookup. *)
+
+
 val procs : t -> Proc.t list
 (** pid-sorted, for deterministic traversal. *)
 
@@ -196,9 +201,9 @@ val expire_sleepers : t -> unit
 (** Pop every sleeper whose deadline has passed onto the pending-wakeup
     list; called at each scheduler boundary. *)
 
-val earliest_sleeper : t -> int option
-(** Earliest genuine sleeper deadline (dropping stale head entries);
-    [None] when nobody is sleeping. Drives the scheduler's tickless idle
+val earliest_sleeper : t -> int
+(** Earliest genuine sleeper deadline (dropping stale entries); [-1] when
+    nobody is sleeping. Drives the scheduler's tickless idle
     jump when the run queue is empty. *)
 
 val map_demand_page : t -> Proc.t -> Aspace.region -> int -> Pte.t
@@ -250,9 +255,12 @@ val preview : string -> string
 (** Printable, truncated preview of guest bytes for log lines: the first
     40 bytes, non-printable ones as ['.'], then ["..."] if more follow. *)
 
-val block : t -> Proc.t -> Proc.wait_cond -> unit
-(** Block the process, rewind EIP over [int 0x80] so the syscall
-    re-executes on wake-up, and {!register_wait} it. *)
+val block : t -> Proc.t -> Proc.state -> unit
+(** [block t p (Blocked cond)]: block the process, rewind EIP over
+    [int 0x80] so the syscall re-executes on wake-up, and
+    {!register_wait} it on [cond]. A shared state
+    ({!Proc.blocked_read}) makes this allocation-free.
+    @raise Invalid_argument on any other state. *)
 
 val load_pagetables : t -> Proc.t -> unit
 

@@ -16,9 +16,10 @@ type t = {
      side's list — the scheduler re-registers anyone still blocked after
      rechecking the full wake condition, so a spurious notification is
      harmless. Not serialized: lib/snap restore re-derives pending wakeups
-     from blocked-process state. *)
-  mutable read_waiters : int list;
-  mutable write_waiters : int list;
+     from blocked-process state. The queues are flat int stacks, so
+     registering a waiter allocates no cell. *)
+  read_waiters : Hw.Ints.Stack.t;
+  write_waiters : Hw.Ints.Stack.t;
   mutable wakeup : int -> unit;
 }
 
@@ -32,8 +33,8 @@ let create ?(capacity = 65536) ~name () =
     readers = 1;
     writers = 1;
     bytes_written = 0;
-    read_waiters = [];
-    write_waiters = [];
+    read_waiters = Hw.Ints.Stack.create ();
+    write_waiters = Hw.Ints.Stack.create ();
     wakeup = ignore;
   }
 
@@ -45,25 +46,22 @@ let has_readers t = t.readers > 0
 
 let set_wakeup t f = t.wakeup <- f
 
-let add_read_waiter t pid =
-  if not (List.mem pid t.read_waiters) then t.read_waiters <- pid :: t.read_waiters
+let add_waiter ws pid = if not (Hw.Ints.Stack.mem ws pid) then Hw.Ints.Stack.push ws pid
+let add_read_waiter t pid = add_waiter t.read_waiters pid
+let add_write_waiter t pid = add_waiter t.write_waiters pid
 
-let add_write_waiter t pid =
-  if not (List.mem pid t.write_waiters) then t.write_waiters <- pid :: t.write_waiters
+(* Report and clear one side's waiters. *)
+let notify t ws =
+  let n = Hw.Ints.Stack.length ws in
+  if n > 0 then begin
+    for i = 0 to n - 1 do
+      t.wakeup (Hw.Ints.Stack.get ws i)
+    done;
+    Hw.Ints.Stack.drop ws n
+  end
 
-let notify_readers t =
-  match t.read_waiters with
-  | [] -> ()
-  | ws ->
-    t.read_waiters <- [];
-    List.iter t.wakeup ws
-
-let notify_writers t =
-  match t.write_waiters with
-  | [] -> ()
-  | ws ->
-    t.write_waiters <- [];
-    List.iter t.wakeup ws
+let notify_readers t = notify t t.read_waiters
+let notify_writers t = notify t t.write_waiters
 
 let add_reader t = t.readers <- t.readers + 1
 let add_writer t = t.writers <- t.writers + 1

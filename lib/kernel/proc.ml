@@ -21,6 +21,19 @@ type wait_cond =
 
 type state = Runnable | Blocked of wait_cond | Zombie of exit_status
 
+(* The blocked states of reads and writes on the first 64 fds, built
+   once: a state is immutable, so blocking on a pipe shares one instead of
+   allocating it. *)
+let shared_fds = 64
+let read_blocks = Array.init shared_fds (fun fd -> Blocked (Read_fd fd))
+let write_blocks = Array.init shared_fds (fun fd -> Blocked (Write_fd fd))
+
+let blocked_read fd =
+  if fd >= 0 && fd < shared_fds then read_blocks.(fd) else Blocked (Read_fd fd)
+
+let blocked_write fd =
+  if fd >= 0 && fd < shared_fds then write_blocks.(fd) else Blocked (Write_fd fd)
+
 type fd_obj = Read_end of Pipe.t | Write_end of Pipe.t
 
 type t = {
@@ -35,7 +48,7 @@ type t = {
   mutable in_runq : bool;
   mutable p_insns : int;
   mutable next_fd : int;
-  mutable pending_fault_addr : int option;
+  mutable pending_fault_addr : int;
   mutable sebek_active : bool;
   mutable parent : int option;
   mutable detections : int;
@@ -63,7 +76,7 @@ let create ~pid ~name ~aspace =
     in_runq = false;
     p_insns = 0;
     next_fd = 3;
-    pending_fault_addr = None;
+    pending_fault_addr = -1;
     sebek_active = false;
     parent = None;
     detections = 0;
@@ -72,7 +85,7 @@ let create ~pid ~name ~aspace =
     protected_ = true;
   }
 
-let fd t n = Hashtbl.find_opt t.fds n
+let find_fd t n = Hashtbl.find t.fds n
 
 let install_fd t obj =
   let n = t.next_fd in

@@ -18,6 +18,12 @@ type wait_cond =
   | Sleep of int
       (** absolute wake-up deadline on the machine's cycle counter *)
 type state = Runnable | Blocked of wait_cond | Zombie of exit_status
+
+val blocked_read : int -> state
+val blocked_write : int -> state
+(** [Blocked (Read_fd fd)] and [Blocked (Write_fd fd)], shared for small
+    fds, so blocking on a pipe allocates nothing. *)
+
 type fd_obj = Read_end of Pipe.t | Write_end of Pipe.t
 
 type t = {
@@ -36,8 +42,9 @@ type t = {
       (** instructions retired by this process (maintained by the
           scheduler; not serialized — resets to 0 on snapshot restore) *)
   mutable next_fd : int;
-  mutable pending_fault_addr : int option;
-      (** set by Algorithm 1's code branch; consumed by Algorithm 2 *)
+  mutable pending_fault_addr : int;
+      (** set by Algorithm 1's code branch; consumed by Algorithm 2; [-1]
+          when none is pending *)
   mutable sebek_active : bool;  (** post-detection syscall tracing enabled *)
   mutable parent : int option;
   mutable detections : int;  (** injection detections against this process *)
@@ -55,7 +62,10 @@ type t = {
 }
 
 val create : pid:int -> name:string -> aspace:Aspace.t -> t
-val fd : t -> int -> fd_obj option
+val find_fd : t -> int -> fd_obj
+(** The object behind an fd; raises [Not_found] for a closed fd. No
+    [option] box: the syscall and wake paths' allocation-free lookup. *)
+
 val install_fd : t -> fd_obj -> int
 val replace_fd : t -> int -> fd_obj -> unit
 val close_fd : t -> int -> bool

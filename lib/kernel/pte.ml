@@ -33,8 +33,9 @@ let make ~vpn ~kind ~frame ~writable =
     split = None;
   }
 
-let to_hw t : Hw.Mmu.hw_pte =
-  { frame = t.frame; present = t.present; writable = t.writable; user = t.user; nx = t.nx }
+let word t =
+  if t.present then Hw.Tlb.word ~frame:t.frame ~writable:t.writable ~user:t.user ~nx:t.nx
+  else -1
 
 let is_split t = t.split <> None
 

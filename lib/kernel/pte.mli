@@ -1,6 +1,6 @@
 (** Kernel pagetable entries.
 
-    On top of the hardware-visible bits ({!to_hw}), the kernel keeps the
+    On top of the hardware-visible bits ({!word}), the kernel keeps the
     split-memory bookkeeping the paper adds to Linux PTEs: the "this page is
     split" marker with the two physical frames (code copy / data copy), the
     observe-mode lock, and the COW bit. The [frame] field is what the
@@ -30,7 +30,11 @@ type t = {
 }
 
 val make : vpn:int -> kind:kind -> frame:int -> writable:bool -> t
-val to_hw : t -> Hw.Mmu.hw_pte
+
+val word : t -> int
+(** What the hardware page walk sees: the PTE word ({!Hw.Tlb.word}), or
+    [-1] when not present. Allocates nothing. *)
+
 val is_split : t -> bool
 val restrict : t -> unit
 (** Set supervisor-only — user accesses fault on the next TLB miss. *)

@@ -14,13 +14,13 @@ type stop_reason = All_exited | All_blocked | Fuel_exhausted
 let ready (m : M.t) (p : Proc.t) cond =
   match cond with
   | Proc.Read_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Read_end pipe) -> not (Pipe.is_empty pipe) || not (Pipe.has_writers pipe)
-    | Some (Write_end _) | None -> true)
+    match Proc.find_fd p fd with
+    | Read_end pipe -> not (Pipe.is_empty pipe) || not (Pipe.has_writers pipe)
+    | Write_end _ | (exception Not_found) -> true)
   | Proc.Write_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Write_end pipe) -> Pipe.space pipe > 0 || not (Pipe.has_readers pipe)
-    | Some (Read_end _) | None -> true)
+    match Proc.find_fd p fd with
+    | Write_end pipe -> Pipe.space pipe > 0 || not (Pipe.has_readers pipe)
+    | Read_end _ | (exception Not_found) -> true)
   | Proc.Child target ->
     let children =
       List.filter (fun (c : Proc.t) -> target = 0 || c.pid = target) (M.children_of m p)
@@ -28,40 +28,44 @@ let ready (m : M.t) (p : Proc.t) cond =
     children = [] || List.exists Proc.is_zombie children
   | Proc.Sleep until_ -> m.cost.cycles >= until_
 
+let wake_pid (m : M.t) pid =
+  match M.find_proc m pid with
+  | p -> (
+    match p.state with
+    | Proc.Blocked cond ->
+      if ready m p cond then begin
+        p.state <- Proc.Runnable;
+        M.enqueue m p
+      end
+      else M.register_wait m p cond
+    | Proc.Runnable | Proc.Zombie _ -> ())
+  | exception Not_found -> ()
+
 (* Event-driven wake: drain the pending-wakeup list the pipes and the
    zombie transition fed since the last boundary, recheck each candidate
    in ascending pid order, and requeue the ready ones. A pending pid whose
    condition still does not hold is re-registered on its pipe, so the next
-   state flip pends it again. O(woken), independent of the process count. *)
+   state flip pends it again; a pid pended during the recheck waits for
+   the next boundary. O(woken), independent of the process count, and
+   allocation-free. *)
 let wake (m : M.t) =
-  match m.pending_wakeups with
-  | [] -> ()
-  | pending ->
-    m.pending_wakeups <- [];
-    List.iter
-      (fun pid ->
-        match M.proc m pid with
-        | Some p -> (
-          match p.state with
-          | Proc.Blocked cond ->
-            if ready m p cond then begin
-              p.state <- Proc.Runnable;
-              M.enqueue m p
-            end
-            else M.register_wait m p cond
-          | Proc.Runnable | Proc.Zombie _ -> ())
-        | None -> ())
-      (match pending with [ _ ] -> pending | _ -> List.sort_uniq Int.compare pending)
+  let q = m.pending_wakeups in
+  let n = Hw.Ints.Stack.sort_uniq q in
+  for i = 0 to n - 1 do
+    wake_pid m (Hw.Ints.Stack.get q i)
+  done;
+  Hw.Ints.Stack.drop q n
 
+(* The next runnable process off the run queue, dropping stale entries;
+   raises [Not_found] when none is left. *)
 let rec dequeue_runnable (m : M.t) =
-  match Queue.take_opt m.runq with
-  | None -> None
-  | Some pid -> (
-    match M.proc m pid with
-    | Some p ->
-      p.in_runq <- false;
-      if Proc.is_runnable p then Some p else dequeue_runnable m
-    | None -> dequeue_runnable m)
+  let pid = Hw.Ints.Fifo.pop m.runq in
+  if pid < 0 then raise Not_found;
+  match M.find_proc m pid with
+  | p ->
+    p.in_runq <- false;
+    if Proc.is_runnable p then p else dequeue_runnable m
+  | exception Not_found -> dequeue_runnable m
 
 let all_zombie (m : M.t) =
   Hashtbl.fold (fun _ p acc -> acc && Proc.is_zombie p) m.procs true
@@ -142,21 +146,21 @@ let run ?(fuel = 50_000_000) ?table (m : M.t) =
     if !fuel <= 0 then Fuel_exhausted
     else
       match dequeue_runnable m with
-      | None ->
+      | exception Not_found ->
         if all_zombie m then All_exited
-        else (
+        else
           (* Tickless idle: nothing is runnable but a deadline is
              pending, so jump the clock straight to the earliest wake-up
              instead of spinning — this is what lets closed-loop serving
              clients "think" without burning simulated CPU. The next
              iteration expires the sleeper and runs it. *)
-          match M.earliest_sleeper m with
-          | Some until_ ->
-            if until_ > m.cost.cycles then
-              Hw.Cost.charge m.cost (until_ - m.cost.cycles);
+          let until_ = M.earliest_sleeper m in
+          if until_ < 0 then All_blocked
+          else begin
+            if until_ > m.cost.cycles then Hw.Cost.charge m.cost (until_ - m.cost.cycles);
             loop ()
-          | None -> All_blocked)
-      | Some p ->
+          end
+      | p ->
         switch_to m p;
         run_quantum ?table m p fuel;
         loop ()
@@ -179,7 +183,7 @@ type state = {
 
 let state (m : M.t) =
   {
-    s_runq = List.of_seq (Queue.to_seq m.runq);
+    s_runq = Hw.Ints.Fifo.to_list m.runq;
     s_rng = Prng.state m.rng;
     s_last_running = (if m.last_running < 0 then None else Some m.last_running);
     s_next_pid = m.next_pid;
@@ -189,11 +193,15 @@ let state (m : M.t) =
   }
 
 let restore (m : M.t) (s : state) =
-  Queue.clear m.runq;
+  Hw.Ints.Fifo.clear m.runq;
   List.iter
     (fun pid ->
-      (match M.proc m pid with Some p -> p.in_runq <- true | None -> ());
-      Queue.add pid m.runq)
+      (* a negative pid names no process (dequeue would skip it) and
+         would read as the queue's end *)
+      if pid >= 0 then begin
+        (match M.proc m pid with Some p -> p.in_runq <- true | None -> ());
+        Hw.Ints.Fifo.push m.runq pid
+      end)
     s.s_runq;
   Prng.set_state m.rng s.s_rng;
   m.last_running <- Option.value s.s_last_running ~default:(-1);

@@ -6,8 +6,12 @@
 
    The round trip allocates nothing a process does not ask for: the Sebek
    line of observe mode is only formatted once the process is under
-   post-detection tracing ([p.sebek_active]), and read/write move bytes
-   between guest frames and the pipe directly. *)
+   post-detection tracing ([p.sebek_active]). A pipe read or write
+   allocates nothing at all (test_trap's "pipe syscalls allocate
+   nothing"): the fd and PTE lookups return no option, the bytes move
+   between guest frames and the pipe directly, and blocking uses a shared
+   state ([Proc.blocked_read]) and a flat wait queue. Only a tracer on
+   [probe.syscall] adds its own record per call. *)
 
 module M = Machine
 
@@ -56,8 +60,8 @@ let sys_fork (m : M.t) (p : Proc.t) =
 (* read(fd, buf, len) *)
 let sys_read (m : M.t) (p : Proc.t) =
   let fd = arg p Isa.Reg.EBX and buf = arg p Isa.Reg.ECX and len = arg p Isa.Reg.EDX in
-  match Proc.fd p fd with
-  | Some (Read_end pipe) ->
+  match Proc.find_fd p fd with
+  | Read_end pipe ->
     if not (Pipe.is_empty pipe) then begin
       let n = min len (Pipe.level pipe) in
       M.pipe_to_user m p pipe buf n;
@@ -66,17 +70,17 @@ let sys_read (m : M.t) (p : Proc.t) =
           (Fmt.str "fd=%d %S" fd (M.preview (M.copy_from_user m p buf n)));
       ret p n
     end
-    else if Pipe.has_writers pipe then M.block m p (Proc.Read_fd fd)
+    else if Pipe.has_writers pipe then M.block m p (Proc.blocked_read fd)
     else ret p 0
-  | Some (Write_end _) | None -> ret p (-9)
+  | Write_end _ | (exception Not_found) -> ret p (-9)
 
 (* write(fd, buf, len) *)
 let sys_write (m : M.t) (p : Proc.t) =
   let fd = arg p Isa.Reg.EBX and buf = arg p Isa.Reg.ECX and len = arg p Isa.Reg.EDX in
-  match Proc.fd p fd with
-  | Some (Write_end pipe) ->
+  match Proc.find_fd p fd with
+  | Write_end pipe ->
     if not (Pipe.has_readers pipe) then M.kill m p Proc.Sigpipe
-    else if Pipe.space pipe = 0 then M.block m p (Proc.Write_fd fd)
+    else if Pipe.space pipe = 0 then M.block m p (Proc.blocked_write fd)
     else begin
       let chunk = min len (Pipe.space pipe) in
       M.pipe_from_user m p pipe buf chunk;
@@ -86,7 +90,7 @@ let sys_write (m : M.t) (p : Proc.t) =
           (Fmt.str "fd=%d %S" fd (M.preview (M.copy_from_user m p buf chunk)));
       ret p chunk
     end
-  | Some (Read_end _) | None -> ret p (-9)
+  | Read_end _ | (exception Not_found) -> ret p (-9)
 
 (* close(fd) *)
 let sys_close (_m : M.t) p = ret p (if Proc.close_fd p (arg p Isa.Reg.EBX) then 0 else -9)
@@ -105,7 +109,7 @@ let sys_waitpid (m : M.t) p =
       M.reap m z;
       if p.sebek_active then M.sebek_trace m p "waitpid" (Fmt.str "-> %d" z.pid);
       ret p z.pid
-    | None -> M.block m p (Proc.Child target))
+    | None -> M.block m p (Proc.Blocked (Proc.Child target)))
 
 (* execve(path) — in this model: log the spawn and continue *)
 let sys_execve (m : M.t) (p : Proc.t) =
@@ -250,9 +254,9 @@ let sys_nanosleep (m : M.t) (p : Proc.t) =
   if p.sebek_active then M.sebek_trace m p "nanosleep" (Fmt.str "%d cycles" d);
   ret p 0;
   if d > 0 then begin
-    let until_ = m.cost.cycles + d in
-    p.state <- Proc.Blocked (Proc.Sleep until_);
-    M.register_wait m p (Proc.Sleep until_)
+    let cond = Proc.Sleep (m.cost.cycles + d) in
+    p.state <- Proc.Blocked cond;
+    M.register_wait m p cond
   end
 
 (* ------------------------------------------------------------------ *)

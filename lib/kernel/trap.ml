@@ -53,15 +53,15 @@ let handle_tlb_miss (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) (pte : Pte.t) =
 
 let handle_page_fault (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) =
   let vpn = f.addr / m.page_size in
-  match Aspace.pte p.aspace vpn with
-  | None ->
+  match Aspace.find_pte p.aspace vpn with
+  | exception Not_found ->
     (* demand paging is a full kernel fault even when the hardware
        delivered it as a lightweight TLB-miss trap *)
     if f.kind = Hw.Mmu.Tlb_miss then Hw.Cost.charge_trap m.cost;
     (match Aspace.find_region p.aspace vpn with
     | Some region -> ignore (M.map_demand_page m p region vpn)
     | None -> M.kill m p Proc.Sigsegv)
-  | Some pte -> (
+  | pte -> (
     match f.kind with
     | Hw.Mmu.Not_present -> M.kill m p Proc.Sigsegv
     | Hw.Mmu.Tlb_miss -> handle_tlb_miss m p f pte
@@ -110,7 +110,7 @@ let serve_syscall ?table (m : M.t) (p : Proc.t) n =
 
 let serve_page_fault (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) =
   count_class m Pf;
-  let since = m.cost.cycles in
+  let since = m.cost.cycles and addr = f.addr in
   (* software TLB-miss traps are lightweight (their cost is charged by
      the fill itself); everything else is a full kernel trap *)
   if f.kind <> Hw.Mmu.Tlb_miss then Hw.Cost.charge_trap m.cost;
@@ -122,10 +122,10 @@ let serve_page_fault (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) =
   | Some h ->
     Obs.Metrics.incr h.h_faults;
     Obs.Metrics.observe h.h_fault_cycles (m.cost.cycles - since);
-    Obs.Metrics.incr_label h.h_faults_by_page (Fmt.str "0x%05x" (f.addr / m.page_size));
+    Obs.Metrics.incr_label h.h_faults_by_page (Fmt.str "0x%05x" (addr / m.page_size));
     Obs.Metrics.incr_label h.h_faults_by_pid (string_of_int p.pid);
     Obs.complete m.obs ~cat:"os" ~since "os.fault_service"
-      ~args:[ ("pid", Obs.Json.Int p.pid); ("addr", Obs.Json.Str (Fmt.str "0x%08x" f.addr)) ]
+      ~args:[ ("pid", Obs.Json.Int p.pid); ("addr", Obs.Json.Str (Fmt.str "0x%08x" addr)) ]
 
 let serve_invalid_opcode (m : M.t) (p : Proc.t) ~eip ~opcode =
   count_class m Ud;
@@ -146,8 +146,8 @@ let serve_debug (m : M.t) (p : Proc.t) =
   if not (m.protection.on_debug_trap m.ctx p) then p.regs.tf <- false
 
 (* Deliver the trap that ended a [Hw.Cpu.run_block] call, read straight
-   from the registers that hold its payload, so the scheduler's round trip
-   builds nothing but the page-fault record the protection hooks receive.
+   from the registers that hold its payload (a page fault is the MMU's
+   fault register itself), so the scheduler's round trip builds nothing.
    The primary trap goes first, then the piggybacked #DB, which x86 raises
    after the instruction completes and only if the primary trap didn't
    unschedule the process. A syscall carries a #DB exactly when the trap

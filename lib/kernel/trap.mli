@@ -16,7 +16,7 @@ val class_name : Hw.Cpu.trap -> string
 val deliver_trap : ?table:Syscalls.table -> Machine.t -> Proc.t -> Hw.Cpu.trap -> unit
 (** Deliver the trap that ended a {!Hw.Cpu.run_block} call on this
     machine, read from the registers holding its payload (EAX, the MMU's
-    pending-fault registers, {!Hw.Cpu.ud_eip}/{!Hw.Cpu.ud_opcode}). The
+    fault register, {!Hw.Cpu.ud_eip}/{!Hw.Cpu.ud_opcode}). The
     primary trap goes first: a trap-flag retirement charges and counts;
     a trap is charged, routed to its handler and counted per class
     ([table], default {!Syscalls.default}, serves a [Sys]). The

@@ -153,7 +153,7 @@ let export_pipes_and_procs os =
       pr_tf = p.regs.tf;
       pr_state = p.state;
       pr_next_fd = p.next_fd;
-      pr_pending_fault = p.pending_fault_addr;
+      pr_pending_fault = (if p.pending_fault_addr < 0 then None else Some p.pending_fault_addr);
       pr_sebek = p.sebek_active;
       pr_detections = p.detections;
       pr_recovery = p.recovery_handler;
@@ -365,7 +365,7 @@ let restore os snap =
       in_runq = false;
       p_insns = ps.pr_insns;
       next_fd = ps.pr_next_fd;
-      pending_fault_addr = ps.pr_pending_fault;
+      pending_fault_addr = Option.value ps.pr_pending_fault ~default:(-1);
       sebek_active = ps.pr_sebek;
       parent = ps.pr_parent;
       detections = ps.pr_detections;
@@ -393,8 +393,8 @@ let restore os snap =
   (match snap.sn_last_running with
   | Some pid when Kernel.Os.proc os pid <> None ->
     Kernel.Os.load_pagetables os (Option.get (Kernel.Os.proc os pid))
-  | _ -> Hw.Mmu.reload_cr3 mmu (fun _ -> None));
-  (* TLB contents last: reload_cr3 above flushed and bumped stats; import
+  | _ -> Hw.Mmu.load_cr3 mmu (fun _ -> -1));
+  (* TLB contents last: load_cr3 above flushed and bumped stats; import
      overwrites both with the snapshot's exact state *)
   Hw.Tlb.import (Hw.Mmu.itlb mmu) snap.sn_itlb;
   Hw.Tlb.import (Hw.Mmu.dtlb mmu) snap.sn_dtlb;

@@ -189,7 +189,7 @@ let test_note_hits_parity () =
       Hw.Tlb.insert b (entry v))
     [ 1; 2; 3; 4 ];
   for _ = 1 to 5 do
-    ignore (Hw.Tlb.find a 2 : Hw.Tlb.entry)
+    ignore (Hw.Tlb.find a 2 : int)
   done;
   Hw.Tlb.note_hits b 2 5;
   let sa = Hw.Tlb.stats a and sb = Hw.Tlb.stats b in
@@ -421,8 +421,8 @@ let test_dispatch_allocation tlb_policy () =
 
 (* A call that ends in a syscall or a page fault, or on its budget,
    allocates nothing: the trap is a constant constructor and its payload
-   stays in registers (EAX, the MMU's pending-fault registers) until the
-   kernel reads it. *)
+   stays in registers (EAX, the MMU's fault register) until the kernel
+   reads it. *)
 let test_trap_exit_allocation () =
   let code =
     (Isa.Asm.assemble

@@ -67,10 +67,13 @@ let test_tlb_invalidate_flush () =
 
 let simple_walk table vpn = Hashtbl.find_opt table vpn
 
-(* [Ok (frame, offset)], or [Error] with the fault the MMU latched *)
+(* [Ok (frame, offset)], or [Error] with a copy of the fault the MMU
+   wrote: the register itself is overwritten by the next fault *)
 let translate phys mmu ~from_user access vaddr =
   let pa = Hw.Mmu.translate_result mmu ~from_user access vaddr in
-  if pa < 0 then Error (Hw.Mmu.pending_fault mmu)
+  if pa < 0 then
+    let f = Hw.Mmu.pending_fault mmu in
+    Error { f with addr = f.addr }
   else Ok (Hw.Phys.frame_of_addr phys pa, Hw.Phys.off_of_addr phys pa)
 
 let translated = function
@@ -107,6 +110,21 @@ let test_mmu_supervisor_fault () =
   (* supervisor access works *)
   Alcotest.(check int) "supervisor ok" 2
     (fst (translated (translate phys mmu ~from_user:false Hw.Mmu.Read 4096)))
+
+(* The MMU keeps one fault register, like x86's CR2: every fault
+   overwrites the same record, so a fault kept past its trap is a copy
+   ([translate]'s), and the copy survives the next fault. *)
+let test_mmu_fault_register () =
+  let phys, mmu = make_mmu () in
+  Hw.Mmu.reload_cr3 mmu (fun _ -> None);
+  let first = translate phys mmu ~from_user:true Hw.Mmu.Read 4096 in
+  let reg = Hw.Mmu.pending_fault mmu in
+  ignore (translate phys mmu ~from_user:false Hw.Mmu.Fetch (9 * 4096));
+  Alcotest.(check bool) "one register" true (reg == Hw.Mmu.pending_fault mmu);
+  Alcotest.(check int) "register overwritten" (9 * 4096) reg.addr;
+  match first with
+  | Error { addr = 4096; access = Hw.Mmu.Read; from_user = true; _ } -> ()
+  | _ -> Alcotest.fail "the kept copy changed"
 
 let test_mmu_nx () =
   let phys, mmu = make_mmu () in
@@ -269,6 +287,8 @@ let suite =
     Alcotest.test_case "tlb invalidate/flush" `Quick test_tlb_invalidate_flush;
     Alcotest.test_case "mmu translate + cache independence" `Quick test_mmu_translate_and_cache;
     Alcotest.test_case "mmu supervisor faults" `Quick test_mmu_supervisor_fault;
+    Alcotest.test_case "mmu fault register: one record, copied to keep" `Quick
+      test_mmu_fault_register;
     Alcotest.test_case "mmu nx enforcement" `Quick test_mmu_nx;
     Alcotest.test_case "TLB desynchronization (the core trick)" `Quick test_tlb_desync;
     Alcotest.test_case "cpu arithmetic and flags" `Quick test_cpu_arith_flags;

@@ -37,15 +37,16 @@ let test_map_walk_unmap () =
   (* vpns spanning two directory entries *)
   Pt.map pt ~vpn:7 ~frame:42 ~writable:true ~user:true ();
   Pt.map pt ~vpn:(1024 + 7) ~frame:43 ~writable:false ~user:true ~nx:true ();
-  (match Pt.walk pt 7 with
-  | Some { Hw.Mmu.frame = 42; writable = true; user = true; nx = false; _ } -> ()
-  | _ -> Alcotest.fail "walk vpn 7");
-  (match Pt.walk pt (1024 + 7) with
-  | Some { Hw.Mmu.frame = 43; writable = false; nx = true; _ } -> ()
-  | _ -> Alcotest.fail "walk vpn 1031");
-  Alcotest.(check bool) "unmapped absent" true (Pt.walk pt 8 = None);
+  let word = Alcotest.testable (fun ppf -> Fmt.pf ppf "0x%x") ( = ) in
+  Alcotest.check word "walk vpn 7"
+    (Hw.Tlb.word ~frame:42 ~writable:true ~user:true ~nx:false)
+    (Pt.walk pt 7);
+  Alcotest.check word "walk vpn 1031"
+    (Hw.Tlb.word ~frame:43 ~writable:false ~user:true ~nx:true)
+    (Pt.walk pt (1024 + 7));
+  Alcotest.check word "unmapped absent" (-1) (Pt.walk pt 8);
   Pt.unmap pt 7;
-  Alcotest.(check bool) "unmap works" true (Pt.walk pt 7 = None)
+  Alcotest.check word "unmap works" (-1) (Pt.walk pt 7)
 
 let test_split_pair_adjacency () =
   let mem, alloc, _ = fixture () in
@@ -79,7 +80,7 @@ let test_desync_on_packed_tables () =
   let code, data = Pt.split_page pt 9 in
   Hw.Phys.blit_from_string mem ~frame:code ~off:0 "CODE";
   Hw.Phys.blit_from_string mem ~frame:data ~off:0 "DATA";
-  Hw.Mmu.reload_cr3 mmu (Pt.walk pt);
+  Hw.Mmu.load_cr3 mmu (Pt.walk pt);
   let addr = 9 * 4096 in
   (* restricted: user access faults *)
   (match Hw.Mmu.Fast.read8 mmu ~from_user:true addr with

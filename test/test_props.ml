@@ -650,7 +650,7 @@ let prop_tlb_twin =
           let same_answer =
             match op with
             | T_find v ->
-              let a = match Hw.Tlb.find t v with e -> Some e | exception Not_found -> None in
+              let a = if Hw.Tlb.find t v < 0 then None else Hw.Tlb.peek t v in
               a = Queue_tlb.lookup rf v
             | T_lookup v -> Hw.Tlb.lookup t v = Queue_tlb.lookup rf v
             | T_insert (v, f) ->

@@ -90,7 +90,7 @@ let mapped_split_pte k p =
 let test_algorithm1_data_branch_loads_dtlb () =
   let k, p = spawn_under Split_memory.Response.Break in
   let pte, s = mapped_split_pte k p in
-  Hw.Mmu.reload_cr3 (Kernel.Os.mmu k) (Kernel.Aspace.walk p.aspace);
+  Hw.Mmu.load_cr3 (Kernel.Os.mmu k) p.aspace.walker;
   let vpn = 0x300 in
   let fault : Hw.Mmu.fault =
     { addr = vpn * 4096; access = Hw.Mmu.Read; kind = Hw.Mmu.Protection; from_user = true }
@@ -108,7 +108,7 @@ let test_algorithm1_data_branch_loads_dtlb () =
 let test_algorithm1_code_branch_single_steps () =
   let k, p = spawn_under Split_memory.Response.Break in
   let pte, s = mapped_split_pte k p in
-  Hw.Mmu.reload_cr3 (Kernel.Os.mmu k) (Kernel.Aspace.walk p.aspace);
+  Hw.Mmu.load_cr3 (Kernel.Os.mmu k) p.aspace.walker;
   let addr = 0x300 * 4096 in
   p.regs.eip <- addr;
   let fault : Hw.Mmu.fault =
@@ -118,7 +118,7 @@ let test_algorithm1_code_branch_single_steps () =
   | Kernel.Protection.Handled -> ()
   | Kernel.Protection.Not_ours -> Alcotest.fail "split fetch fault not handled");
   Alcotest.(check bool) "trap flag set" true p.regs.tf;
-  Alcotest.(check bool) "pending addr recorded" true (p.pending_fault_addr = Some addr);
+  Alcotest.(check bool) "pending addr recorded" true (p.pending_fault_addr = addr);
   Alcotest.(check bool) "pte unrestricted for the restart" true pte.Kernel.Pte.user;
   Alcotest.(check int) "pte points at code copy" s.code_frame pte.Kernel.Pte.frame;
   (* the debug interrupt (Algorithm 2) re-restricts *)
@@ -126,7 +126,7 @@ let test_algorithm1_code_branch_single_steps () =
     ((Kernel.Os.protection k).on_debug_trap (Kernel.Os.ctx k) p);
   Alcotest.(check bool) "tf cleared" false p.regs.tf;
   Alcotest.(check bool) "pte restricted again" false pte.Kernel.Pte.user;
-  Alcotest.(check bool) "pending cleared" true (p.pending_fault_addr = None)
+  Alcotest.(check bool) "pending cleared" true (p.pending_fault_addr = -1)
 
 let test_stray_debug_trap_not_consumed () =
   let k, p = spawn_under Split_memory.Response.Break in

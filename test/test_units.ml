@@ -157,7 +157,7 @@ let test_pte_views () =
   (Option.get pte.split).locked_to_data <- true;
   Alcotest.(check int) "locked: fetches reach data" 11 (Kernel.Pte.code_frame pte);
   Kernel.Pte.restrict pte;
-  Alcotest.(check bool) "restricted" false (Kernel.Pte.to_hw pte).user
+  Alcotest.(check bool) "restricted" false (Kernel.Pte.word pte land Hw.Tlb.pte_user <> 0)
 
 let suite =
   [
