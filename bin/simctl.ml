@@ -937,8 +937,7 @@ let spawn_cmd =
     if copies < 1 then die "--copies must be at least 1, got %d" copies;
     let obs = make_obs ~metrics ~trace ~chrome in
     let k =
-      Kernel.Os.create ~obs ~frames ~tlb_fill:(Defense.tlb_fill defense)
-        ~share_images:share
+      Kernel.Os.create ~obs ~frames ~share_images:share
         ~protection:(Defense.to_protection defense) ()
     in
     let img = Workload.Guests.scale_unit ~rounds:2 () in

@@ -27,8 +27,7 @@ let start ?(defense = Defense.unprotected) ?(stack_jitter_pages = 0) ?seed
     ?(obs = Obs.null) ?tune image =
   let protection = Defense.to_protection defense in
   let k =
-    Kernel.Os.create ~stack_jitter_pages ?seed ~tlb_fill:(Defense.tlb_fill defense)
-      ~obs ~protection ()
+    Kernel.Os.create ~stack_jitter_pages ?seed ~obs ~protection ()
   in
   let victim = Kernel.Os.spawn k image in
   Option.iter (fun f -> f k) tune;

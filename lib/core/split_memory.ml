@@ -16,20 +16,24 @@ type itlb_load = Single_step | Ret_gadget
    1's window never varies them). Non-split pages have no such window: a
    surviving entry must mirror the live PTE exactly (every legitimate PTE
    change invlpgs or flushes). *)
-let entry_consistent ~access (pte : Kernel.Pte.t option) (e : Hw.Tlb.entry) =
+let entry_consistent ~access (pte : Kernel.Pte.t option) w =
   match pte with
   | None -> false (* phantom: no mapping behind the cached translation *)
   | Some pte ->
+    let frame = Hw.Tlb.frame_of_word w
+    and user = w land Hw.Tlb.pte_user <> 0
+    and writable = w land Hw.Tlb.pte_writable <> 0
+    and nx = w land Hw.Tlb.pte_nx <> 0 in
     if Kernel.Pte.is_split pte then
       let want =
         match access with
         | Hw.Mmu.Fetch -> Kernel.Pte.code_frame pte
         | Hw.Mmu.Read | Hw.Mmu.Write -> Kernel.Pte.data_frame pte
       in
-      e.frame = want && e.user && e.writable = pte.writable && e.nx = pte.nx
+      frame = want && user && writable = pte.writable && nx = pte.nx
     else
-      pte.present && e.frame = pte.frame && e.user = pte.user
-      && e.writable = pte.writable && e.nx = pte.nx
+      pte.present && frame = pte.frame && user = pte.user && writable = pte.writable
+      && nx = pte.nx
 
 let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = false)
     ?(mechanism = Tlb_desync) ?(itlb_load = Single_step) () : Kernel.Protection.t =
@@ -64,16 +68,15 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
         | Hw.Mmu.Fetch -> s.code_frame
         | Hw.Mmu.Read | Hw.Mmu.Write -> s.data_frame
       in
-      Kernel.Protection.Fill
-        { vpn = pte.vpn; frame; user = true; writable = pte.writable; nx = false }
+      Hw.Tlb.word ~frame ~writable:pte.writable ~user:true ~nx:false
     end
     else if nx && pte.nx && f.access = Hw.Mmu.Fetch then begin
       proc.detections <- proc.detections + 1;
       Kernel.Event_log.add ctx.log
         (Kernel.Event_log.Injection_detected { pid = proc.pid; eip = f.addr; mode = "nx" });
-      Kernel.Protection.Deny_fill
+      -1
     end
-    else Kernel.Protection.Default_fill
+    else Kernel.Protection.fill_word pte
   in
 
   (* Algorithm 1: the split-memory page-fault handler. [f] may be the
@@ -259,6 +262,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
         | Dual_cr3 -> ",dual-cr3");
     nx_hardware = nx;
     dual_pagetables = (mechanism = Dual_cr3);
+    soft_tlb = (mechanism = Soft_tlb);
     on_page_mapped;
     on_protection_fault;
     on_debug_trap;

@@ -30,14 +30,14 @@ type mechanism =
           fetches (CR3-C) and one for data (CR3-D); the OS just maintains
           two views and the protection costs nothing at runtime *)
 
-val entry_consistent :
-  access:Hw.Mmu.access -> Kernel.Pte.t option -> Hw.Tlb.entry -> bool
+val entry_consistent : access:Hw.Mmu.access -> Kernel.Pte.t option -> int -> bool
 (** Defense-side desync audit, consumed by lib/inject's TLB guard: could
-    this defense legitimately have loaded [entry] for the given live PTE
-    (None = the vpn is unmapped)? Split pages are deliberately desynced, so
-    only frame routing is enforced (fetch → code copy, data → data copy);
-    non-split pages must mirror the PTE exactly. [false] means the entry is
-    corrupted or stale and must be dropped and refilled. *)
+    this defense legitimately have loaded the cached PTE word for the
+    given live PTE (None = the vpn is unmapped)? Split pages are
+    deliberately desynced, so only frame routing is enforced (fetch →
+    code copy, data → data copy); non-split pages must mirror the PTE
+    exactly. [false] means the word is corrupted or stale and must be
+    dropped and refilled. *)
 
 type itlb_load =
   | Single_step  (** Algorithm 2: trap flag + debug interrupt (the shipped method) *)

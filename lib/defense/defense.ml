@@ -43,21 +43,13 @@ let cfi = cfi_over Unprotected
 let split_plus_cfi = cfi_over split_standalone
 
 let rec to_protection = function
-  | Unprotected | Unprotected_soft_tlb -> Kernel.Protection.none
+  | Unprotected -> Kernel.Protection.none
+  | Unprotected_soft_tlb -> { Kernel.Protection.none with soft_tlb = true }
   | Nx -> Nx_bit.protection ()
   | Split { policy; response; nx; mechanism } ->
     Split_memory.protection ~policy ~response ~nx ~mechanism ()
   | Cfi_over { underlying; shadow_stack; coarse } ->
     Cfi.protection ~shadow_stack ~coarse ~over:(to_protection underlying) ()
-
-(* The hardware the defense assumes: §4.7's port runs on a machine whose
-   TLB misses trap to the OS instead of a hardware walker. CFI is a pure
-   kernel monitor and inherits whatever its underlying defense needs. *)
-let rec tlb_fill = function
-  | Split { mechanism = Split_memory.Soft_tlb; _ } | Unprotected_soft_tlb ->
-    Hw.Mmu.Software_fill
-  | Unprotected | Nx | Split _ -> Hw.Mmu.Hardware_walk
-  | Cfi_over { underlying; _ } -> tlb_fill underlying
 
 let name t =
   match t with

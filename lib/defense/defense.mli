@@ -54,7 +54,4 @@ val split_plus_cfi : t
 
 val to_protection : t -> Kernel.Protection.t
 
-val tlb_fill : t -> Hw.Mmu.fill_mode
-(** The TLB-fill hardware this defense assumes. *)
-
 val name : t -> string

@@ -27,14 +27,15 @@ let protection () : Kernel.Protection.t =
       proc.detections <- proc.detections + 1;
       Kernel.Event_log.add ctx.log
         (Kernel.Event_log.Injection_detected { pid = proc.pid; eip = f.addr; mode = "nx" });
-      Kernel.Protection.Deny_fill
+      -1
     end
-    else Kernel.Protection.Default_fill
+    else Kernel.Protection.fill_word pte
   in
   {
     name = "nx-bit";
     nx_hardware = true;
     dual_pagetables = false;
+    soft_tlb = false;
     on_page_mapped;
     on_protection_fault;
     on_debug_trap = (fun _ _ -> false);

@@ -50,9 +50,9 @@ type t = {
   mutable ctx_switches : int;
 }
 
-let create ?(params = default_params) () =
+let create () =
   {
-    params;
+    params = default_params;
     cycles = 0;
     insns = 0;
     traps = 0;

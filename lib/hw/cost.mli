@@ -48,7 +48,7 @@ type t = {
   mutable ctx_switches : int;
 }
 
-val create : ?params:params -> unit -> t
+val create : unit -> t
 val charge : t -> int -> unit
 val charge_insn : t -> unit
 val charge_walk : t -> unit

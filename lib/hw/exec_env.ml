@@ -38,10 +38,10 @@ type t = {
   mutable sample : (access -> int -> bool -> unit) option;
       (* address-sampling profiler hook: (access, vpn, tlb_hit) on every
          successful translation; decimation is the hook's own business *)
-  mutable tlb_guard : (access -> Tlb.entry -> bool) option;
-      (* fault injection's TLB integrity guard: consulted on every TLB
-         hit; [false] rejects the cached entry as corrupted, and the MMU
-         drops it and retranslates from the live pagetable *)
+  mutable tlb_guard : (access -> int -> int -> bool) option;
+      (* fault injection's TLB integrity guard: (access, vpn, word) on
+         every TLB hit; [false] rejects the cached word as corrupted, and
+         the MMU drops it and retranslates from the live pagetable *)
   mutable invlpg : (int -> bool) option;
       (* fault injection's lost-[invlpg] hook: [true] swallows the
          invalidation of that vpn *)

@@ -6,7 +6,9 @@
     profiler installs {!t.sample} on attach/detach, the fault injector
     installs {!t.tlb_guard}/{!t.invlpg} on arm/disarm, the machine installs
     {!t.cache} at creation. Each slot holds one hook: writing it replaces
-    the previous one. *)
+    the previous one. Every hook's arguments are unboxed: a TLB entry
+    reaches {!t.tlb_guard} as its vpn and PTE word ({!Tlb.word}'s layout),
+    the one TLB entry format. *)
 
 type access = Fetch | Read | Write
 (** Re-exported as {!Mmu.access}; lives here so the sampling hook type can
@@ -41,10 +43,11 @@ type t = {
           arguments unboxed; [None] costs one branch. When installed, the
           block dispatcher replays fetches byte-at-a-time so decimation
           order is preserved exactly. *)
-  mutable tlb_guard : (access -> Tlb.entry -> bool) option;
-      (** TLB integrity guard (lib/inject's detection hook): sees every TLB
-          {e hit} before permission checks and returns [false] to reject
-          the cached entry as corrupted. A rejected entry is invalidated
+  mutable tlb_guard : (access -> int -> int -> bool) option;
+      (** TLB integrity guard (lib/inject's detection hook): [g access vpn
+          word] sees every TLB {e hit} — the vpn and the cached PTE word —
+          before permission checks and returns [false] to reject the
+          entry as corrupted. A rejected entry is invalidated
           and the access retranslated, so the retry misses and refills (or
           faults) from the live pagetable — the resync path. The guard
           must not touch the MMU's TLBs itself. While one is installed,

@@ -96,7 +96,6 @@ let obs t = t.obs
 let set_obs t obs = t.obs <- obs
 let set_nx t v = t.nx_enabled <- v
 let set_fill_mode t m = t.fill_mode <- m
-let fill_mode t = t.fill_mode
 
 let enable_caches ?(lines = 512) t =
   t.icache <- Some (Cache.create ~name:"icache" ~lines ());
@@ -128,15 +127,15 @@ let touch_dcache_write t paddr =
 
 (* Software TLB fill: what a SPARC-style TLB-load instruction does from
    inside the OS's miss handler. *)
-let load_tlb t access (e : Tlb.entry) =
+let load_tlb t access vpn w =
   Cost.charge t.cost t.cost.params.soft_tlb_fill;
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
   if Obs.enabled t.obs then begin
     Obs.count t.obs "mmu.soft_fills";
     Obs.event t.obs ~cat:"hw" "mmu.soft_fill"
-      ~args:[ ("tlb", Obs.Json.Str (Tlb.name tlb)); ("vpn", Obs.Json.Int e.vpn) ]
+      ~args:[ ("tlb", Obs.Json.Str (Tlb.name tlb)); ("vpn", Obs.Json.Int vpn) ]
   end;
-  Tlb.insert tlb e
+  Tlb.fill tlb vpn w
 
 let flush_tlbs t =
   Tlb.flush t.itlb;
@@ -206,11 +205,6 @@ let[@inline] denied t ~from_user access w =
   || (access = Write && w land Tlb.pte_writable = 0)
   || (access = Fetch && t.nx_enabled && w land Tlb.pte_nx <> 0)
 
-(* Does guard [g] reject the entry cached for [vpn]? It sees the decoded
-   entry, the one allocation of a guarded hit. *)
-let rejects g access tlb vpn =
-  match Tlb.peek tlb vpn with Some e -> not (g access e) | None -> false
-
 (* The non-raising, non-allocating translation core. Permission checks are
    performed against the cached TLB word on a hit and against the walked
    PTE word on a miss; a violating miss does not fill the TLB. *)
@@ -221,11 +215,10 @@ let rec translate_result t ~from_user access vaddr =
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
   let w = Tlb.find tlb vpn in
   if w >= 0 then
-    if match t.env.tlb_guard with None -> false | Some g -> rejects g access tlb vpn then begin
-      (* the guard rejected the cached entry as corrupted: drop it and
+    if match t.env.tlb_guard with None -> false | Some g -> not (g access vpn w) then begin
+      (* the guard rejected the cached word as corrupted: drop it and
          retranslate — the retry misses and refills (or faults) from the
-         live pagetable. With no guard installed the fast path stays
-         allocation-free. *)
+         live pagetable *)
       Tlb.invalidate tlb vpn;
       translate_result t ~from_user access vaddr
     end

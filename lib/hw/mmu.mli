@@ -9,21 +9,18 @@
     accesses of one kind, routing fetches and data accesses to different
     physical frames.
 
-    Allocation contract: a translation allocates nothing, hit, walk, fill
-    or fault. The walker returns a PTE word ({!Tlb.word}'s layout), the
-    TLBs cache words, and a fault writes the one fault register
-    ({!pending_fault}). *)
+    One entry format: the walker returns a PTE word ({!Tlb.word}'s layout,
+    negative when not present), the TLBs cache words, the OS's software
+    fill ({!load_tlb}) loads a word and the integrity guard
+    ({!Exec_env.t.tlb_guard}) inspects one. So a translation allocates
+    nothing, hit, guarded hit, walk, fill or fault: a fault writes the one
+    fault register ({!pending_fault}). *)
 
 type access = Exec_env.access = Fetch | Read | Write
 
-type hw_pte = {
-  frame : int;
-  present : bool;
-  writable : bool;
-  user : bool;  (** accessible from user mode; false = supervisor-only *)
-  nx : bool;  (** execute-disable (only enforced when NX is enabled) *)
-}
-(** The hardware's view of a pagetable entry — what a page walk returns. *)
+type hw_pte = { frame : int; present : bool; writable : bool; user : bool; nx : bool }
+(** A decoded pagetable entry: the walker type of {!reload_cr3}, the
+    benchmark adapter. *)
 
 type fill_mode =
   | Hardware_walk  (** x86: misses are resolved by the hardware page walker *)
@@ -86,11 +83,11 @@ val set_nx : t -> bool -> unit
 (** Enable/disable execute-disable-bit enforcement (legacy x86 = off). *)
 
 val set_fill_mode : t -> fill_mode -> unit
-val fill_mode : t -> fill_mode
 
-val load_tlb : t -> access -> Tlb.entry -> unit
-(** Software TLB load from the OS miss handler (Software_fill mode): insert
-    into the I- or D-TLB according to the faulting access. *)
+val load_tlb : t -> access -> int -> int -> unit
+(** [load_tlb t access vpn word]: software TLB load from the OS miss
+    handler (Software_fill mode) — fill [word] for [vpn] into the I- or
+    D-TLB according to the faulting access. *)
 
 val enable_caches : ?lines:int -> t -> unit
 (** Attach the I/D cache timing model (off by default; used by the
@@ -110,8 +107,9 @@ val load_cr3 : t -> (int -> int) -> unit
     it must not allocate if the walk is to stay allocation-free. *)
 
 val reload_cr3 : t -> (int -> hw_pte option) -> unit
-(** {!load_cr3} through a walker that returns the decoded {!hw_pte}
-    (an allocating adapter for benchmarks and tests). *)
+(** {!load_cr3} through a walker that returns a decoded {!hw_pte}: an
+    allocating adapter kept only for [bench/perf/loops.ml], which goes
+    when that benchmark next changes. *)
 
 val load_cr3_dual : t -> code:(int -> int) -> data:(int -> int) -> unit
 (** The §3.3.1 hardware modification: two pagetable registers, CR3-C

@@ -1,5 +1,3 @@
-type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
-
 (* The x86 PTE word: what the MMU's walker returns and what a slot
    caches. Kernel.Hw_pagetable stores the same layout in simulated
    memory, with two software bits (split, data-selected) at 0x200/0x400
@@ -16,17 +14,6 @@ let word ~frame ~writable ~user ~nx =
   lor if nx then pte_nx else 0
 
 let frame_of_word w = w lsr 12
-
-let word_of_entry (e : entry) = word ~frame:e.frame ~writable:e.writable ~user:e.user ~nx:e.nx
-
-let entry_of_word vpn w =
-  {
-    vpn;
-    frame = frame_of_word w;
-    user = w land pte_user <> 0;
-    writable = w land pte_writable <> 0;
-    nx = w land pte_nx <> 0;
-  }
 
 type policy = Fifo | Lru
 
@@ -183,10 +170,6 @@ let find t vpn =
     -1
   end
 
-let lookup t vpn =
-  let w = find t vpn in
-  if w < 0 then None else Some (entry_of_word vpn w)
-
 (* Bulk hit accounting for the block-dispatch fast path: the caller has
    already proven the next [n] lookups of [vpn] would all hit, so fold
    them into one call. [n] consecutive hits on one entry leave the same
@@ -202,7 +185,7 @@ let note_hits t vpn n =
 
 let peek t vpn =
   let i = locate t vpn in
-  if i >= 0 then Some (entry_of_word vpn t.words.(t.index.(i))) else None
+  if i >= 0 then t.words.(t.index.(i)) else -1
 
 let fill t vpn w =
   let i = locate t vpn in
@@ -230,26 +213,22 @@ let fill t vpn w =
     append t s
   end
 
-let insert t (e : entry) = fill t e.vpn (word_of_entry e)
-
-(* Resident entries, decoded, oldest first. *)
-let fold_list f t acc =
-  let rec go s acc =
-    if s = t.capacity then acc else go t.prev.(s) (f (entry_of_word t.vpns.(s) t.words.(s)) acc)
-  in
-  go t.prev.(t.capacity) acc
+(* Resident [(vpn, word)] pairs, oldest first. *)
+let to_list t =
+  let rec go s acc = if s = t.capacity then acc else go t.prev.(s) ((t.vpns.(s), t.words.(s)) :: acc) in
+  go t.prev.(t.capacity) []
 
 (* Fault-injection surface (lib/inject): enumerate and mutate live entries
    without touching statistics or the replacement list — a tampered entry
    must age exactly like the original would have. *)
-let entries t = fold_list List.cons t [] |> List.sort (fun a b -> compare a.vpn b.vpn)
+let entries t = List.sort compare (to_list t)
 
 let tamper t vpn f =
   let i = locate t vpn in
   if i < 0 then false
   else begin
     let s = t.index.(i) in
-    t.words.(s) <- word_of_entry (f (entry_of_word vpn t.words.(s)));
+    t.words.(s) <- f t.words.(s);
     true
   end
 
@@ -288,7 +267,7 @@ let flush t =
   t.stats.flushes <- t.stats.flushes + 1
 
 type state = {
-  s_entries : entry list;
+  s_entries : (int * int) list;
   s_hits : int;
   s_misses : int;
   s_flushes : int;
@@ -298,7 +277,7 @@ type state = {
 
 let export t =
   {
-    s_entries = fold_list List.cons t [];
+    s_entries = to_list t;
     s_hits = t.stats.hits;
     s_misses = t.stats.misses;
     s_flushes = t.stats.flushes;
@@ -310,10 +289,10 @@ let export t =
 let import t (s : state) =
   clear t;
   List.iter
-    (fun (e : entry) ->
+    (fun (vpn, w) ->
       if t.size = t.capacity then invalid_arg "Tlb.import: more entries than capacity";
-      if locate t e.vpn >= 0 then invalid_arg "Tlb.import: repeated vpn";
-      insert t e)
+      if locate t vpn >= 0 then invalid_arg "Tlb.import: repeated vpn";
+      fill t vpn w)
     s.s_entries;
   t.stats.hits <- s.s_hits;
   t.stats.misses <- s.s_misses;
@@ -331,3 +310,8 @@ let hit_rate_opt t =
 let pp_stats ppf t =
   Fmt.pf ppf "%s: hits=%d misses=%d flushes=%d invl=%d evict=%d" t.name t.stats.hits
     t.stats.misses t.stats.flushes t.stats.invalidations t.stats.evictions
+
+(* The benchmark adapter (see the interface). *)
+type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
+
+let insert t e = fill t e.vpn (word ~frame:e.frame ~writable:e.writable ~user:e.user ~nx:e.nx)

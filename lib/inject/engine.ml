@@ -70,18 +70,18 @@ let record_detection e ~pid ~kind ~action ~metric =
    (re-merging the views) we also repair the supervisor bit — except inside
    Algorithm 1's own single-step window, where the PTE is deliberately
    unrestricted for the faulting vpn. *)
-let guard e access (entry : Hw.Tlb.entry) =
+let guard e access vpn w =
   match current_proc e with
   | None -> true
   | Some p ->
-    let pte = K.Aspace.pte p.aspace entry.vpn in
-    Split_memory.entry_consistent ~access pte entry
+    let pte = K.Aspace.pte p.aspace vpn in
+    Split_memory.entry_consistent ~access pte w
     || begin
          (match pte with
          | Some pte
            when Split_memory.Splitter.is_active_split pte && pte.user
                 && (p.pending_fault_addr < 0
-                   || p.pending_fault_addr / e.m.page_size <> entry.vpn) ->
+                   || p.pending_fault_addr / e.m.page_size <> vpn) ->
            K.Pte.restrict pte
          | _ -> ());
          record_detection e ~pid:p.pid ~kind:"tlb-desync" ~action:"resync"
@@ -122,8 +122,7 @@ let pick e = function
 
 let vpn_ok e vpn = match e.plan.trigger.vpn with None -> true | Some v -> v = vpn
 
-let pick_entry e tlb =
-  pick e (List.filter (fun (en : Hw.Tlb.entry) -> vpn_ok e en.vpn) (Hw.Tlb.entries tlb))
+let pick_entry e tlb = pick e (List.filter (fun (vpn, _) -> vpn_ok e vpn) (Hw.Tlb.entries tlb))
 
 (* [iter_ptes] is hashtable-ordered; sort by vpn so target choice depends
    only on the logical pagetable, not on hashing history. *)
@@ -148,27 +147,27 @@ let inject_tlb_wrong_pfn e =
   let tlb = pick_tlb e in
   match pick_entry e tlb with
   | None -> None
-  | Some en ->
+  | Some (vpn, w) ->
     let frames = Hw.Phys.frame_count e.m.phys in
-    let f = en.frame lxor (1 lsl Prng.int e.prng 4) in
-    let f = if f >= frames then (en.frame + 1) mod frames else f in
-    ignore (Hw.Tlb.tamper tlb en.vpn (fun x -> { x with frame = f }) : bool);
-    Some (Fmt.str "%s vpn=0x%x frame %d->%d" (Hw.Tlb.name tlb) en.vpn en.frame f)
+    let frame = Hw.Tlb.frame_of_word w in
+    let f = frame lxor (1 lsl Prng.int e.prng 4) in
+    let f = if f >= frames then (frame + 1) mod frames else f in
+    ignore (Hw.Tlb.tamper tlb vpn (fun w -> w lxor ((frame lxor f) lsl 12)) : bool);
+    Some (Fmt.str "%s vpn=0x%x frame %d->%d" (Hw.Tlb.name tlb) vpn frame f)
 
 let inject_tlb_wrong_perms e =
   let tlb = pick_tlb e in
   match pick_entry e tlb with
   | None -> None
-  | Some en ->
-    let bit = Prng.int e.prng 3 in
-    let name, f =
-      match bit with
-      | 0 -> ("user", fun (x : Hw.Tlb.entry) -> { x with user = not x.user })
-      | 1 -> ("writable", fun x -> { x with writable = not x.writable })
-      | _ -> ("nx", fun x -> { x with nx = not x.nx })
+  | Some (vpn, _) ->
+    let name, bit =
+      match Prng.int e.prng 3 with
+      | 0 -> ("user", Hw.Tlb.pte_user)
+      | 1 -> ("writable", Hw.Tlb.pte_writable)
+      | _ -> ("nx", Hw.Tlb.pte_nx)
     in
-    ignore (Hw.Tlb.tamper tlb en.vpn f : bool);
-    Some (Fmt.str "%s vpn=0x%x %s flipped" (Hw.Tlb.name tlb) en.vpn name)
+    ignore (Hw.Tlb.tamper tlb vpn (fun w -> w lxor bit) : bool);
+    Some (Fmt.str "%s vpn=0x%x %s flipped" (Hw.Tlb.name tlb) vpn name)
 
 (* A stale entry that a missed invlpg would have left behind: for a split
    page, an ITLB entry routing fetches at the *data* copy (the exact
@@ -181,14 +180,8 @@ let inject_tlb_phantom e p =
     match pick_pte e p (fun pte -> Split_memory.Splitter.is_active_split pte) with
     | Some pte ->
       let s = Option.get pte.K.Pte.split in
-      Hw.Tlb.insert (Hw.Mmu.itlb e.m.mmu)
-        {
-          vpn = pte.vpn;
-          frame = s.data_frame;
-          user = true;
-          writable = pte.writable;
-          nx = false;
-        };
+      Hw.Tlb.fill (Hw.Mmu.itlb e.m.mmu) pte.vpn
+        (Hw.Tlb.word ~frame:s.data_frame ~writable:pte.writable ~user:true ~nx:false);
       Some (Fmt.str "itlb phantom vpn=0x%x -> data frame %d" pte.vpn s.data_frame)
     | None -> (
       match pick_pte e p (fun _ -> true) with
@@ -197,14 +190,7 @@ let inject_tlb_phantom e p =
         let frames = Hw.Phys.frame_count e.m.phys in
         let f = (pte.K.Pte.frame + 1) mod frames in
         let tlb = pick_tlb e in
-        Hw.Tlb.insert tlb
-          {
-            vpn = pte.vpn;
-            frame = f;
-            user = pte.user;
-            writable = pte.writable;
-            nx = pte.nx;
-          };
+        Hw.Tlb.fill tlb pte.vpn (Hw.Tlb.word ~frame:f ~writable:pte.writable ~user:pte.user ~nx:pte.nx);
         Some (Fmt.str "%s phantom vpn=0x%x -> frame %d" (Hw.Tlb.name tlb) pte.vpn f))
   in
   (match target with Some _ -> e.suppress_invlpg <- e.suppress_invlpg + 1 | None -> ());

@@ -21,9 +21,22 @@ type t = {
   mutable brk : int;
   mutable mmap_cursor : int;
   walker : int -> int;
+  code_walker : int -> int;
+  data_walker : int -> int;
 }
 
 let word_of ptes vpn = match Hashtbl.find ptes vpn with p -> Pte.word p | exception Not_found -> -1
+
+(* Hardware-split views (§3.3.1): the code pagetable maps split pages to
+   their code copy, the data pagetable to their data copy; everything else
+   is shared. Both views are user-accessible — with dedicated hardware
+   there is nothing to trap. *)
+let view frame_of ptes vpn =
+  match Hashtbl.find ptes vpn with
+  | (p : Pte.t) ->
+    if p.present then Hw.Tlb.word ~frame:(frame_of p) ~writable:p.writable ~user:true ~nx:p.nx
+    else -1
+  | exception Not_found -> -1
 
 let create ~page_size =
   let ptes = Hashtbl.create 64 in
@@ -33,8 +46,10 @@ let create ~page_size =
     regions = [];
     brk = Layout.heap_base;
     mmap_cursor = Layout.mmap_base;
-    (* built once: a context switch loads it without allocating *)
+    (* built once: a context switch loads them without allocating *)
     walker = word_of ptes;
+    code_walker = view Pte.code_frame ptes;
+    data_walker = view Pte.data_frame ptes;
   }
 
 let page_size t = t.page_size
@@ -47,19 +62,6 @@ let find_pte t vpn = Hashtbl.find t.ptes vpn
 let set_pte t (p : Pte.t) = Hashtbl.replace t.ptes p.vpn p
 let iter_ptes t f = Hashtbl.iter (fun _ p -> f p) t.ptes
 let mapped_count t = Hashtbl.length t.ptes
-
-(* Hardware-split views (§3.3.1): the code pagetable maps split pages to
-   their code copy, the data pagetable to their data copy; everything else
-   is shared. Both views are user-accessible — with dedicated hardware
-   there is nothing to trap. *)
-let view (p : Pte.t) frame =
-  if p.present then Hw.Tlb.word ~frame ~writable:p.writable ~user:true ~nx:p.nx else -1
-
-let walk_code_view t vpn =
-  match find_pte t vpn with p -> view p (Pte.code_frame p) | exception Not_found -> -1
-
-let walk_data_view t vpn =
-  match find_pte t vpn with p -> view p (Pte.data_frame p) | exception Not_found -> -1
 
 (* Contents a freshly demand-mapped page should start with: the matching
    slice of the backing image segment (zero-padded), or zeros. The blit

@@ -30,6 +30,11 @@ type t = {
           per vpn ({!Pte.word}; feed to {!Hw.Mmu.load_cr3}). The closure
           is built once, by {!create}, so loading it on a context switch
           allocates nothing, and a walk allocates nothing either. *)
+  code_walker : int -> int;
+      (** §3.3.1 dual-pagetable hardware: the CR3-C view — split pages
+          resolve to their code copy, unrestricted. Built once, like
+          {!walker}. *)
+  data_walker : int -> int;  (** The CR3-D view — split pages resolve to their data copy. *)
 }
 
 val create : page_size:int -> t
@@ -46,13 +51,6 @@ val find_pte : t -> int -> Pte.t
 val set_pte : t -> Pte.t -> unit
 val iter_ptes : t -> (Pte.t -> unit) -> unit
 val mapped_count : t -> int
-
-val walk_code_view : t -> int -> int
-(** §3.3.1 dual-pagetable hardware: the CR3-C view — split pages resolve
-    to their code copy, unrestricted. *)
-
-val walk_data_view : t -> int -> int
-(** The CR3-D view — split pages resolve to their data copy. *)
 
 val page_content : t -> region -> int -> string
 (** Initial contents for demand-mapping [vpn] of [region]. *)

@@ -150,16 +150,16 @@ let install_snapshot_hook obs mmu (cost : Hw.Cost.t) =
       seti "cost.syscalls" cost.syscalls;
       seti "cost.ctx_switches" cost.ctx_switches)
 
-let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
+let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200)
     ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?tlb_policy
     ?(stack_jitter_pages = 0) ?(verify_signatures = true) ?(seed = 7)
-    ?(tlb_fill = Hw.Mmu.Hardware_walk) ?(caches = false) ?(obs = Obs.null)
+    ?(caches = false) ?(obs = Obs.null)
     ?(share_images = false) ~protection () =
   let phys = Hw.Phys.create ~page_size ~frames () in
-  let cost = Hw.Cost.create ?params:cost_params () in
+  let cost = Hw.Cost.create () in
   let mmu = Hw.Mmu.create ~itlb_capacity ~dtlb_capacity ?tlb_policy ~phys ~cost () in
   Hw.Mmu.set_nx mmu protection.Protection.nx_hardware;
-  Hw.Mmu.set_fill_mode mmu tlb_fill;
+  if protection.soft_tlb then Hw.Mmu.set_fill_mode mmu Hw.Mmu.Software_fill;
   if caches then Hw.Mmu.enable_caches mmu;
   let env = Hw.Mmu.env mmu in
   (* the decoded-block cache is a pure dispatch optimization (equivalent to
@@ -801,9 +801,7 @@ let block t (p : Proc.t) (state : Proc.state) =
 
 let load_pagetables t (p : Proc.t) =
   if t.protection.dual_pagetables then
-    Hw.Mmu.load_cr3_dual t.mmu
-      ~code:(Aspace.walk_code_view p.aspace)
-      ~data:(Aspace.walk_data_view p.aspace)
+    Hw.Mmu.load_cr3_dual t.mmu ~code:p.aspace.code_walker ~data:p.aspace.data_walker
   else Hw.Mmu.load_cr3 t.mmu p.aspace.walker
 
 (* ------------------------------------------------------------------ *)

@@ -139,14 +139,12 @@ val create :
   ?frames:int ->
   ?page_size:int ->
   ?quantum:int ->
-  ?cost_params:Hw.Cost.params ->
   ?itlb_capacity:int ->
   ?dtlb_capacity:int ->
   ?tlb_policy:Hw.Tlb.policy ->
   ?stack_jitter_pages:int ->
   ?verify_signatures:bool ->
   ?seed:int ->
-  ?tlb_fill:Hw.Mmu.fill_mode ->
   ?caches:bool ->
   ?obs:Obs.t ->
   ?share_images:bool ->

@@ -29,14 +29,12 @@ val create :
   ?frames:int ->
   ?page_size:int ->
   ?quantum:int ->
-  ?cost_params:Hw.Cost.params ->
   ?itlb_capacity:int ->
   ?dtlb_capacity:int ->
   ?tlb_policy:Hw.Tlb.policy ->
   ?stack_jitter_pages:int ->
   ?verify_signatures:bool ->
   ?seed:int ->
-  ?tlb_fill:Hw.Mmu.fill_mode ->
   ?caches:bool ->
   ?obs:Obs.t ->
   ?share_images:bool ->
@@ -45,8 +43,8 @@ val create :
   t
 (** [stack_jitter_pages] models the slight stack-placement randomization of
     Linux 2.6 that made the Samba exploit brute-force (paper §6.1.2).
-    [tlb_fill] selects the x86 hardware page walker (default) or the
-    SPARC-style software-managed TLB of §4.7. [tlb_policy] (default
+    The protection's [soft_tlb] selects the SPARC-style software-managed
+    TLB of §4.7 instead of the x86 hardware page walker. [tlb_policy] (default
     {!Hw.Tlb.Fifo}) selects the TLB replacement policy — the profiler's
     eviction experiments sweep it. [obs] (default {!Obs.null})
     turns on cycle-stamped tracing and metrics across the whole machine:

@@ -4,7 +4,12 @@
     subsystems (loader, page-fault handler, debug-interrupt handler, memory
     management, signal handling). This interface is the seam those patches
     plug into: the split-memory module and the NX-bit baseline are both
-    implementations of {!t}, and the stock kernel is {!none}. *)
+    implementations of {!t}, and the stock kernel is {!none}.
+
+    The TLB-fill hook speaks the hardware's one TLB entry format: it
+    returns the PTE word ({!Hw.Tlb.word}'s layout) the OS miss handler
+    loads, or a negative word to refuse the fill — the page walker's own
+    convention for "no entry". *)
 
 type ctx = {
   phys : Hw.Phys.t;
@@ -24,11 +29,6 @@ type opcode_verdict =
   | Resume  (** handled (e.g. observe mode locked the page); re-execute *)
   | Kill_process of string  (** detected attack, break mode: terminate *)
 
-type fill_verdict =
-  | Default_fill  (** load the TLB straight from the PTE *)
-  | Fill of Hw.Tlb.entry  (** load this entry instead (split routing) *)
-  | Deny_fill  (** refuse — treated as a protection violation *)
-
 type t = {
   name : string;
   nx_hardware : bool;
@@ -36,6 +36,10 @@ type t = {
   dual_pagetables : bool;
       (** requires the §3.3.1 hardware modification: two pagetable
           registers, one walked on fetches and one on data accesses *)
+  soft_tlb : bool;
+      (** requires a software-managed TLB (§4.7): TLB misses trap to the
+          OS, whose miss handler loads the entry ({!on_tlb_fill}), instead
+          of the x86 hardware page walker *)
   on_page_mapped : ctx -> Proc.t -> Aspace.region -> Pte.t -> unit;
       (** called by loader and demand pager right after a fresh mapping;
           may split the page or set its NX bit *)
@@ -48,11 +52,12 @@ type t = {
   on_invalid_opcode : ctx -> Proc.t -> eip:int -> opcode:int -> opcode_verdict;
       (** invalid-opcode fault — where split memory detects execution of
           injected code and applies the response mode (Algorithm 3) *)
-  on_tlb_fill : ctx -> Proc.t -> Hw.Mmu.fault -> Pte.t -> fill_verdict;
+  on_tlb_fill : ctx -> Proc.t -> Hw.Mmu.fault -> Pte.t -> int;
       (** software-managed-TLB machines only (paper §4.7): the OS's
-          TLB-miss handler asks the protection how to fill the entry; split
-          memory routes fetches to the code copy and data accesses to the
-          data copy here, with no single-stepping or walk tricks *)
+          TLB-miss handler asks the protection for the word to load, and
+          kills the process on a negative one; split memory routes fetches
+          to the code copy and data accesses to the data copy here, with
+          no single-stepping or walk tricks *)
   ctrl_monitor :
     (ctx ->
     Proc.t ->
@@ -72,4 +77,10 @@ type t = {
 }
 
 val none : t
-(** The unprotected stock kernel. *)
+(** The unprotected stock kernel. Its TLB-fill hook loads {!fill_word}. *)
+
+val fill_word : Pte.t -> int
+(** The word of the PTE's fields, present bit set whether or not the PTE
+    is present: what the stock miss handler loads. Unlike {!Pte.word} it
+    is never negative, so a PTE whose present bit was flipped is still
+    loaded from its fields. *)

@@ -30,8 +30,8 @@ let class_name : Hw.Cpu.trap -> string = function
 (* ------------------------------------------------------------------ *)
 
 (* Software-managed-TLB miss service (SPARC-style, paper §4.7): permission
-   checks and COW happen here, then the protection chooses the frame to
-   load (split routing) or the kernel fills straight from the PTE. *)
+   checks and COW happen here, then the protection chooses the word to
+   load (split routing, or the PTE's own fields) or refuses the fill. *)
 let handle_tlb_miss (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) (pte : Pte.t) =
   if f.access = Hw.Mmu.Write && pte.cow && pte.orig_writable then begin
     (* COW is a full kernel page-fault service even on soft-TLB machines *)
@@ -43,13 +43,8 @@ let handle_tlb_miss (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) (pte : Pte.t) =
     || (f.access = Hw.Mmu.Write && not pte.writable)
   then M.kill m p Proc.Sigsegv
   else
-    match m.protection.on_tlb_fill m.ctx p f pte with
-    | Protection.Fill entry -> Hw.Mmu.load_tlb m.mmu f.access entry
-    | Protection.Default_fill ->
-      Hw.Mmu.load_tlb m.mmu f.access
-        { vpn = pte.vpn; frame = pte.frame; user = pte.user; writable = pte.writable;
-          nx = pte.nx }
-    | Protection.Deny_fill -> M.kill m p Proc.Sigsegv
+    let w = m.protection.on_tlb_fill m.ctx p f pte in
+    if w < 0 then M.kill m p Proc.Sigsegv else Hw.Mmu.load_tlb m.mmu f.access pte.vpn w
 
 let handle_page_fault (m : M.t) (p : Proc.t) (f : Hw.Mmu.fault) =
   let vpn = f.addr / m.page_size in

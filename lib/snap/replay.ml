@@ -13,8 +13,10 @@ let digest add =
 (* Resident entries oldest first: two TLBs with the same digest evict the
    same victims from here on. *)
 let tlb_line tlb =
-  let entry b (e : Hw.Tlb.entry) =
-    Printf.bprintf b "%x>%x %b%b%b;" e.vpn e.frame e.user e.writable e.nx
+  let entry b (vpn, w) =
+    let bit m = w land m <> 0 in
+    Printf.bprintf b "%x>%x %b%b%b;" vpn (Hw.Tlb.frame_of_word w) (bit Hw.Tlb.pte_user)
+      (bit Hw.Tlb.pte_writable) (bit Hw.Tlb.pte_nx)
   in
   Fmt.str "%a entries=%s" Hw.Tlb.pp_stats tlb
     (digest (fun b -> List.iter (entry b) (Hw.Tlb.export tlb).s_entries))

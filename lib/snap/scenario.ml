@@ -138,8 +138,7 @@ let all =
        start =
          (fun ?obs () ->
            let k =
-             Kernel.Os.create ?obs ~frames:32768
-               ~tlb_fill:(Defense.tlb_fill defense) ~share_images:true
+             Kernel.Os.create ?obs ~frames:32768 ~share_images:true
                ~protection:(Defense.to_protection defense) ()
            in
            let img = Workload.Guests.scale_unit ~rounds:2 () in

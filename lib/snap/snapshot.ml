@@ -292,7 +292,13 @@ let validate mmu snap =
   let tlb (s : Hw.Tlb.state) t =
     let n = List.length s.s_entries and cap = Hw.Tlb.capacity t in
     if n > cap then corrupt "%s: %d entries for %d slots" (Hw.Tlb.name t) n cap;
-    let vpns = List.map (fun (e : Hw.Tlb.entry) -> e.vpn) s.s_entries in
+    List.iter
+      (fun (vpn, w) ->
+        if vpn < 0 || w < 0 || Hw.Tlb.frame_of_word w >= snap.sn_frame_count then
+          corrupt "%s: vpn %d cached as word 0x%x (frame count %d)" (Hw.Tlb.name t) vpn w
+            snap.sn_frame_count)
+      s.s_entries;
+    let vpns = List.map fst s.s_entries in
     if List.length (List.sort_uniq compare vpns) <> n then
       corrupt "%s: a vpn is cached twice" (Hw.Tlb.name t)
   in
@@ -460,14 +466,19 @@ let event : Kernel.Event_log.event Codec.t =
 
 let tlb : Hw.Tlb.state Codec.t =
   let open Codec in
+  (* a cached PTE word, written as the five fields it decodes to *)
+  let bit b (_, w) = w land b <> 0 in
   let entry =
     record ()
-    |+ (int, fun (e : Hw.Tlb.entry) -> e.vpn)
-    |+ (int, fun e -> e.frame)
-    |+ (bool, fun e -> e.user)
-    |+ (bool, fun e -> e.writable)
-    |+ (bool, fun e -> e.nx)
-    |> seal (fun vpn frame user writable nx -> { Hw.Tlb.vpn; frame; user; writable; nx })
+    |+ (int, fst)
+    |+ (int, fun (_, w) -> Hw.Tlb.frame_of_word w)
+    |+ (bool, bit Hw.Tlb.pte_user)
+    |+ (bool, bit Hw.Tlb.pte_writable)
+    |+ (bool, bit Hw.Tlb.pte_nx)
+    |> seal (fun vpn frame user writable nx ->
+           let w = Hw.Tlb.word ~frame ~writable ~user ~nx in
+           if Hw.Tlb.frame_of_word w <> frame then corrupt "tlb frame %d: no PTE word holds it" frame;
+           (vpn, w))
   in
   record ()
   |+ (list entry, fun (s : Hw.Tlb.state) -> s.s_entries)

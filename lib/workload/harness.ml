@@ -54,7 +54,6 @@ type spec = {
   label : string;
   defense : Defense.t;
   protection : Kernel.Protection.t option;
-  tlb_fill : Hw.Mmu.fill_mode option;
   frames : int;
   fuel : int;
   quantum : int option;
@@ -70,7 +69,7 @@ type spec = {
 
 let guest ?(eager = false) ?(protected = true) image = { image; eager; protected }
 
-let spec ?label ?protection ?tlb_fill ?(frames = 16384) ?(fuel = 100_000_000)
+let spec ?label ?protection ?(frames = 16384) ?(fuel = 100_000_000)
     ?quantum ?seed ?itlb_capacity ?dtlb_capacity ?tlb_policy ?(caches = false)
     ?(share_images = false) ?(wiring = Isolated) ~defense guests =
   let label =
@@ -83,7 +82,6 @@ let spec ?label ?protection ?tlb_fill ?(frames = 16384) ?(fuel = 100_000_000)
     label;
     defense;
     protection;
-    tlb_fill;
     frames;
     fuel;
     quantum;
@@ -108,11 +106,8 @@ let build ?(obs = Obs.null) s =
   let protection =
     match s.protection with Some p -> p | None -> Defense.to_protection s.defense
   in
-  let tlb_fill =
-    match s.tlb_fill with Some f -> f | None -> Defense.tlb_fill s.defense
-  in
   let k =
-    Kernel.Os.create ~frames:s.frames ~tlb_fill ?quantum:s.quantum ?seed:s.seed
+    Kernel.Os.create ~frames:s.frames ?quantum:s.quantum ?seed:s.seed
       ?itlb_capacity:s.itlb_capacity ?dtlb_capacity:s.dtlb_capacity
       ?tlb_policy:s.tlb_policy ~caches:s.caches ~share_images:s.share_images ~obs
       ~protection ()

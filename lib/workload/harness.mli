@@ -42,8 +42,6 @@ type spec = {
   defense : Defense.t;
   protection : Kernel.Protection.t option;
       (** overrides [Defense.to_protection defense] when set *)
-  tlb_fill : Hw.Mmu.fill_mode option;
-      (** overrides [Defense.tlb_fill defense] when set *)
   frames : int;
   fuel : int;
   quantum : int option;
@@ -66,7 +64,6 @@ val guest : ?eager:bool -> ?protected:bool -> Kernel.Image.t -> guest
 val spec :
   ?label:string ->
   ?protection:Kernel.Protection.t ->
-  ?tlb_fill:Hw.Mmu.fill_mode ->
   ?frames:int ->
   ?fuel:int ->
   ?quantum:int ->

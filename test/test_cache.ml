@@ -25,9 +25,8 @@ let test_smc_penalty_through_mmu () =
   let mmu = Hw.Mmu.create ~phys ~cost () in
   Hw.Mmu.enable_caches mmu;
   let table = Hashtbl.create 4 in
-  Hashtbl.replace table 0
-    { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (Hashtbl.find_opt table);
+  Hashtbl.replace table 0 (Hw.Tlb.word ~frame:1 ~writable:true ~user:true ~nx:false);
+  Hw.Mmu.load_cr3 mmu (fun vpn -> Option.value (Hashtbl.find_opt table vpn) ~default:(-1));
   (* execute-side access caches the line *)
   ignore (Hw.Mmu.Fast.fetch8 mmu ~from_user:true 0x100);
   let before = cost.cycles in

@@ -308,10 +308,7 @@ let test_efault_page_edge () =
   List.iter
     (fun defense ->
       let name = Defense.name defense in
-      let k =
-        Kernel.Os.create ~tlb_fill:(Defense.tlb_fill defense)
-          ~protection:(Defense.to_protection defense) ()
-      in
+      let k = Kernel.Os.create ~protection:(Defense.to_protection defense) () in
       let p = Kernel.Os.spawn k image in
       ignore (Kernel.Os.feed_stdin k p input : int);
       Alcotest.(check bool) (name ^ ": spins to the fuel limit") true

@@ -30,42 +30,41 @@ let test_phys_bounds () =
 
 (* --- TLB ----------------------------------------------------------------- *)
 
-let entry vpn frame : Hw.Tlb.entry = { vpn; frame; user = true; writable = true; nx = false }
+(* A present PTE word, user-writable unless told otherwise. *)
+let pte ?(user = true) ?(nx = false) frame = Hw.Tlb.word ~frame ~writable:true ~user ~nx
 
 let test_tlb_basics () =
   let tlb = Hw.Tlb.create ~name:"t" ~capacity:2 () in
-  Hw.Tlb.insert tlb (entry 1 10);
-  Hw.Tlb.insert tlb (entry 2 20);
-  Alcotest.(check bool) "hit 1" true (Hw.Tlb.lookup tlb 1 <> None);
-  Alcotest.(check bool) "hit 2" true (Hw.Tlb.lookup tlb 2 <> None);
-  (* capacity 2: inserting a third evicts the FIFO victim (vpn 1) *)
-  Hw.Tlb.insert tlb (entry 3 30);
+  Hw.Tlb.fill tlb 1 (pte 10);
+  Hw.Tlb.fill tlb 2 (pte 20);
+  Alcotest.(check int) "hit 1" (pte 10) (Hw.Tlb.find tlb 1);
+  Alcotest.(check int) "hit 2" (pte 20) (Hw.Tlb.find tlb 2);
+  (* capacity 2: filling a third evicts the FIFO victim (vpn 1) *)
+  Hw.Tlb.fill tlb 3 (pte 30);
   Alcotest.(check int) "size" 2 (Hw.Tlb.size tlb);
-  Alcotest.(check bool) "vpn1 evicted" true (Hw.Tlb.peek tlb 1 = None);
-  Alcotest.(check bool) "vpn3 present" true (Hw.Tlb.peek tlb 3 <> None)
+  Alcotest.(check int) "vpn1 evicted" (-1) (Hw.Tlb.peek tlb 1);
+  Alcotest.(check int) "vpn3 present" (pte 30) (Hw.Tlb.peek tlb 3)
 
 let test_tlb_replace_same_vpn () =
   let tlb = Hw.Tlb.create ~name:"t" ~capacity:2 () in
-  Hw.Tlb.insert tlb (entry 1 10);
-  Hw.Tlb.insert tlb (entry 1 99);
+  Hw.Tlb.fill tlb 1 (pte 10);
+  Hw.Tlb.fill tlb 1 (pte 99);
   Alcotest.(check int) "still one entry" 1 (Hw.Tlb.size tlb);
-  match Hw.Tlb.peek tlb 1 with
-  | Some e -> Alcotest.(check int) "updated frame" 99 e.frame
-  | None -> Alcotest.fail "entry missing"
+  Alcotest.(check int) "updated frame" 99 (Hw.Tlb.frame_of_word (Hw.Tlb.peek tlb 1))
 
 let test_tlb_invalidate_flush () =
   let tlb = Hw.Tlb.create ~name:"t" ~capacity:8 () in
-  Hw.Tlb.insert tlb (entry 1 10);
-  Hw.Tlb.insert tlb (entry 2 20);
+  Hw.Tlb.fill tlb 1 (pte 10);
+  Hw.Tlb.fill tlb 2 (pte 20);
   Hw.Tlb.invalidate tlb 1;
-  Alcotest.(check bool) "invalidated" true (Hw.Tlb.peek tlb 1 = None);
+  Alcotest.(check int) "invalidated" (-1) (Hw.Tlb.peek tlb 1);
   Hw.Tlb.flush tlb;
   Alcotest.(check int) "flushed" 0 (Hw.Tlb.size tlb);
   Alcotest.(check int) "flush count" 1 (Hw.Tlb.stats tlb).flushes
 
 (* --- MMU ----------------------------------------------------------------- *)
 
-let simple_walk table vpn = Hashtbl.find_opt table vpn
+let simple_walk table vpn = Option.value (Hashtbl.find_opt table vpn) ~default:(-1)
 
 (* [Ok (frame, offset)], or [Error] with a copy of the fault the MMU
    wrote: the register itself is overwritten by the next fault *)
@@ -82,9 +81,9 @@ let translated = function
 
 let test_mmu_translate_and_cache () =
   let phys, mmu = make_mmu () in
-  let table : (int, Hw.Mmu.hw_pte) Hashtbl.t = Hashtbl.create 4 in
-  Hashtbl.replace table 5 { Hw.Mmu.frame = 7; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (simple_walk table);
+  let table = Hashtbl.create 4 in
+  Hashtbl.replace table 5 (pte 7);
+  Hw.Mmu.load_cr3 mmu (simple_walk table);
   Alcotest.(check (pair int int))
     "translation" (7, 42)
     (translated (translate phys mmu ~from_user:true Hw.Mmu.Read ((5 * 4096) + 42)));
@@ -100,13 +99,13 @@ let test_mmu_translate_and_cache () =
 let test_mmu_supervisor_fault () =
   let phys, mmu = make_mmu () in
   let table = Hashtbl.create 4 in
-  Hashtbl.replace table 1 { Hw.Mmu.frame = 2; present = true; writable = true; user = false; nx = false };
-  Hw.Mmu.reload_cr3 mmu (simple_walk table);
+  Hashtbl.replace table 1 (pte ~user:false 2);
+  Hw.Mmu.load_cr3 mmu (simple_walk table);
   (match translate phys mmu ~from_user:true Hw.Mmu.Read 4096 with
   | Error { kind = Hw.Mmu.Protection; _ } -> ()
   | _ -> Alcotest.fail "user access to supervisor page must fault");
   (* a fault on miss must NOT fill the TLB *)
-  Alcotest.(check bool) "dtlb unfilled" true (Hw.Tlb.peek (Hw.Mmu.dtlb mmu) 1 = None);
+  Alcotest.(check int) "dtlb unfilled" (-1) (Hw.Tlb.peek (Hw.Mmu.dtlb mmu) 1);
   (* supervisor access works *)
   Alcotest.(check int) "supervisor ok" 2
     (fst (translated (translate phys mmu ~from_user:false Hw.Mmu.Read 4096)))
@@ -116,7 +115,7 @@ let test_mmu_supervisor_fault () =
    ([translate]'s), and the copy survives the next fault. *)
 let test_mmu_fault_register () =
   let phys, mmu = make_mmu () in
-  Hw.Mmu.reload_cr3 mmu (fun _ -> None);
+  Hw.Mmu.load_cr3 mmu (fun _ -> -1);
   let first = translate phys mmu ~from_user:true Hw.Mmu.Read 4096 in
   let reg = Hw.Mmu.pending_fault mmu in
   ignore (translate phys mmu ~from_user:false Hw.Mmu.Fetch (9 * 4096));
@@ -129,8 +128,8 @@ let test_mmu_fault_register () =
 let test_mmu_nx () =
   let phys, mmu = make_mmu () in
   let table = Hashtbl.create 4 in
-  Hashtbl.replace table 1 { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = true };
-  Hw.Mmu.reload_cr3 mmu (simple_walk table);
+  Hashtbl.replace table 1 (pte ~nx:true 2);
+  Hw.Mmu.load_cr3 mmu (simple_walk table);
   (* nx not enforced on legacy hardware *)
   Alcotest.(check int) "legacy fetch ok" 2
     (fst (translated (translate phys mmu ~from_user:true Hw.Mmu.Fetch 4096)));
@@ -148,19 +147,19 @@ let test_tlb_desync () =
   let code_frame = 3 and data_frame = 4 in
   Hw.Phys.blit_from_string phys ~frame:code_frame ~off:0 "CODE";
   Hw.Phys.blit_from_string phys ~frame:data_frame ~off:0 "DATA";
-  let pte = ref { Hw.Mmu.frame = code_frame; present = true; writable = true; user = false; nx = false } in
-  let table vpn = if vpn = 9 then Some !pte else None in
-  Hw.Mmu.reload_cr3 mmu table;
+  let entry = ref (pte ~user:false code_frame) in
+  let table vpn = if vpn = 9 then !entry else -1 in
+  Hw.Mmu.load_cr3 mmu table;
   let addr = 9 * 4096 in
   (* kernel: point at the code copy, unrestrict, let a fetch fill the ITLB,
      restrict again *)
-  pte := { !pte with frame = code_frame; user = true };
+  entry := pte code_frame;
   ignore (Hw.Mmu.Fast.fetch8 mmu ~from_user:true addr);
-  pte := { !pte with user = false };
+  entry := pte ~user:false code_frame;
   (* kernel: point at the data copy, unrestrict, touch, restrict *)
-  pte := { !pte with frame = data_frame; user = true };
+  entry := pte data_frame;
   Hw.Mmu.touch_read mmu addr;
-  pte := { !pte with user = false };
+  entry := pte ~user:false data_frame;
   (* desynchronized: same virtual address, two physical locations *)
   Alcotest.(check int) "fetch reads CODE" (Char.code 'C') (Hw.Mmu.Fast.fetch8 mmu ~from_user:true addr);
   Alcotest.(check int) "read reads DATA" (Char.code 'D') (Hw.Mmu.Fast.read8 mmu ~from_user:true addr);
@@ -183,9 +182,9 @@ let cpu_fixture program =
   Hw.Phys.blit_from_string phys ~frame:1 ~off:0 a.code;
   let table = Hashtbl.create 8 in
   (* identity-ish: vpn 0 -> frame 1 (code+data), vpn 1 -> frame 2 (stack) *)
-  Hashtbl.replace table 0 { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
-  Hashtbl.replace table 1 { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (simple_walk table);
+  Hashtbl.replace table 0 (pte 1);
+  Hashtbl.replace table 1 (pte 2);
+  Hw.Mmu.load_cr3 mmu (simple_walk table);
   let regs = Hw.Cpu.create_regs () in
   Hw.Cpu.set regs Isa.Reg.ESP 8000;
   (mmu, regs)
@@ -249,8 +248,8 @@ let test_cpu_fault_restart () =
   let a = Isa.Asm.assemble ~origin:0 [ I (Mov_ri (EAX, 0x55)); I (Storeb (EBX, 0, EAX)) ] in
   Hw.Phys.blit_from_string phys ~frame:1 ~off:0 a.code;
   let table = Hashtbl.create 4 in
-  Hashtbl.replace table 0 { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (simple_walk table);
+  Hashtbl.replace table 0 (pte 1);
+  Hw.Mmu.load_cr3 mmu (simple_walk table);
   let regs = Hw.Cpu.create_regs () in
   Hw.Cpu.set regs Isa.Reg.EBX 4096;
   step_n mmu regs 1;
@@ -260,7 +259,7 @@ let test_cpu_fault_restart () =
     Alcotest.(check int) "fault addr" 4096 (Hw.Mmu.pending_fault mmu).addr;
     Alcotest.(check int) "eip unchanged" eip_before regs.eip
   | _ -> Alcotest.fail "expected page fault");
-  Hashtbl.replace table 1 { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = false };
+  Hashtbl.replace table 1 (pte 2);
   step_n mmu regs 1;
   Alcotest.(check int) "store landed" 0x55 (Hw.Phys.read8 phys ~frame:2 ~off:0)
 

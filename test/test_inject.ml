@@ -88,15 +88,8 @@ let test_phantom_detected_before_retire () =
     | Some x -> x
     | None -> Alcotest.fail "no active split code page mid-run"
   in
-  Hw.Tlb.insert
-    (Hw.Mmu.itlb (Kernel.Os.mmu os))
-    {
-      vpn = pte.vpn;
-      frame = Kernel.Pte.data_frame pte;
-      user = true;
-      writable = pte.writable;
-      nx = false;
-    };
+  Hw.Tlb.fill (Hw.Mmu.itlb (Kernel.Os.mmu os)) pte.vpn
+    (Hw.Tlb.word ~frame:(Kernel.Pte.data_frame pte) ~writable:pte.writable ~user:true ~nx:false);
   ignore p;
   Alcotest.(check int) "no detections yet" 0 (Inject.Engine.detections eng);
   ignore (Kernel.Os.run ~fuel:1 os : Kernel.Os.stop_reason);

@@ -94,36 +94,37 @@ let test_rearm_rejects_huge_ring () =
 
 (* --- TLB replacement policy ------------------------------------------------ *)
 
-let entry vpn frame = { Hw.Tlb.vpn; frame; user = true; writable = true; nx = false }
+let fill t vpn frame = Hw.Tlb.fill t vpn (Hw.Tlb.word ~frame ~writable:true ~user:true ~nx:false)
+let resident t vpn = Hw.Tlb.peek t vpn >= 0
 
 let test_lru_keeps_touched () =
   let lru = Hw.Tlb.create ~policy:Hw.Tlb.Lru ~name:"t" ~capacity:2 () in
-  Hw.Tlb.insert lru (entry 1 10);
-  Hw.Tlb.insert lru (entry 2 20);
-  ignore (Hw.Tlb.lookup lru 1 : Hw.Tlb.entry option);
-  Hw.Tlb.insert lru (entry 3 30);
-  Alcotest.(check bool) "lru keeps 1" true (Hw.Tlb.peek lru 1 <> None);
-  Alcotest.(check bool) "lru evicts 2" true (Hw.Tlb.peek lru 2 = None);
+  fill lru 1 10;
+  fill lru 2 20;
+  ignore (Hw.Tlb.find lru 1 : int);
+  fill lru 3 30;
+  Alcotest.(check bool) "lru keeps 1" true (resident lru 1);
+  Alcotest.(check bool) "lru evicts 2" false (resident lru 2);
   let fifo = Hw.Tlb.create ~name:"t" ~capacity:2 () in
-  Hw.Tlb.insert fifo (entry 1 10);
-  Hw.Tlb.insert fifo (entry 2 20);
-  ignore (Hw.Tlb.lookup fifo 1 : Hw.Tlb.entry option);
-  Hw.Tlb.insert fifo (entry 3 30);
-  Alcotest.(check bool) "fifo evicts 1" true (Hw.Tlb.peek fifo 1 = None);
-  Alcotest.(check bool) "fifo keeps 2" true (Hw.Tlb.peek fifo 2 <> None)
+  fill fifo 1 10;
+  fill fifo 2 20;
+  ignore (Hw.Tlb.find fifo 1 : int);
+  fill fifo 3 30;
+  Alcotest.(check bool) "fifo evicts 1" false (resident fifo 1);
+  Alcotest.(check bool) "fifo keeps 2" true (resident fifo 2)
 
 (* Re-touching one vpn many times keeps it the youngest: the other entry
    is the victim. *)
 let test_lru_hot_loop () =
   let t = Hw.Tlb.create ~policy:Hw.Tlb.Lru ~name:"t" ~capacity:2 () in
-  Hw.Tlb.insert t (entry 1 10);
-  Hw.Tlb.insert t (entry 2 20);
+  fill t 1 10;
+  fill t 2 20;
   for _ = 1 to 100 do
-    ignore (Hw.Tlb.lookup t 1 : Hw.Tlb.entry option)
+    ignore (Hw.Tlb.find t 1 : int)
   done;
-  Hw.Tlb.insert t (entry 3 30);
-  Alcotest.(check bool) "hot stays" true (Hw.Tlb.peek t 1 <> None);
-  Alcotest.(check bool) "cold goes" true (Hw.Tlb.peek t 2 = None);
+  fill t 3 30;
+  Alcotest.(check bool) "hot stays" true (resident t 1);
+  Alcotest.(check bool) "cold goes" false (resident t 2);
   Alcotest.(check int) "size" 2 (Hw.Tlb.size t)
 
 (* --- Golden report ---------------------------------------------------------- *)

@@ -106,7 +106,7 @@ let prop_tlb_capacity =
         (fun op ->
           (match op with
           | Insert (v, f) ->
-            Hw.Tlb.insert tlb { vpn = v; frame = f; user = true; writable = true; nx = false };
+            Hw.Tlb.fill tlb v (Hw.Tlb.word ~frame:f ~writable:true ~user:true ~nx:false);
             Hashtbl.replace model v f
           | Invalidate v ->
             Hw.Tlb.invalidate tlb v;
@@ -114,18 +114,15 @@ let prop_tlb_capacity =
           | Flush ->
             Hw.Tlb.flush tlb;
             Hashtbl.reset model
-          | Lookup v -> ignore (Hw.Tlb.lookup tlb v));
+          | Lookup v -> ignore (Hw.Tlb.find tlb v : int));
           Hw.Tlb.size tlb <= 8
           &&
           (* anything cached must agree with the model (eviction may drop
              entries, but never corrupt them) *)
           Hashtbl.fold
             (fun v f ok ->
-              ok
-              &&
-              match Hw.Tlb.peek tlb v with
-              | Some e -> e.frame = f
-              | None -> true)
+              let w = Hw.Tlb.peek tlb v in
+              ok && (w < 0 || Hw.Tlb.frame_of_word w = f))
             model true)
         ops)
 
@@ -470,7 +467,7 @@ module Queue_tlb = struct
   type t = {
     capacity : int;
     lru : bool;
-    table : (int, Hw.Tlb.entry) Hashtbl.t;
+    table : (int, int) Hashtbl.t;  (* vpn -> PTE word *)
     fifo : int Queue.t;
     occ : (int, int) Hashtbl.t;
     stats : Hw.Tlb.stats;
@@ -508,15 +505,16 @@ module Queue_tlb = struct
     push t vpn;
     if Queue.length t.fifo > 8 * t.capacity then compact t
 
-  let lookup t vpn =
-    match Hashtbl.find_opt t.table vpn with
-    | Some e ->
+  let peek t vpn = Option.value (Hashtbl.find_opt t.table vpn) ~default:(-1)
+
+  let find t vpn =
+    let w = peek t vpn in
+    if w >= 0 then begin
       t.stats.hits <- t.stats.hits + 1;
-      if t.lru then touch t vpn;
-      Some e
-    | None ->
-      t.stats.misses <- t.stats.misses + 1;
-      None
+      if t.lru then touch t vpn
+    end
+    else t.stats.misses <- t.stats.misses + 1;
+    w
 
   let note_hits t vpn n =
     if n > 0 then begin
@@ -541,20 +539,18 @@ module Queue_tlb = struct
       end
       else evict_one t
 
-  let insert t (e : Hw.Tlb.entry) =
-    let fresh = not (Hashtbl.mem t.table e.vpn) in
+  let fill t vpn w =
+    let fresh = not (Hashtbl.mem t.table vpn) in
     if fresh && Hashtbl.length t.table >= t.capacity then evict_one t;
-    Hashtbl.replace t.table e.vpn e;
-    if fresh then push t e.vpn
+    Hashtbl.replace t.table vpn w;
+    if fresh then push t vpn
 
-  let entries t =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
-    |> List.sort (fun (a : Hw.Tlb.entry) b -> compare a.vpn b.vpn)
+  let entries t = List.sort compare (List.of_seq (Hashtbl.to_seq t.table))
 
   let tamper t vpn f =
     match Hashtbl.find_opt t.table vpn with
     | None -> ()
-    | Some e -> Hashtbl.replace t.table vpn { (f e) with Hw.Tlb.vpn }
+    | Some w -> Hashtbl.replace t.table vpn (f w)
 
   let invalidate t vpn =
     if Hashtbl.mem t.table vpn then begin
@@ -579,7 +575,7 @@ module Queue_tlb = struct
 
   let export t : Hw.Tlb.state =
     {
-      s_entries = List.map (Hashtbl.find t.table) (order t);
+      s_entries = List.map (fun vpn -> (vpn, Hashtbl.find t.table vpn)) (order t);
       s_hits = t.stats.hits;
       s_misses = t.stats.misses;
       s_flushes = t.stats.flushes;
@@ -590,8 +586,8 @@ end
 
 type tlb_twin_op =
   | T_find of int
-  | T_lookup of int
-  | T_insert of int * int
+  | T_peek of int
+  | T_fill of int * int
   | T_invalidate of int
   | T_flush
   | T_note_hits of int * int
@@ -604,8 +600,8 @@ let gen_tlb_twin_op =
   frequency
     [
       (6, map (fun v -> T_find v) vpn);
-      (2, map (fun v -> T_lookup v) vpn);
-      (8, map2 (fun v f -> T_insert (v, f)) vpn (int_range 0 99));
+      (2, map (fun v -> T_peek v) vpn);
+      (8, map2 (fun v f -> T_fill (v, f)) vpn (int_range 0 99));
       (2, map (fun v -> T_invalidate v) vpn);
       (1, return T_flush);
       (4, map2 (fun v n -> T_note_hits (v, n)) vpn (int_range 1 40));
@@ -615,8 +611,8 @@ let gen_tlb_twin_op =
 
 let pp_tlb_twin_op = function
   | T_find v -> Fmt.str "find %d" v
-  | T_lookup v -> Fmt.str "lookup %d" v
-  | T_insert (v, f) -> Fmt.str "insert %d->%d" v f
+  | T_peek v -> Fmt.str "peek %d" v
+  | T_fill (v, f) -> Fmt.str "fill %d->%d" v f
   | T_invalidate v -> Fmt.str "invalidate %d" v
   | T_flush -> "flush"
   | T_note_hits (v, n) -> Fmt.str "note_hits %d %d" v n
@@ -638,24 +634,20 @@ let prop_tlb_twin =
       let policy = if lru then Hw.Tlb.Lru else Hw.Tlb.Fifo in
       let fresh () = Hw.Tlb.create ~policy ~name:"flat" ~capacity () in
       let flat = ref (fresh ()) and rf = Queue_tlb.create ~lru ~capacity in
-      let entry vpn frame : Hw.Tlb.entry =
-        { vpn; frame; user = vpn land 1 = 0; writable = true; nx = false }
-      in
-      let flip (e : Hw.Tlb.entry) = { e with frame = e.frame + 1000; nx = not e.nx } in
-      let vpns l = List.map (fun (e : Hw.Tlb.entry) -> e.vpn) l in
+      let word vpn frame = Hw.Tlb.word ~frame ~writable:true ~user:(vpn land 1 = 0) ~nx:false in
+      let flip w = (w lxor Hw.Tlb.pte_nx) + (1000 lsl 12) in
+      let vpns l = List.map fst l in
       List.for_all
         (fun op ->
           let t = !flat in
           let before_flat = vpns (Hw.Tlb.entries t) and before_ref = vpns (Queue_tlb.entries rf) in
           let same_answer =
             match op with
-            | T_find v ->
-              let a = if Hw.Tlb.find t v < 0 then None else Hw.Tlb.peek t v in
-              a = Queue_tlb.lookup rf v
-            | T_lookup v -> Hw.Tlb.lookup t v = Queue_tlb.lookup rf v
-            | T_insert (v, f) ->
-              Hw.Tlb.insert t (entry v f);
-              Queue_tlb.insert rf (entry v f);
+            | T_find v -> Hw.Tlb.find t v = Queue_tlb.find rf v
+            | T_peek v -> Hw.Tlb.peek t v = Queue_tlb.peek rf v
+            | T_fill (v, f) ->
+              Hw.Tlb.fill t v (word v f);
+              Queue_tlb.fill rf v (word v f);
               true
             | T_invalidate v ->
               Hw.Tlb.invalidate t v;

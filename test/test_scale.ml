@@ -104,8 +104,7 @@ let test_replay_rebuilds_shares () =
   let build () =
     let defense = Defense.split_mixed_plus_nx in
     let k =
-      Kernel.Os.create ~frames:512 ~quantum:32
-        ~tlb_fill:(Defense.tlb_fill defense) ~share_images:true
+      Kernel.Os.create ~frames:512 ~quantum:32 ~share_images:true
         ~protection:(Defense.to_protection defense) ()
     in
     let img = G.scale_unit ~rounds:2 () in
@@ -127,8 +126,7 @@ let test_replay_through_oom () =
   let build () =
     let defense = Defense.split_standalone in
     let k =
-      Kernel.Os.create ~frames:96 ~quantum:32
-        ~tlb_fill:(Defense.tlb_fill defense) ~share_images:true
+      Kernel.Os.create ~frames:96 ~quantum:32 ~share_images:true
         ~protection:(Defense.to_protection defense) ()
     in
     let img = G.scale_unit ~rounds:2 () in

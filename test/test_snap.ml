@@ -185,9 +185,7 @@ let test_pinned_format () =
 (* The fuzz subject, and a fresh machine of the same build to restore
    into. *)
 let fuzz_fresh () =
-  let defense = Defense.split_standalone in
-  Kernel.Os.create ~frames:64 ~tlb_fill:(Defense.tlb_fill defense)
-    ~protection:(Defense.to_protection defense) ()
+  Kernel.Os.create ~frames:64 ~protection:(Defense.to_protection Defense.split_standalone) ()
 
 let fuzz_subject () =
   let os = fuzz_fresh () in
@@ -290,18 +288,24 @@ let test_hostile_restore () =
   in
   let frame f = int_bytes f ^ int_bytes page ^ Hw.Phys.to_string phys ~frame:f in
   let dtlb = Hw.Tlb.export (Hw.Mmu.dtlb (Kernel.Os.mmu os)) in
-  let entries l =
-    let bool b = Snap.Codec.(encode ~magic:"" bool b) in
-    int_bytes (List.length l)
-    ^ String.concat ""
-        (List.map
-           (fun (e : Hw.Tlb.entry) ->
-             int_bytes e.vpn ^ int_bytes e.frame ^ bool e.user ^ bool e.writable ^ bool e.nx)
-           l)
+  (* an entry as the blob stores it: the five fields of its word, with
+     [frame] in place of the word's own *)
+  let entry ?frame (vpn, w) =
+    let bit b = Snap.Codec.(encode ~magic:"" bool (w land b <> 0)) in
+    let frame = Option.value frame ~default:(Hw.Tlb.frame_of_word w) in
+    int_bytes vpn ^ int_bytes frame ^ bit Hw.Tlb.pte_user ^ bit Hw.Tlb.pte_writable
+    ^ bit Hw.Tlb.pte_nx
   in
+  let entries l = int_bytes (List.length l) ^ String.concat "" (List.map entry l) in
   let tlb_entries = entries dtlb.s_entries in
-  let first =
-    match dtlb.s_entries with e :: _ -> e | [] -> Alcotest.fail "the dtlb holds no entry"
+  let first, others =
+    match dtlb.s_entries with e :: l -> (e, l) | [] -> Alcotest.fail "the dtlb holds no entry"
+  in
+  (* the dtlb with its oldest entry replaced *)
+  let with_first ?frame e =
+    splice tlb_entries
+      (int_bytes (List.length dtlb.s_entries) ^ entry ?frame e
+      ^ String.concat "" (List.map entry others))
   in
   let cases =
     [
@@ -325,8 +329,12 @@ let test_hostile_restore () =
           ^ String.sub (Hw.Phys.to_string phys ~frame:f0) 1 (page - 1)) );
       ("dtlb vpn cached twice", splice tlb_entries (entries (first :: dtlb.s_entries)));
       ( "65 dtlb entries for 64 slots",
-        splice tlb_entries
-          (entries (List.init 65 (fun i -> { first with vpn = 0x10_0000 + i }))) );
+        splice tlb_entries (entries (List.init 65 (fun i -> (0x10_0000 + i, snd first)))) );
+      (* a corrupted entry caching a frame past physical memory: restored,
+         the run would crash in Phys with an escaped Invalid_argument *)
+      ("dtlb frame 2^30", with_first ~frame:(1 lsl 30) first);
+      ("dtlb frame 64", with_first ~frame:64 first);
+      ("dtlb vpn -1", with_first (-1, snd first));
     ]
   in
   let bytes os = Snap.Snapshot.(encode (checkpoint os)) in
@@ -343,7 +351,15 @@ let test_hostile_restore () =
           if bytes os <> untouched then Alcotest.failf "%s: the machine was touched" what
         | () -> Alcotest.failf "%s: restored" what
         | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)))
-    cases
+    cases;
+  (* a frame no PTE word can hold (a negative one would restore as a slot
+     that always misses) fails to decode *)
+  List.iter
+    (fun frame ->
+      match Snap.Snapshot.decode (with_first ~frame first) with
+      | exception Snap.Codec.Corrupt _ -> ()
+      | _ -> Alcotest.failf "dtlb frame %d decoded" frame)
+    [ -1; (1 lsl 51) + 1 ]
 
 (* An allocator imported from another's export, over one that has
    allocated frames of its own, is the same allocator: the same counts,

@@ -98,11 +98,10 @@ let test_algorithm1_data_branch_loads_dtlb () =
   (match (Kernel.Os.protection k).on_protection_fault (Kernel.Os.ctx k) p fault with
   | Kernel.Protection.Handled -> ()
   | Kernel.Protection.Not_ours -> Alcotest.fail "split fault not handled");
-  (match Hw.Tlb.peek (Hw.Mmu.dtlb (Kernel.Os.mmu k)) vpn with
-  | Some e -> Alcotest.(check int) "dtlb -> data copy" s.data_frame e.frame
-  | None -> Alcotest.fail "dtlb not loaded");
-  Alcotest.(check bool) "itlb untouched" true
-    (Hw.Tlb.peek (Hw.Mmu.itlb (Kernel.Os.mmu k)) vpn = None);
+  let w = Hw.Tlb.peek (Hw.Mmu.dtlb (Kernel.Os.mmu k)) vpn in
+  if w < 0 then Alcotest.fail "dtlb not loaded";
+  Alcotest.(check int) "dtlb -> data copy" s.data_frame (Hw.Tlb.frame_of_word w);
+  Alcotest.(check int) "itlb untouched" (-1) (Hw.Tlb.peek (Hw.Mmu.itlb (Kernel.Os.mmu k)) vpn);
   Alcotest.(check bool) "pte re-restricted" false pte.Kernel.Pte.user
 
 let test_algorithm1_code_branch_single_steps () =
