@@ -24,8 +24,11 @@
      looks like) or a function entry.
 
    All state lives in closures created per [protection] call, i.e. per
-   machine, so concurrent fleet jobs never share a shadow stack. The
-   monitor plugs into [Kernel.Protection.ctrl_monitor]; a denial surfaces
+   machine, so concurrent fleet jobs never share a shadow stack. A check
+   allocates nothing: the shadow stacks are int stacks in an int table,
+   and the static lookups use [Aspace.find_region_exn] (the CFI rows of
+   the fig 7 ctxsw pair run call and return checks on every iteration).
+   The monitor plugs into [Kernel.Protection.ctrl_monitor]; a denial surfaces
    as #GP after an [Injection_detected] event, so attack runners classify
    it as foiled-by-defense, symmetric with split memory's detections. *)
 
@@ -33,33 +36,39 @@ module IntSet = Set.Make (Int)
 
 (* --- static text inspection -------------------------------------------- *)
 
-(* The pristine byte backing an executable address, or [None] when the
+(* The region holding [addr], or [Not_found]. *)
+let region_of (proc : Kernel.Proc.t) addr =
+  let asp = proc.aspace in
+  Kernel.Aspace.find_region_exn asp (addr / Kernel.Aspace.page_size asp)
+
+(* The pristine byte backing an executable address, or -1 when the
    address is not inside any executable file-backed region. The zero
    padding between a segment's bytes and its region end reads as 0. *)
-let static_byte (proc : Kernel.Proc.t) addr =
-  let asp = proc.aspace in
-  match Kernel.Aspace.find_region asp (addr / Kernel.Aspace.page_size asp) with
-  | Some { Kernel.Aspace.execable = true; source = Image_bytes { base; bytes }; _ } ->
+let static_byte proc addr =
+  match region_of proc addr with
+  | { execable = true; source = Image_bytes { base; bytes }; _ } ->
     let off = addr - base in
-    if off >= 0 && off < String.length bytes then Some (Char.code bytes.[off]) else Some 0
-  | Some _ | None -> None
+    if off >= 0 && off < String.length bytes then Char.code bytes.[off] else 0
+  | _ -> -1
+  | exception Not_found -> -1
 
-let in_text (proc : Kernel.Proc.t) addr =
-  let asp = proc.aspace in
-  match Kernel.Aspace.find_region asp (addr / Kernel.Aspace.page_size asp) with
-  | Some r -> r.Kernel.Aspace.execable
-  | None -> false
+let in_text proc addr =
+  match region_of proc addr with r -> r.execable | exception Not_found -> false
 
 (* Is [target] immediately preceded by a call instruction in the static
    text? Both call encodings are checked: [call rel32] is 5 bytes with
    opcode 0x30, [call reg] is 2 bytes with opcode 0x31 and a valid
    register field. *)
 let call_preceded proc target =
-  static_byte proc (target - 5) = Some 0x30
-  ||
-  match (static_byte proc (target - 2), static_byte proc (target - 1)) with
-  | Some 0x31, Some r when r < 8 -> true
-  | _ -> false
+  static_byte proc (target - 5) = 0x30
+  || static_byte proc (target - 2) = 0x31
+     &&
+     let r = static_byte proc (target - 1) in
+     r >= 0 && r < 8
+
+(* The index of the newest entry of [s] equal to [x], searching down from
+   [i]; -1 when there is none. *)
+let rec newest s x i = if i < 0 || Hw.Ints.Stack.get s i = x then i else newest s x (i - 1)
 
 (* The set of legitimate indirect-transfer entry points of a process:
    every direct-call target, and every address-taken text address (a
@@ -99,14 +108,22 @@ let protection ?(shadow_stack = true) ?(coarse = true)
     ?(over = Kernel.Protection.none) () : Kernel.Protection.t =
   (* per-pid shadow stacks and entry-point caches; per machine by
      construction (one [protection] value per [Os.create]) *)
-  let shadows : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let entries : (int, IntSet.t) Hashtbl.t = Hashtbl.create 8 in
+  let shadows : Hw.Ints.Stack.t Hw.Ints.Table.t = Hw.Ints.Table.create 8 in
+  let entries : IntSet.t Hw.Ints.Table.t = Hw.Ints.Table.create 8 in
+  let shadow (proc : Kernel.Proc.t) =
+    match Hw.Ints.Table.find shadows proc.pid with
+    | s -> s
+    | exception Not_found ->
+      let s = Hw.Ints.Stack.create () in
+      Hw.Ints.Table.replace shadows proc.pid s;
+      s
+  in
   let entry_set (proc : Kernel.Proc.t) =
-    match Hashtbl.find_opt entries proc.pid with
-    | Some s -> s
-    | None ->
+    match Hw.Ints.Table.find entries proc.pid with
+    | s -> s
+    | exception Not_found ->
       let s = entry_points proc in
-      Hashtbl.replace entries proc.pid s;
+      Hw.Ints.Table.replace entries proc.pid s;
       s
   in
   let deny (ctx : Kernel.Protection.ctx) (proc : Kernel.Proc.t) ~site ~mode =
@@ -116,57 +133,44 @@ let protection ?(shadow_stack = true) ?(coarse = true)
     false
   in
   let is_entry proc target = in_text proc target && IntSet.mem target (entry_set proc) in
+  let coarse_ret ctx proc ~site ~target =
+    if not coarse then true
+    else if in_text proc target && call_preceded proc target then true
+    else deny ctx proc ~site ~mode:"cfi-ret"
+  in
   let monitor ctx (proc : Kernel.Proc.t) ~kind ~site ~target ~ret =
     match (kind : Hw.Cpu.ctrl_kind) with
     | Call_direct ->
-      if shadow_stack then
-        Hashtbl.replace shadows proc.pid
-          (ret :: Option.value ~default:[] (Hashtbl.find_opt shadows proc.pid));
+      if shadow_stack then Hw.Ints.Stack.push (shadow proc) ret;
       true
     | Call_indirect ->
-      if shadow_stack then
-        Hashtbl.replace shadows proc.pid
-          (ret :: Option.value ~default:[] (Hashtbl.find_opt shadows proc.pid));
+      if shadow_stack then Hw.Ints.Stack.push (shadow proc) ret;
       if coarse && not (is_entry proc target) then
         deny ctx proc ~site ~mode:"cfi-call"
       else true
-    | Return -> (
-      let stack = Option.value ~default:[] (Hashtbl.find_opt shadows proc.pid) in
-      let coarse_ok () =
-        if not coarse then true
-        else if in_text proc target && call_preceded proc target then true
-        else deny ctx proc ~site ~mode:"cfi-ret"
-      in
-      if not shadow_stack then coarse_ok ()
+    | Return ->
+      if not shadow_stack then coarse_ret ctx proc ~site ~target
       else
         (* pop until the target matches: longjmp legitimately discards any
            number of frames, but a genuine return address is always still
            *somewhere* on the shadow stack *)
-        match
-          List.fold_left
-            (fun found r ->
-              match found with Some _ -> found | None -> if r = target then Some r else None)
-            None stack
-        with
-        | Some _ ->
-          let rec drop = function
-            | r :: rest -> if r = target then rest else drop rest
-            | [] -> []
-          in
-          Hashtbl.replace shadows proc.pid (drop stack);
+        let s = shadow proc in
+        let i = newest s target (Hw.Ints.Stack.length s - 1) in
+        if i >= 0 then begin
+          Hw.Ints.Stack.truncate s i;
           true
-        | None ->
-          if stack = [] then
-            (* no recorded history (fork child, restored snapshot): the
-               shadow stack proves nothing either way *)
-            coarse_ok ()
-          else
-            (* denial mode deliberately matches the coarse fallback's:
-               shadow-stack state is kernel-private and not checkpointed,
-               so a restored run re-detects the same violation through the
-               empty-stack fallback — the event log must render
-               identically for replay equivalence *)
-            deny ctx proc ~site ~mode:"cfi-ret")
+        end
+        else if Hw.Ints.Stack.length s = 0 then
+          (* no recorded history (fork child, restored snapshot): the
+             shadow stack proves nothing either way *)
+          coarse_ret ctx proc ~site ~target
+        else
+          (* denial mode deliberately matches the coarse fallback's:
+             shadow-stack state is kernel-private and not checkpointed,
+             so a restored run re-detects the same violation through the
+             empty-stack fallback — the event log must render
+             identically for replay equivalence *)
+          deny ctx proc ~site ~mode:"cfi-ret"
     | Jump_indirect ->
       if not coarse then true
       else if in_text proc target && (call_preceded proc target || is_entry proc target)

@@ -220,7 +220,4 @@ let follow t b pa0 =
       end
   end
 
-(* True when [b] no longer describes the bytes at its frame — a store hit
-   the frame since the block was decoded (self-modifying code). Dispatch
-   checks this before every instruction of a block, not just at entry. *)
-let stale t b = b.b_gen <> t.gen.(b.b_frame)
+let generations t = t.gen

@@ -74,9 +74,12 @@ val follow : t -> block -> int -> block
     made. Otherwise it runs [lookup] and links [b] to the result. From
     {!none} it is plain [lookup]. *)
 
-val stale : t -> block -> bool
-(** The block's frame was written since it was decoded. Dispatch must
-    check before every instruction, not just at block entry. *)
+val generations : t -> int array
+(** The per-frame generation counters, indexed by frame; callers only
+    read them. A block is stale — its frame was written since it was
+    decoded — when its [b_gen] differs from its frame's entry. Dispatch
+    checks this before every instruction, not just at block entry, and
+    reads the array directly so the check is not a call. *)
 
 val clear : t -> unit
 (** Drop all cached blocks (snapshot restore; derived state only) and

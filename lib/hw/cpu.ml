@@ -1,5 +1,9 @@
-let mask32 = Isa.Encode.mask32
-let sign32 = Isa.Decode.sign32
+(* The per-instruction helpers are defined here, not aliased from
+   [Isa]: dev builds compile every module [-opaque], so an alias such as
+   [Isa.Encode.mask32] is an indirect call on every use, and only a
+   function of this module can be inlined. *)
+let[@inline] mask32 v = v land 0xFFFFFFFF
+let[@inline] sign32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 type regs = {
   gpr : int array;
@@ -11,8 +15,20 @@ type regs = {
 
 let create_regs () = { gpr = Array.make 8 0; eip = 0; zf = false; sf = false; tf = false }
 
-let get r reg = r.gpr.(Isa.Reg.to_int reg)
-let set r reg v = r.gpr.(Isa.Reg.to_int reg) <- mask32 v
+(* [Isa.Reg.to_int], inlinable: a match whose arms are all constants
+   compiles to a table load. *)
+let[@inline] reg_index : Isa.Reg.t -> int = function
+  | EAX -> 0
+  | ECX -> 1
+  | EDX -> 2
+  | EBX -> 3
+  | ESP -> 4
+  | EBP -> 5
+  | ESI -> 6
+  | EDI -> 7
+
+let[@inline] get r reg = r.gpr.(reg_index reg)
+let[@inline] set r reg v = r.gpr.(reg_index reg) <- mask32 v
 
 (* The four control-transfer shapes a CFI monitor distinguishes. *)
 type ctrl_kind = Exec_env.ctrl_kind =
@@ -57,10 +73,12 @@ type cursor = {
   env : Exec_env.t;
   mmu : Mmu.t;
   cost : Cost.t;
+  insn_cycles : int;  (* [cost.params.insn]: [Cost.params] is immutable *)
   itlb : Tlb.t;
   page_shift : int;
   fetch : int -> int;  (* the byte-at-a-time decoder's fetch callback *)
   mutable regs : regs;
+  mutable gens : int array;  (* the block cache's per-frame generations *)
   mutable trail : Exec_env.trail;
   mutable fold_vpn : int;
   mutable folded : int;
@@ -88,10 +106,12 @@ let cursor (env : Exec_env.t) mmu r =
         env;
         mmu;
         cost = Mmu.cost mmu;
+        insn_cycles = (Mmu.cost mmu).params.insn;
         itlb = Mmu.itlb mmu;
         page_shift = Phys.page_shift (Mmu.phys mmu);
         fetch = (fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a);
         regs = r;
+        gens = [||];
         trail = env.trail;
         fold_vpn = 0;
         folded = 0;
@@ -156,8 +176,7 @@ let push mmu r v =
   Mmu.Fast.write32 mmu ~from_user:true sp v;
   set r ESP sp
 
-let binop r d s f ~next =
-  let v = f (get r d) (get r s) in
+let binop r d v ~next =
   set r d v;
   set_flags r v;
   r.eip <- next;
@@ -238,8 +257,8 @@ let exec_insn c (r : regs) insn ~eip ~next =
     set r d (get r b + off);
     r.eip <- next;
     No_trap
-  | Add (d, s) -> binop r d s ( + ) ~next
-  | Sub (d, s) -> binop r d s ( - ) ~next
+  | Add (d, s) -> binop r d (get r d + get r s) ~next
+  | Sub (d, s) -> binop r d (get r d - get r s) ~next
   | Add_ri (d, i) ->
     let v = get r d + i in
     set r d v;
@@ -254,10 +273,10 @@ let exec_insn c (r : regs) insn ~eip ~next =
     set_flags_signed r (sign32 (get r a) - i);
     r.eip <- next;
     No_trap
-  | And_ (d, s) -> binop r d s ( land ) ~next
-  | Or_ (d, s) -> binop r d s ( lor ) ~next
-  | Xor (d, s) -> binop r d s ( lxor ) ~next
-  | Mul (d, s) -> binop r d s ( * ) ~next
+  | And_ (d, s) -> binop r d (get r d land get r s) ~next
+  | Or_ (d, s) -> binop r d (get r d lor get r s) ~next
+  | Xor (d, s) -> binop r d (get r d lxor get r s) ~next
+  | Mul (d, s) -> binop r d (get r d * get r s) ~next
   | Shl (d, i) ->
     let v = get r d lsl (i land 31) in
     set r d v;
@@ -374,8 +393,12 @@ let[@inline] record c eip =
    trail, and the batched count the caller flushes to [Cost.insns]. *)
 let[@inline] retire c eip =
   record c eip;
-  c.cost.cycles <- c.cost.cycles + c.cost.params.insn;
+  c.cost.cycles <- c.cost.cycles + c.insn_cycles;
   c.retired <- c.retired + 1
+
+(* [b] still describes its frame's bytes: no store has hit the frame since
+   the block was decoded ([Bbcache.generations]). *)
+let[@inline] fresh c (b : Bbcache.block) = b.b_gen = c.gens.(b.b_frame)
 
 let[@inline] in_budget c = c.attempts < c.max_insns && c.cost.cycles < c.tick_limit
 
@@ -457,9 +480,11 @@ let pay c =
    - retired instructions charge [params.insn] cycles inline while the
      [insns] counter and retire-rate metrics are batched by the caller
      from the call's retire count;
-   - staleness ([Bbcache.stale]) is checked before every instruction, not
-     just at block entry, so self-modifying code that rewrites its own
-     block takes effect at the very next instruction boundary;
+   - staleness is checked before every instruction, not just at block
+     entry, so self-modifying code that rewrites its own block takes
+     effect at the very next instruction boundary. The check is [fresh]:
+     the block's generation against its frame's, read inline from the
+     cache's generation array ([gens]);
    - a block end finds the next block with [Bbcache.follow] from the
      block just left, which returns (and counts) what [Bbcache.lookup]
      would, usually from the block's chain links without a table probe;
@@ -472,14 +497,24 @@ let pay c =
    [b] when execution fell through to it, else -1; and [vpn], the page of
    the previous fetch when fetches from it may be folded, else -1 (before
    the first instruction, after the byte-at-a-time fallback, whose fetches
-   may reach into the next page, and always without [fast_fetch]). *)
+   may reach into the next page, and always without [fast_fetch]).
+
+   Per instruction, the only cross-module calls are a memory operand's
+   [Mmu.Fast] accessor and what it calls ([Tlb.find], [Phys.*_at]):
+   register access, 32-bit masking, the staleness check and the retire
+   charge are inline, and page arithmetic is shift and mask. Dev builds
+   compile every module [-opaque], so a call into another module is never
+   inlined. The loop's own invariant is that [idx] >= 0 only when [idx] <
+   [b.n] ([cached_exec] passes [idx + 1] only below [b.n], and every block
+   entered at 0 has [n] > 0), so the per-instruction reads of [b]'s arrays
+   use [Array.unsafe_get]. *)
 let rec cached_loop c cache (b : Bbcache.block) idx vpn =
   if in_budget c then begin
     let eip = c.regs.eip in
     let shift = c.page_shift in
     if vpn >= 0 && (idx >= 0 || mask32 eip lsr shift = vpn) then
-      if idx >= 0 && not (Bbcache.stale cache b) then begin
-        fold_hits c vpn b.Bbcache.sizes.(idx);
+      if idx >= 0 && fresh c b then begin
+        fold_hits c vpn (Array.unsafe_get b.Bbcache.sizes idx);
         cached_exec c cache b idx vpn
       end
       else begin
@@ -502,7 +537,7 @@ let rec cached_loop c cache (b : Bbcache.block) idx vpn =
         Pf
       end
       else if
-        idx >= 0 && pa0 = b.Bbcache.b_pa0 + b.Bbcache.offs.(idx) && not (Bbcache.stale cache b)
+        idx >= 0 && pa0 = b.Bbcache.b_pa0 + Array.unsafe_get b.Bbcache.offs idx && fresh c b
       then cached_translated c cache b idx pa0
       else cached_translated c cache (Bbcache.follow cache b pa0) 0 pa0
     end
@@ -515,7 +550,7 @@ and cached_translated c cache b idx pa0 =
   if b.Bbcache.n = 0 then cached_fallback c cache pa0
   else begin
     let eip = c.regs.eip in
-    let sz = b.Bbcache.sizes.(idx) in
+    let sz = Array.unsafe_get b.Bbcache.sizes idx in
     Mmu.touch_icache c.mmu pa0;
     if c.fast_fetch then begin
       let vpn = mask32 eip lsr c.page_shift in
@@ -551,8 +586,8 @@ and cached_fallback c cache pa0 =
 and cached_exec c cache b idx vpn =
   let r = c.regs in
   let eip = r.eip in
-  let sz = b.Bbcache.sizes.(idx) in
-  match exec_insn c r b.Bbcache.insns.(idx) ~eip ~next:(eip + sz) with
+  let sz = Array.unsafe_get b.Bbcache.sizes idx in
+  match exec_insn c r (Array.unsafe_get b.Bbcache.insns idx) ~eip ~next:(eip + sz) with
   | exception Mmu.Pending_fault ->
     attempted c;
     Pf
@@ -663,6 +698,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
     if r.tf then single_step c
     else begin
       c.fast_fetch <- Option.is_none env.sample && Option.is_none (Mmu.icache mmu);
+      c.gens <- Bbcache.generations cache;
       let t = cached_loop c cache Bbcache.none (-1) (-1) in
       (* every exit of the loop comes back here: pay the folded hits *)
       pay c;

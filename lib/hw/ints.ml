@@ -40,6 +40,10 @@ module Stack = struct
   let mem t x = mem_from t x 0
   let clear t = t.len <- 0
 
+  let truncate t n =
+    if n < 0 || n > t.len then invalid_arg "Ints.Stack.truncate";
+    t.len <- n
+
   let drop t n =
     Array.blit t.a n t.a 0 (t.len - n);
     t.len <- t.len - n

@@ -25,6 +25,9 @@ module Stack : sig
   val mem : t -> int -> bool
   val clear : t -> unit
 
+  val truncate : t -> int -> unit
+  (** [truncate t n] keeps the [n] oldest elements, [0 <= n <= length t]. *)
+
   val drop : t -> int -> unit
   (** [drop t n] removes the [n] oldest elements, keeping the rest (those
       pushed while the first [n] were being visited) in order. *)

@@ -42,6 +42,7 @@ exception Pending_fault
 
 type t = {
   phys : Phys.t;
+  page_shift : int;  (* [Phys.page_shift phys]: page sizes are powers of two *)
   itlb : Tlb.t;
   dtlb : Tlb.t;
   cost : Cost.t;
@@ -73,6 +74,7 @@ let create ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?(tlb_policy = Tlb.Fifo)
     ~phys ~cost () =
   {
     phys;
+    page_shift = Phys.page_shift phys;
     itlb = Tlb.create ~policy:tlb_policy ~name:"itlb" ~capacity:itlb_capacity ();
     dtlb = Tlb.create ~policy:tlb_policy ~name:"dtlb" ~capacity:dtlb_capacity ();
     cost;
@@ -170,7 +172,13 @@ let invlpg t vpn =
     Tlb.invalidate t.itlb vpn;
     Tlb.invalidate t.dtlb vpn
 
-let mask32 = Isa.Encode.mask32
+(* Defined here, not aliased from [Isa.Encode]: under [-opaque] an alias
+   is an indirect call per use (see [Fast]). *)
+let[@inline] mask32 v = v land 0xFFFFFFFF
+
+(* The packed paddr of offset [vaddr] within the page of PTE word [w]. *)
+let[@inline] paddr_of_word t w vaddr =
+  ((w lsr Tlb.pte_frame_shift) lsl t.page_shift) lor (vaddr land ((1 lsl t.page_shift) - 1))
 
 (* Every architectural fault latches through here so the fault register
    and the trace stream see them uniformly, whichever path detected it.
@@ -210,8 +218,7 @@ let[@inline] denied t ~from_user access w =
    PTE word on a miss; a violating miss does not fill the TLB. *)
 let rec translate_result t ~from_user access vaddr =
   let vaddr = mask32 vaddr in
-  let page_size = Phys.page_size t.phys in
-  let vpn = vaddr / page_size in
+  let vpn = vaddr lsr t.page_shift in
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
   let w = Tlb.find tlb vpn in
   if w >= 0 then
@@ -226,7 +233,7 @@ let rec translate_result t ~from_user access vaddr =
       record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
     else begin
       (match t.env.sample with None -> () | Some h -> h access vpn true);
-      (Tlb.frame_of_word w * page_size) + (vaddr mod page_size)
+      paddr_of_word t w vaddr
     end
   else begin
     if t.fill_mode = Software_fill then
@@ -248,7 +255,7 @@ let rec translate_result t ~from_user access vaddr =
         if Obs.enabled t.obs then Obs.count t.obs "mmu.fills";
         Tlb.fill tlb vpn w;
         (match t.env.sample with None -> () | Some h -> h access vpn false);
-        (Tlb.frame_of_word w * page_size) + (vaddr mod page_size)
+        paddr_of_word t w vaddr
       end
     end
   end
@@ -262,7 +269,15 @@ let rec translate_result t ~from_user access vaddr =
    traffic (icache for fetches, dcache — plus SMC coherency on stores —
    for data) over the physical access. 32-bit accesses split at page
    boundaries into four byte accesses, each with its own translation and
-   its own fault point, as the hardware would split them. *)
+   its own fault point, as the hardware would split them.
+
+   A memory operand's accessor is the only cross-module call the CPU's
+   dispatch loop makes per instruction, and on a TLB hit the accessor's
+   own are [Tlb.find] and [Phys.*_at] (a miss also walks and fills):
+   everything else it needs is in this module, and its page arithmetic is
+   shift and mask ([page_shift]), never a division. Dev builds compile
+   every module [-opaque], so a call into another module, even a one-line
+   alias, is never inlined. *)
 module Fast = struct
   let paddr t ~from_user access vaddr =
     let pa = translate_result t ~from_user access vaddr in
@@ -284,9 +299,13 @@ module Fast = struct
     touch_dcache_write t pa;
     Phys.write8_at t.phys pa v
 
+  (* Does a 32-bit access at [vaddr] stay within its page? *)
+  let[@inline] in_page32 t vaddr =
+    let mask = (1 lsl t.page_shift) - 1 in
+    vaddr land mask <= mask - 3
+
   let read32 t ~from_user vaddr =
-    let page_size = Phys.page_size t.phys in
-    if mask32 vaddr mod page_size <= page_size - 4 then begin
+    if in_page32 t vaddr then begin
       let pa = paddr t ~from_user Read vaddr in
       touch_dcache_read t pa;
       Phys.read32_at t.phys pa
@@ -296,8 +315,7 @@ module Fast = struct
       b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
   let write32 t ~from_user vaddr v =
-    let page_size = Phys.page_size t.phys in
-    if mask32 vaddr mod page_size <= page_size - 4 then begin
+    if in_page32 t vaddr then begin
       let pa = paddr t ~from_user Write vaddr in
       touch_dcache_write t pa;
       Phys.write32_at t.phys pa v

@@ -115,7 +115,7 @@ let read8 t ~frame ~off =
 
 let write8 t ~frame ~off v =
   check t frame off 1;
-  let c = Char.chr (v land 0xFF) in
+  let c = Char.unsafe_chr (v land 0xFF) in
   Bytes.set (own t t.frames frame) off c;
   note_write t frame;
   match t.ecc with None -> () | Some e -> Bytes.set (own t e.shadow frame) off c
@@ -242,14 +242,16 @@ let ecc_shadow_write8 t ~frame ~off v =
   | None -> ()
   | Some e -> Bytes.set (own t e.shadow frame) off (Char.chr (v land 0xFF))
 
-let addr t ~frame ~off = (frame * t.page_size) + off
-let frame_of_addr t a = a / t.page_size
-let off_of_addr t a = a mod t.page_size
+(* Packed physical addresses: [page_size] is a power of two ([create]
+   enforces it), so the arithmetic is shift and mask, never a division. *)
+let addr t ~frame ~off = (frame lsl t.page_shift) + off
+let[@inline] frame_of_addr t a = a asr t.page_shift
+let[@inline] off_of_addr t a = a land (t.page_size - 1)
 
 (* Physical-address accessors for the MMU fast path: callers that already
    hold a packed paddr (frame * page_size + off) skip the (frame, off)
    tuple round-trip. *)
-let read8_at t paddr = read8 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size)
-let write8_at t paddr v = write8 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size) v
-let read32_at t paddr = read32 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size)
-let write32_at t paddr v = write32 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size) v
+let read8_at t paddr = read8 t ~frame:(frame_of_addr t paddr) ~off:(off_of_addr t paddr)
+let write8_at t paddr v = write8 t ~frame:(frame_of_addr t paddr) ~off:(off_of_addr t paddr) v
+let read32_at t paddr = read32 t ~frame:(frame_of_addr t paddr) ~off:(off_of_addr t paddr)
+let write32_at t paddr v = write32 t ~frame:(frame_of_addr t paddr) ~off:(off_of_addr t paddr) v

@@ -6,14 +6,15 @@ let pte_present = 0x001
 let pte_writable = 0x002
 let pte_user = 0x004
 let pte_nx = 0x100
+let pte_frame_shift = 12
 
 let word ~frame ~writable ~user ~nx =
-  (frame lsl 12) lor pte_present
+  (frame lsl pte_frame_shift) lor pte_present
   lor (if writable then pte_writable else 0)
   lor (if user then pte_user else 0)
   lor if nx then pte_nx else 0
 
-let frame_of_word w = w lsr 12
+let frame_of_word w = w lsr pte_frame_shift
 
 type policy = Fifo | Lru
 

@@ -26,6 +26,10 @@ val pte_writable : int
 val pte_user : int
 val pte_nx : int
 
+val pte_frame_shift : int
+(** The frame number's position: [frame_of_word w] is
+    [w lsr pte_frame_shift]. *)
+
 val word : frame:int -> writable:bool -> user:bool -> nx:bool -> int
 (** A present PTE word. *)
 

@@ -55,7 +55,13 @@ let create ~page_size =
 let page_size t = t.page_size
 let add_region t r = t.regions <- r :: t.regions
 let regions t = t.regions
-let find_region t vpn = List.find_opt (fun r -> vpn >= r.lo && vpn < r.hi) t.regions
+let rec region_in vpn = function
+  | [] -> raise Not_found
+  | r :: rest -> if vpn >= r.lo && vpn < r.hi then r else region_in vpn rest
+
+let find_region_exn t vpn = region_in vpn t.regions
+
+let find_region t vpn = match find_region_exn t vpn with r -> Some r | exception Not_found -> None
 
 let pte t vpn = Hashtbl.find_opt t.ptes vpn
 let find_pte t vpn = Hashtbl.find t.ptes vpn

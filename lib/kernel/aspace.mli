@@ -42,6 +42,11 @@ val page_size : t -> int
 val add_region : t -> region -> unit
 val regions : t -> region list
 val find_region : t -> int -> region option
+
+val find_region_exn : t -> int -> region
+(** {!find_region} without the [option] box: raises [Not_found] when no
+    region holds [vpn]. CFI's allocation-free lookup. *)
+
 val pte : t -> int -> Pte.t option
 
 val find_pte : t -> int -> Pte.t

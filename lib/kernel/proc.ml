@@ -55,6 +55,7 @@ type t = {
   mutable recovery_handler : int option;
   trail : Hw.Exec_env.trail;
       (* forensic ring of retired eips; the dispatch loop writes it *)
+  mutable ctrl : Hw.Exec_env.ctrl option;  (* the monitor bound to this process *)
   mutable protected_ : bool;
 }
 
@@ -82,6 +83,7 @@ let create ~pid ~name ~aspace =
     detections = 0;
     recovery_handler = None;
     trail = { ring = Array.make 32 (-1); pos = 0 };
+    ctrl = None;
     protected_ = true;
   }
 

@@ -55,6 +55,11 @@ type t = {
       (** ring of the last 32 retired EIPs. The scheduler arms it as
           [Exec_env.trail] each quantum, and {!Hw.Cpu.run_block} writes
           it. *)
+  mutable ctrl : Hw.Exec_env.ctrl option;
+      (** the machine's control-transfer monitor bound to this process:
+          built at its first quantum under a protection with a
+          [ctrl_monitor], then reused, so arming a quantum allocates
+          nothing. Derived state, not serialized. *)
   mutable protected_ : bool;
       (** per-process opt-out (paper §3.3.1: a process that needs a plain
           von Neumann view — e.g. self-modifying code — simply gets one

@@ -99,14 +99,19 @@ let timer_tick (m : M.t) =
 
 let run_quantum ?table (m : M.t) (p : Proc.t) fuel =
   (* Arm the control-transfer monitor for this quantum. The closure (and
-     the protection context it captures) is built once per quantum, not per
-     step, and not at all for non-CFI protections — the common step loop
-     stays allocation-free. *)
+     the protection context it captures) is built once per process, at its
+     first quantum, and not at all for non-CFI protections, so a
+     scheduler boundary stays allocation-free. *)
   let ctrl =
     match m.protection.ctrl_monitor with
-    | Some mon when p.protected_ ->
-      let ctx = m.ctx in
-      Some (fun ~kind ~site ~target ~ret -> mon ctx p ~kind ~site ~target ~ret)
+    | Some mon when p.protected_ -> (
+      match p.ctrl with
+      | Some _ as armed -> armed
+      | None ->
+        let ctx = m.ctx in
+        let armed = Some (fun ~kind ~site ~target ~ret -> mon ctx p ~kind ~site ~target ~ret) in
+        p.ctrl <- armed;
+        armed)
     | Some _ | None -> None
   in
   (* Arm the dispatch environment for this quantum: field writes only. *)

@@ -377,6 +377,7 @@ let restore os snap =
       detections = ps.pr_detections;
       recovery_handler = ps.pr_recovery;
       trail = { ring = Array.copy ps.pr_trace; pos = ps.pr_trace_pos };
+      ctrl = None;
       protected_ = ps.pr_protected;
     }
   in

@@ -12,7 +12,8 @@
    [Tlb.note_hits] parity with individual finds including LRU recency,
    snapshot restore treating the cache as derived state, and the
    translate-once discipline: remaps between calls, stores into a
-   same-page successor, and an allocation-free instruction loop. *)
+   same-page successor and into the next instruction of the running
+   block, and an allocation-free instruction loop. *)
 
 (* --- Page-edge blocks and the negative-block fallback ---------------------- *)
 
@@ -140,6 +141,8 @@ let test_trap_flag_single_step () =
 
 (* --- Self-modifying code: generation-based invalidation -------------------- *)
 
+let stale cache (b : Hw.Bbcache.block) = b.b_gen <> (Hw.Bbcache.generations cache).(b.b_frame)
+
 let test_smc_invalidation () =
   let phys = Hw.Phys.create ~frames:4 () in
   let cache = Hw.Bbcache.create ~phys () in
@@ -156,13 +159,13 @@ let test_smc_invalidation () =
   (* a store into the watched frame bumps the generation... *)
   Hw.Phys.write8 phys ~frame:2 ~off:2 0x2A;
   Alcotest.(check int) "invalidation fired" 1 s.invalidations;
-  Alcotest.(check bool) "block is stale" true (Hw.Bbcache.stale cache b);
+  Alcotest.(check bool) "block is stale" true (stale cache b);
   (* ...and the rebuilt block decodes the patched bytes *)
   let b' = Hw.Bbcache.lookup cache pa0 in
   Alcotest.(check int) "stale miss" 2 s.misses;
   Alcotest.(check bool) "patched imm visible" true
     (b'.insns.(0) = Isa.Insn.Mov_ri (Isa.Reg.EAX, 0x2A));
-  Alcotest.(check bool) "rebuilt block is fresh" false (Hw.Bbcache.stale cache b');
+  Alcotest.(check bool) "rebuilt block is fresh" false (stale cache b');
   (* writes to frames backing no block stay invisible to the watch *)
   Hw.Phys.write8 phys ~frame:0 ~off:0 7;
   Alcotest.(check int) "unwatched frame: no invalidation" 1 s.invalidations;
@@ -280,6 +283,45 @@ let test_smc_same_page_successor () =
   in
   let ((regs, _, _, _) as cached) = final ~cached:true in
   Alcotest.(check int) "patched b" 0x2A (Hw.Cpu.get regs Isa.Reg.EAX);
+  Alcotest.(check bool) "cached = exact (regs, cycles, TLBs)" true (cached = final ~cached:false)
+
+(* A store that rewrites the very next instruction of the running block:
+   the block was decoded before the store ran, and execution falls
+   through to the patched instruction without a block end. Only the
+   per-instruction staleness check can see the patch, so cached dispatch
+   must still load the patched immediate, as exact dispatch does. *)
+let test_smc_next_insn () =
+  let program ~target =
+    Isa.Asm.
+      [
+        I (Mov_ri (ECX, 0x2A));
+        I (Mov_ri (EDI, target));
+        I (Storeb (EDI, 0, ECX));
+        L "next";
+        I (Mov_ri (EAX, 1));
+        I Hlt;
+      ]
+  in
+  let next = Isa.Asm.label (Isa.Asm.assemble (program ~target:0)) "next" in
+  (* [mov eax, imm32] keeps its immediate at byte 2 *)
+  let code = (Isa.Asm.assemble (program ~target:(next + 2))).code in
+  let final ~cached =
+    let phys, mmu, map = bare () in
+    Hw.Phys.blit_from_string phys ~frame:1 ~off:0 code;
+    map ~vpn:0 ~frame:1;
+    let env = dispatch_env phys ~cached and regs = Hw.Cpu.create_regs () in
+    let br = run_n env mmu regs 10 in
+    Alcotest.(check int) "ran to the hlt" 5 br.attempts;
+    Alcotest.(check int) "patched immediate" 0x2A (Hw.Cpu.get regs Isa.Reg.EAX);
+    Option.iter
+      (fun c ->
+        (* one cold block, whose decode of [next] the store stales; its
+           rebuild starts at [next] *)
+        Alcotest.(check int) "one block, one rebuild" 2 (Hw.Bbcache.stats c).misses)
+      env.cache;
+    machine_state mmu regs
+  in
+  let cached = final ~cached:true in
   Alcotest.(check bool) "cached = exact (regs, cycles, TLBs)" true (cached = final ~cached:false)
 
 (* Cached dispatch owes the ITLB its folded hits until the next real
@@ -493,6 +535,7 @@ let suite =
       test_remap_between_calls;
     Alcotest.test_case "store into a same-page successor block" `Quick
       test_smc_same_page_successor;
+    Alcotest.test_case "store into the next instruction of the block" `Quick test_smc_next_insn;
     Alcotest.test_case "itlb equal after every call (fifo)" `Quick
       (test_itlb_every_call Hw.Tlb.Fifo);
     Alcotest.test_case "itlb equal after every call (lru)" `Quick

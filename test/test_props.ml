@@ -388,6 +388,157 @@ let prop_phys_zero_page =
       && Hw.Phys.materialized t
          <= List.length (List.filter (fun f -> written.(f)) frames))
 
+(* --- page arithmetic: [Mmu] at every page size ----------------------------- *)
+
+(* The MMU and [Phys] compute page numbers and offsets with shifts and
+   masks. A reference with [/] and [mod] must agree at every power-of-two
+   page size from 64 B to 64 KiB: the physical address a translation
+   yields, the fault register's [addr] and [kind] on a fault, and the
+   bytes a 32-bit access reads or writes, including one split at the
+   page edge into four byte accesses. Addresses cluster at the last four
+   bytes of a page, above 2^31 and below zero (a base register plus a
+   negative offset, which [mask32] wraps to the top of the space). The
+   walker is a formula of the vpn: every third page absent, every fifth
+   read-only. *)
+type page_op =
+  | Xlate of Hw.Mmu.access * int
+  | Rd8 of int
+  | Rd32 of int
+  | Wr8 of int * int
+  | Wr32 of int * int
+
+let page_frames = 4
+
+let gen_page_op shift =
+  let open Gen in
+  let ps = 1 lsl shift in
+  let vpn = oneof [ int_range 0 64; int_range (0x8000_0000 / ps) (0xFFFF_FFFF / ps) ] in
+  let addr =
+    oneof
+      [
+        map2 (fun v d -> (v * ps) + ps - 4 + d) vpn (int_range 0 3);
+        int_range 0x8000_0000 0xFFFF_FFFF;
+        int_range (-2 * ps) (-1);
+        int_range 0 (64 * ps);
+      ]
+  in
+  oneof
+    [
+      map2 (fun acc a -> Xlate (acc, a)) (oneofl Hw.Mmu.[ Fetch; Read; Write ]) addr;
+      map (fun a -> Rd8 a) addr;
+      map (fun a -> Rd32 a) addr;
+      map2 (fun a v -> Wr8 (a, v)) addr (int_range 0 255);
+      map2 (fun a v -> Wr32 (a, v)) addr (int_range 0 0xFFFF_FFFF);
+    ]
+
+let pp_page_op = function
+  | Xlate (acc, a) ->
+    let name = match acc with Hw.Mmu.Fetch -> "fetch" | Read -> "read" | Write -> "write" in
+    Fmt.str "translate %s %d" name a
+  | Rd8 a -> Fmt.str "read8 %d" a
+  | Rd32 a -> Fmt.str "read32 %d" a
+  | Wr8 (a, v) -> Fmt.str "write8 %d %d" a v
+  | Wr32 (a, v) -> Fmt.str "write32 %d %#x" a v
+
+let prop_page_arithmetic =
+  Test.make ~name:"mmu: shift-and-mask page arithmetic matches / and mod" ~count:300
+    (make
+       ~print:Print.(pair int (list pp_page_op))
+       Gen.(
+         int_range 6 16 >>= fun k -> pair (return k) (list_size (int_range 1 60) (gen_page_op k))))
+    (fun (shift, ops) ->
+      let ps = 1 lsl shift in
+      let absent vpn = vpn mod 3 = 2 and read_only vpn = vpn mod 5 = 4 in
+      let phys = Hw.Phys.create ~page_size:ps ~frames:page_frames () in
+      let mmu = Hw.Mmu.create ~phys ~cost:(Hw.Cost.create ()) () in
+      Hw.Mmu.load_cr3 mmu (fun vpn ->
+          if absent vpn then -1
+          else
+            Hw.Tlb.word ~frame:(vpn mod page_frames) ~writable:(not (read_only vpn)) ~user:true
+              ~nx:false);
+      let mem = Bytes.make (page_frames * ps) '\000' in
+      (* the reference translation: [Ok paddr] or [Error (addr, kind)] *)
+      let translate acc vaddr =
+        let a = vaddr land 0xFFFF_FFFF in
+        let vpn = a / ps in
+        if absent vpn then Error (a, Hw.Mmu.Not_present)
+        else if acc = Hw.Mmu.Write && read_only vpn then Error (a, Hw.Mmu.Protection)
+        else Ok ((vpn mod page_frames * ps) + (a mod ps))
+      in
+      let fault_is acc (addr, kind) =
+        let f = Hw.Mmu.pending_fault mmu in
+        f.addr = addr && f.kind = kind && f.access = acc
+      in
+      let byte pa = Char.code (Bytes.get mem pa) in
+      let in_page vaddr = vaddr land 0xFFFF_FFFF mod ps <= ps - 4 in
+      let bytes_of vaddr = List.init 4 (fun i -> translate Hw.Mmu.Read (vaddr + i)) in
+      let faults = List.filter_map (function Error e -> Some e | Ok _ -> None) in
+      let raises f = match f () with _ -> false | exception Hw.Mmu.Pending_fault -> true in
+      let step = function
+        | Xlate (acc, a) -> (
+          let r = Hw.Mmu.translate_result mmu ~from_user:true acc a in
+          match translate acc a with Ok pa -> r = pa | Error e -> r < 0 && fault_is acc e)
+        | Rd8 a -> (
+          match translate Hw.Mmu.Read a with
+          | Ok pa -> Hw.Mmu.Fast.read8 mmu ~from_user:true a = byte pa
+          | Error e ->
+            raises (fun () -> Hw.Mmu.Fast.read8 mmu ~from_user:true a) && fault_is Read e)
+        | Rd32 a -> (
+          let expected =
+            if in_page a then
+              Result.map (fun pa -> List.init 4 (fun i -> byte (pa + i))) (translate Hw.Mmu.Read a)
+              |> Result.map_error (fun e -> [ e ])
+            else
+              match faults (bytes_of a) with
+              | [] -> Ok (List.map (function Ok pa -> byte pa | Error _ -> 0) (bytes_of a))
+              | es -> Error es
+          in
+          match expected with
+          | Ok bs ->
+            Hw.Mmu.Fast.read32 mmu ~from_user:true a
+            = List.fold_right (fun b acc -> (acc lsl 8) lor b) bs 0
+          | Error es ->
+            (* a split read faults at one of its faulting bytes *)
+            raises (fun () -> Hw.Mmu.Fast.read32 mmu ~from_user:true a)
+            && List.exists (fault_is Read) es)
+        | Wr8 (a, v) -> (
+          match translate Hw.Mmu.Write a with
+          | Ok pa ->
+            Hw.Mmu.Fast.write8 mmu ~from_user:true a v;
+            Bytes.set mem pa (Char.chr v);
+            true
+          | Error e ->
+            raises (fun () -> Hw.Mmu.Fast.write8 mmu ~from_user:true a v) && fault_is Write e)
+        | Wr32 (a, v) ->
+          let raised = raises (fun () -> Hw.Mmu.Fast.write32 mmu ~from_user:true a v) in
+          let byte_at i = Char.chr ((v lsr (8 * i)) land 0xFF) in
+          if in_page a then (
+            match translate Hw.Mmu.Write a with
+            | Ok pa ->
+              for i = 0 to 3 do
+                Bytes.set mem (pa + i) (byte_at i)
+              done;
+              not raised
+            | Error e -> raised && fault_is Write e)
+          else
+            (* a split write stores its bytes in order up to the first
+               faulting one *)
+            let rec go i =
+              if i = 4 then not raised
+              else
+                match translate Hw.Mmu.Write (a + i) with
+                | Ok pa ->
+                  Bytes.set mem pa (byte_at i);
+                  go (i + 1)
+                | Error e -> raised && fault_is Write e
+            in
+            go 0
+      in
+      List.for_all step ops
+      && List.for_all
+           (fun f -> Hw.Phys.to_string phys ~frame:f = Bytes.sub_string mem (f * ps) ps)
+           (List.init page_frames Fun.id))
+
 (* --- block chaining: [Bbcache.follow] is [lookup] ----------------------- *)
 
 type bb_op =
@@ -699,6 +850,7 @@ let suite =
       prop_pipe_fifo;
       prop_split_writes_never_touch_code_copy;
       prop_phys_zero_page;
+      prop_page_arithmetic;
       prop_bbcache_follow;
       prop_tlb_twin;
     ]

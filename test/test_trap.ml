@@ -391,24 +391,39 @@ let test_pipe_syscall_allocation () =
    walkers loaded are built once per address space), enqueue — and the
    pipe round trip with its blocking and waking allocate nothing: the fig
    7 ctxsw pair runs thousands of boundaries on a warm machine within the
-   constant a [Sched.run] call allocates. Unprotected on the hardware
-   walker, and on the two other TLB-fill hardwares: a software-managed
-   TLB, whose misses after each switch go through the OS's fill hook, and
-   the dual-pagetable registers. *)
+   constant a [Sched.run] call allocates. Warm means the block cache has
+   stopped missing. A block is keyed by its first instruction, and a timer
+   interrupt can start a dispatch call at any instruction of the loop, so
+   cold misses (a build allocates, by design) thin out slowly: split
+   memory still builds blocks past 3,000,000 instructions.
+   Unprotected and split memory on the hardware walker, and on the two
+   other TLB-fill hardwares: a software-managed TLB, whose misses after
+   each switch go through the OS's fill hook, and the dual-pagetable
+   registers; and under CFI, alone and over split memory, whose monitor
+   sees every call and return. *)
 let test_sched_boundary_allocation () =
   List.iter
     (fun defense ->
       let k = Workload.Harness.build (Workload.Figures.ctxsw_spec ~defense ~iters:2_000) in
       let m = Kernel.Os.machine k in
       let run fuel = ignore (Kernel.Sched.run ~fuel m : Kernel.Sched.stop_reason) in
-      run 50_000;
+      run 4_000_000;
       let switches = m.cost.ctx_switches in
       let words = minor_words (fun () -> run 4_000_000) in
       let boundaries = m.cost.ctx_switches - switches in
       let what = Fmt.str "%s: %d context switches" (Defense.name defense) boundaries in
       if boundaries < 1_000 then Alcotest.failf "%s: too few" what;
       check_alloc_free what ~ops:boundaries words)
-    Defense.[ unprotected; split_soft_tlb; unprotected_soft_tlb; split_dual_cr3 ]
+    Defense.
+      [
+        unprotected;
+        split_standalone;
+        split_soft_tlb;
+        unprotected_soft_tlb;
+        split_dual_cr3;
+        cfi;
+        split_plus_cfi;
+      ]
 
 (* A split fetch fault and its single step: the ITLB miss on the
    restricted code page traps (#PF), Algorithm 1 unrestricts the page and
